@@ -12,7 +12,7 @@ from scipy import stats
 from .fields import ScalarWaveFunction, density, norm
 from .grids import Grid, PhysicalConstants
 from .guidance import NodePolicy, integrate_flow
-from .kernels.reference import _lagrange4, _stencil
+from .kernels import cubic_stencil
 from .potentials import Sampled
 from .propagate import SPLIT_FOURIER, evolve
 
@@ -208,9 +208,8 @@ def conditional_wavefunction(psi2d, y_value):
     if not (ax_env.lower <= y_value <= ax_env.upper):
         from .guidance import OutOfBoundsError
         raise OutOfBoundsError(f"Y={y_value} outside the environment axis")
-    idx, u = _stencil(ax_env.count, ax_env.lower, ax_env.spacing,
-                      ax_env.periodic, np.array([y_value]))
-    w = _lagrange4(u)
+    idx, w = cubic_stencil(ax_env.count, ax_env.lower, ax_env.spacing,
+                           ax_env.periodic, np.array([y_value]))
     vals = sum(w[b, 0] * psi2d.amplitudes[:, idx[b, 0]] for b in range(4))
     slice_wf = ScalarWaveFunction(Grid(axes=(grid.axes[0],)), vals)
     if norm(slice_wf) < 1e-12:

@@ -2,6 +2,7 @@
 probability currents, and the binary/CSV serialization of fields."""
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -212,8 +213,28 @@ def write_wavefunction(psi, constants, path_or_stream):
             stream.close()
 
 
+def _read_field(stream, size, what):
+    """Exactly ``size`` bytes of the named header field or payload. Reads in
+    bounded chunks, so a corrupt length cannot ask for a huge buffer."""
+    chunks, got = [], 0
+    while got < size:
+        chunk = stream.read(min(size - got, 1 << 20))
+        if not chunk:
+            raise ValueError(f"truncated wave-function container: {what} "
+                             f"needs {size} bytes, found {got}")
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
+def _unpack(stream, fmt, what):
+    return struct.unpack(fmt, _read_field(stream, struct.calcsize(fmt), what))
+
+
 def read_wavefunction(path_or_stream):
-    """Inverse of write_wavefunction; returns (ScalarWaveFunction, constants)."""
+    """Inverse of write_wavefunction; returns (ScalarWaveFunction, constants).
+
+    Truncated or corrupt input raises a ValueError that names the field."""
     close = False
     if isinstance(path_or_stream, (str, bytes)) or hasattr(path_or_stream, "__fspath__"):
         stream = open(path_or_stream, "rb")
@@ -223,16 +244,32 @@ def read_wavefunction(path_or_stream):
     try:
         if stream.read(4) != _MAGIC:
             raise ValueError("not a wave-function container")
-        (dim,) = struct.unpack("<B", stream.read(1))
+        (dim,) = _unpack(stream, "<B", "dimension")
+        if dim not in (1, 2):
+            raise ValueError(f"dimension: expected 1 or 2, found {dim}")
         axes = []
-        for _ in range(dim):
-            lower, count, spacing, flag = struct.unpack("<dQdB", stream.read(25))
+        for i in range(dim):
+            lower, count, spacing, flag = _unpack(stream, "<dQdB", f"axis {i}")
+            if flag not in _FLAG_NAMES:
+                raise ValueError(f"axis {i} boundary flag: unknown value {flag}")
+            if not (math.isfinite(lower) and math.isfinite(spacing)):
+                raise ValueError(f"axis {i}: lower and spacing must be finite")
             axes.append(Axis(lower, count, spacing, _FLAG_NAMES[flag]))
-        hbar, nm = struct.unpack("<dB", stream.read(9))
-        masses = struct.unpack(f"<{nm}d", stream.read(8 * nm))
-        (normalized,) = struct.unpack("<B", stream.read(1))
+        hbar, nm = _unpack(stream, "<dB", "hbar and mass count")
+        if nm != dim:
+            raise ValueError(f"mass count: expected {dim}, found {nm}")
+        masses = _unpack(stream, f"<{nm}d", "masses")
+        if not all(map(math.isfinite, (hbar, *masses))):
+            raise ValueError("hbar and masses must be finite")
+        (normalized,) = _unpack(stream, "<B", "normalized flag")
+        if normalized not in (0, 1):
+            raise ValueError(f"normalized flag: expected 0 or 1, found "
+                             f"{normalized}")
         grid = Grid(axes=tuple(axes))
-        raw = np.frombuffer(stream.read(grid.total_points * 16), dtype="<f8")
+        # math.prod stays exact where np.prod would wrap on a corrupt count
+        raw = np.frombuffer(
+            _read_field(stream, math.prod(grid.shape) * 16, "amplitudes"),
+            dtype="<f8")
         amps = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
         psi = ScalarWaveFunction(grid, amps, normalized=bool(normalized))
         return psi, PhysicalConstants(hbar=hbar, masses=masses)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import probability_current
-from .kernels.reference import _lagrange4, _stencil
+from .kernels import cubic_stencil
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def _current_at_surface(record, constants, surface):
         raise ValueError("surface location outside the grid")
     if not record.spans(surface.t0, surface.t1):
         raise ValueError("surface time window outside the record span")
-    idx, u = _stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
-                      np.array([surface.location]))
-    w = _lagrange4(u)[:, 0]
+    idx, w = cubic_stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
+                           np.array([surface.location]))
+    w = w[:, 0]
     times, vals = [], []
     for t, snap in zip(record.times, record.snapshots):
         if t < surface.t0 - 1e-12 or t > surface.t1 + 1e-12:

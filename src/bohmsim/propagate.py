@@ -1,7 +1,8 @@
 """Time-dependent Schrodinger evolution by two independent unitary schemes
 (Strang-split Fourier on periodic grids, Cayley/Crank-Nicolson with
-tridiagonal alternating-direction solves on boxed grids), plus the
-continuity-equation diagnostic and on-disk persistence of evolutions."""
+alternating-direction tridiagonal solves on boxed grids, every line of a
+sweep solved in one LAPACK call), plus the continuity-equation diagnostic
+and on-disk persistence of evolutions."""
 
 import json
 import os

@@ -5,12 +5,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmsim import analytic
 from bohmsim.fields import (CurrentField, ScalarWaveFunction,
                             SpinorWaveFunction, density, divergence, gradient,
                             norm, probability_current, read_wavefunction,
-                            wavefunction_to_csv, write_wavefunction)
+                            roundtrip_bytes, wavefunction_to_csv,
+                            write_wavefunction)
 from bohmsim.grids import Axis, Grid, PhysicalConstants
 from bohmsim.guidance import velocity
 from bohmsim.potentials import (CoupledOscillator, Free, Harmonic, Sampled,
@@ -312,6 +315,52 @@ def test_binary_roundtrip_2d_boxed(tmp_path):
 def test_bad_magic_rejected():
     with pytest.raises(ValueError):
         read_wavefunction(io.BytesIO(b"nope" + b"\x00" * 64))
+
+
+@st.composite
+def _containers(draw):
+    """A random field with its constants and container bytes."""
+    dim = draw(st.integers(1, 2))
+    axes = tuple(Axis(draw(st.floats(-10.0, 10.0)), draw(st.integers(8, 12)),
+                      draw(st.floats(0.01, 1.0)),
+                      draw(st.sampled_from(["periodic", "boxed"])))
+                 for _ in range(dim))
+    grid = Grid(axes=axes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = ScalarWaveFunction(grid, rng.normal(size=grid.shape)
+                             + 1j * rng.normal(size=grid.shape))
+    if draw(st.booleans()):
+        psi = psi.normalize()
+    constants = PhysicalConstants(
+        hbar=draw(st.floats(0.01, 10.0)),
+        masses=tuple(draw(st.floats(0.01, 10.0)) for _ in range(dim)))
+    return psi, constants, roundtrip_bytes(psi, constants)
+
+
+@settings(deadline=None, max_examples=25)
+@given(_containers())
+def test_binary_roundtrip_and_truncation(container):
+    psi, constants, data = container
+    back, cback = read_wavefunction(io.BytesIO(data))
+    assert back.grid == psi.grid and cback == constants
+    assert back.normalized == psi.normalized
+    np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
+    for cut in range(len(data)):
+        with pytest.raises(ValueError) as err:
+            read_wavefunction(io.BytesIO(data[:cut]))
+        if cut >= 4:  # past the magic: the message names the short field
+            assert "truncated wave-function container" in str(err.value)
+
+
+@settings(deadline=None, max_examples=25)
+@given(_containers(), st.integers(2, 255))
+def test_binary_unknown_boundary_flag(container, flag):
+    psi, _, data = container
+    for i in range(psi.grid.dimension):
+        bad = bytearray(data)
+        bad[5 + 25 * i + 24] = flag  # magic, dimension, then 25 bytes per axis
+        with pytest.raises(ValueError, match=f"axis {i} boundary flag"):
+            read_wavefunction(io.BytesIO(bytes(bad)))
 
 
 def test_csv_export(tmp_path, grid1d):

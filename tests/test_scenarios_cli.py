@@ -73,6 +73,19 @@ def test_failing_scenario_exits_nonzero():
     assert code == 1 and not report["passed"]
 
 
+def test_povm_without_states_fails():
+    code, report = run_scenario({"scenario": "povm", "n_states": -1})
+    assert code == 1 and not report["passed"]
+
+
+@pytest.mark.parametrize("hbars", [[], [0.3]])
+def test_classical_limit_without_a_pair_fails(hbars):
+    cfg = {"scenario": "classical-limit", "hbars": hbars, "t_final": 1.0,
+           "dt": 1e-3, "points": 512, "dt_ode": 1e-2, "stride": 10}
+    code, report = run_scenario(cfg)
+    assert code == 1 and not report["checks"][0]["passed"]
+
+
 def test_seed_override():
     code, rep = run_scenario({"scenario": "povm"}, seed_override=123)
     assert rep["parameters"]["seed"] == 123 and code == 0

@@ -32,7 +32,9 @@ def main(argv=None):
     run_p = sub.add_parser("run", help="execute a scenario config")
     run_p.add_argument("config")
     run_p.add_argument("--out", default=None, help="output directory override")
-    run_p.add_argument("--threads", type=int, default=1)
+    run_p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect, "
+                            "every run uses one thread")
     run_p.add_argument("--seed-override", type=int, default=None)
 
     sub.add_parser("list", help="list the named scenarios")

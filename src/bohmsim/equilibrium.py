@@ -79,14 +79,13 @@ class EnsembleFlowResult:
         return self.hit_node / self.n_input
 
 
-def evolve_ensemble(ens, record, constants, policy=None, dt_ode=None,
-                    threads=1):
+def evolve_ensemble(ens, record, constants, policy=None, dt_ode=None):
     """Integrate every member independently through the record's guidance
     flow; members that hit a node or leave the grid are excluded and counted."""
     if abs(ens.time - record.t_initial) > 1e-9:
         raise ValueError("ensemble time does not match the record start")
     res = integrate_flow(ens.members, record, constants, policy=policy,
-                         dt_ode=dt_ode, threads=threads)
+                         dt_ode=dt_ode)
     ok = res.statuses == 0
     if not np.any(ok):
         raise ValueError("no member completed the flow")
@@ -155,12 +154,12 @@ def equivariance_distance(ens, psi, bins=50):
 
 
 def equivariance_check(psi0, record, constants, n, seed, bins=50, policy=None,
-                       dt_ode=None, threads=1):
+                       dt_ode=None):
     """Transport an equilibrium sample and compare it at the final time both
     to |psi_t|^2 and, by a two-sample KS test, to a fresh equilibrium sample."""
     ens0 = sample_density(psi0, n, seed)
     flow = evolve_ensemble(ens0, record, constants, policy=policy,
-                           dt_ode=dt_ode, threads=threads)
+                           dt_ode=dt_ode)
     psi_t = record.snapshots[-1]
     dist = equivariance_distance(flow.ensemble, psi_t, bins=bins)
     out = {
@@ -329,7 +328,7 @@ def aligned_l2_error(psi_a, psi_b):
 
 def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
                         t_meas=1.0, dt=1e-3, snapshot_stride=10, dt_ode=1e-2,
-                        threads=1, leakage_threshold=1e-6,
+                        leakage_threshold=1e-6,
                         return_artifacts=False):
     """Two-outcome von Neumann measurement on a 2-d grid.
 
@@ -379,7 +378,7 @@ def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
 
     ens = sample_density(psi0, n_members, seed)
     flow = evolve_ensemble(ens, record, constants, policy=NodePolicy(),
-                           dt_ode=dt_ode, threads=threads)
+                           dt_ode=dt_ode)
     y_final = flow.ensemble.members[:, 1]
     n_done = flow.ensemble.size
     counts = {"1": int(np.sum(y_final < 0.0)), "2": int(np.sum(y_final > 0.0))}

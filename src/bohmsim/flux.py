@@ -85,43 +85,53 @@ def expected_crossings(record, constants, surface):
     return total, signed
 
 
-def _count_one(times, xs, surface):
-    """Sign-change counting with the documented tie-break: one crossing per
-    sign change across a step, zero for a touch without sign change."""
-    sel = (times >= surface.t0 - 1e-12) & (times <= surface.t1 + 1e-12)
-    d = xs[sel] - surface.location
-    nz = d[d != 0.0]
-    if nz.size < 2:
-        return 0, 0
-    s = np.sign(nz)
-    flips = s[1:] * s[:-1] < 0
-    total = int(np.sum(flips))
-    signed = int(np.sum(s[1:][flips])) * surface.orientation
-    return total, signed
+def per_member_counts(flow, surface):
+    """Per-member (total, signed) crossing counts as a (B, 2) float array.
+
+    ``flow`` is a FlowResult with stored paths or a list of Trajectory
+    objects. Only samples inside the surface's time window and up to each
+    member's stop count. Tie-break: one crossing per sign change of
+    x - location between consecutive nonzero samples, so a touch of the
+    surface without a sign change counts zero. The signed count follows
+    the surface orientation. Members are counted together, one time row at
+    a time.
+    """
+    if hasattr(flow, "paths"):
+        if flow.paths is None:
+            raise ValueError("flow result has no stored paths")
+        xs = flow.paths[:, :, 0]
+        rows = np.arange(len(flow.times))[:, None]
+        valid = _in_window(flow.times, surface)[:, None] & (
+            rows <= flow.stop_index[None, :])
+    else:
+        trajs = list(flow)
+        xs = np.zeros((max((len(t.times) for t in trajs), default=0),
+                       len(trajs)))
+        valid = np.zeros(xs.shape, dtype=bool)
+        for b, traj in enumerate(trajs):
+            xs[: len(traj.times), b] = traj.points[:, 0]
+            valid[: len(traj.times), b] = _in_window(traj.times, surface)
+    total = np.zeros(xs.shape[1])
+    signed = np.zeros(xs.shape[1])
+    last = np.zeros(xs.shape[1])  # sign of the latest nonzero sample, or 0
+    for x, ok in zip(xs, valid):
+        sign = np.where(ok, np.sign(x - surface.location), 0.0)
+        flip = sign * last < 0
+        total += flip
+        signed += np.where(flip, surface.orientation * sign, 0.0)
+        last = np.where(sign != 0.0, sign, last)
+    return np.stack([total, signed], axis=1)
+
+
+def _in_window(times, surface):
+    return (times >= surface.t0 - 1e-12) & (times <= surface.t1 + 1e-12)
 
 
 def count_crossings(trajectories, surface):
-    """Ensemble means of (total, signed) crossing counts.
-
-    Accepts a list of Trajectory objects or a FlowResult with stored paths.
-    """
-    totals, signeds = [], []
-    if hasattr(trajectories, "paths"):
-        flow = trajectories
-        if flow.paths is None:
-            raise ValueError("flow result has no stored paths")
-        for b in range(flow.paths.shape[1]):
-            stop = int(flow.stop_index[b])
-            tot, sgn = _count_one(flow.times[: stop + 1],
-                                  flow.paths[: stop + 1, b, 0], surface)
-            totals.append(tot)
-            signeds.append(sgn)
-    else:
-        for traj in trajectories:
-            tot, sgn = _count_one(traj.times, traj.points[:, 0], surface)
-            totals.append(tot)
-            signeds.append(sgn)
-    return float(np.mean(totals)), float(np.mean(signeds))
+    """Ensemble means of (total, signed) crossing counts over the members of
+    a FlowResult with stored paths or a list of Trajectory objects."""
+    total, signed = per_member_counts(trajectories, surface).mean(axis=0)
+    return float(total), float(signed)
 
 
 def crossing_report(record, constants, surface, flow):
@@ -129,13 +139,3 @@ def crossing_report(record, constants, surface, flow):
     emp_total, emp_signed = count_crossings(flow, surface)
     n = flow.paths.shape[1] if hasattr(flow, "paths") else len(flow)
     return CrossingReport(total, signed, emp_total, emp_signed, n)
-
-
-def per_member_counts(flow, surface):
-    """Per-trajectory (total, signed) counts, for standard-error estimates."""
-    out = []
-    for b in range(flow.paths.shape[1]):
-        stop = int(flow.stop_index[b])
-        out.append(_count_one(flow.times[: stop + 1],
-                              flow.paths[: stop + 1, b, 0], surface))
-    return np.asarray(out, dtype=np.float64)

@@ -1,6 +1,7 @@
 """Discretized configuration space (1 or 2 degrees of freedom) and the
 physical constants entering the Hamiltonian and the guidance law."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ class Axis:
     def __post_init__(self):
         if self.count < 8:
             raise ValueError("axis needs at least 8 points")
+        if not (math.isfinite(self.lower) and math.isfinite(self.spacing)):
+            raise ValueError("axis lower and spacing must be finite")
         if self.spacing <= 0:
             raise ValueError("axis spacing must be positive")
         if self.boundary not in (PERIODIC, BOXED):
@@ -140,6 +143,8 @@ class PhysicalConstants:
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        if not all(map(math.isfinite, (self.hbar, *self.masses))):
+            raise ValueError("hbar and masses must be finite")
         if self.hbar <= 0 or any(m <= 0 for m in self.masses):
             raise ValueError("hbar and masses must be positive")
 

@@ -1,9 +1,16 @@
 """The guidance law: velocity fields derived from wave functions (scalar and
 spinor), node handling, and trajectory integration dQ/dt = v(Q, t) by fixed-step
-RK4 on time-interpolated evolution records."""
+RK4 on time-interpolated evolution records.
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
+Integration is time-major. Every member of a batch moves independently under
+the same field, so all of them advance together, one RK4 step at a time, and
+no member's arithmetic depends on which others share its batch. One
+``RecordSampler`` window serves the whole batch: it derives each snapshot's
+psi and grad psi once, and each RK4 stage interpolates them in one stacked
+call. The flow runs on one thread: on two cores, splitting each stage's
+members over two threads ran slower than one thread.
+"""
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +28,6 @@ HALT = "halt"
 CAP_SPEED = "cap-speed"
 
 DEFAULT_NODE_FRACTION = 1e-12  # of the peak density
-
-_CHUNK = 2048  # fixed batch split so results do not depend on thread count
 
 
 class OutOfBoundsError(Exception):
@@ -79,7 +84,8 @@ def _check_inside(grid, coords):
 
 
 def _interp_any(grid, values, pts):
-    """Batch cubic interpolation of one gridded complex array; pts is (B, d)."""
+    """Batch cubic interpolation of one gridded complex array, or of several
+    stacked on a trailing axis; pts is (B, d)."""
     if grid.dimension == 1:
         ax = grid.axes[0]
         return interp_cubic_1d(values, ax.lower, ax.spacing, ax.periodic,
@@ -102,62 +108,58 @@ def interpolate(psi, q):
     return complex(_interp_any(psi.grid, psi.amplitudes, pts)[0])
 
 
-class FieldSampler:
-    """Interpolated values and gradients of a single frozen field."""
-
-    def __init__(self, psi):
-        self.grid = psi.grid
-        self.amps = psi.amplitudes
-        self.grads = [gradient(psi, k) for k in range(psi.grid.dimension)]
-        self.peak_density = float(np.max(np.abs(psi.amplitudes) ** 2))
-
-    def sample(self, pts, t=None):
-        val = _interp_any(self.grid, self.amps, pts)
-        grads = np.stack([_interp_any(self.grid, g, pts) for g in self.grads],
-                         axis=1)
-        return val, grads
-
-
 class RecordSampler:
-    """Values and gradients of an evolution linearly interpolated in time.
+    """psi and grad psi of a run of snapshots, linearly interpolated in time.
 
-    Per-snapshot gradient arrays are computed lazily and cached for the two
-    bracketing snapshots; the cache is guarded so many trajectory batches can
-    share one record across threads.
+    ``bracket(t)`` returns (i0, i1, theta) as ``EvolutionRecord.bracket``
+    does. A sliding window holds the fields of at most two snapshots, one
+    per slot: snapshot i sits in slot i % 2 as the stack (psi, d_1 psi, ...,
+    d_d psi) along the last axis, so the bracketing pair is the whole
+    window. A single snapshot gets a one-slot window. Within
+    one flow the query times never decrease, so each snapshot's gradients
+    are computed once; an earlier time is still answered correctly, at the
+    cost of recomputing.
     """
 
-    def __init__(self, record):
-        self.record = record
-        self.grid = record.grid
-        self._cache = {}
-        self._lock = threading.Lock()
-        self.peak_density = float(np.max(density(record.snapshots[0])))
+    def __init__(self, grid, snapshots, bracket):
+        self.grid = grid
+        self.snapshots = snapshots
+        self.bracket = bracket
+        self.peak_density = float(np.max(density(snapshots[0])))
+        self._width = 1 + grid.dimension
+        self._held = [None] * min(2, len(snapshots))  # snapshot in each slot
+        self._window = np.empty(grid.shape + (len(self._held) * self._width,),
+                                dtype=np.complex128)
 
-    def _fetch(self, idx):
-        with self._lock:
-            hit = self._cache.get(idx)
-            if hit is None:
-                amps = self.record.snapshots[idx].amplitudes
-                grads = [gradient_array(self.grid, amps, k)
-                         for k in range(self.grid.dimension)]
-                hit = (amps, grads)
-                self._cache[idx] = hit
-                for old in [k for k in self._cache if k < idx - 2]:
-                    del self._cache[old]
-            return hit
+    def _columns(self, idx):
+        """Window columns holding snapshot idx, which is loaded if absent."""
+        slot = idx % len(self._held)
+        cols = slice(slot * self._width, (slot + 1) * self._width)
+        if self._held[slot] != idx:
+            snap = self.snapshots[idx]
+            fields = self._window[..., cols]
+            fields[..., 0] = snap.amplitudes
+            for k in range(self.grid.dimension):
+                fields[..., 1 + k] = gradient(snap, k)
+            self._held[slot] = idx
+        return cols
 
     def sample(self, pts, t):
-        i0, i1, theta = self.record.bracket(t)
-        a0, g0 = self._fetch(i0)
-        v = _interp_any(self.grid, a0, pts)
-        grads = np.stack([_interp_any(self.grid, g, pts) for g in g0], axis=1)
-        if i1 != i0 and theta != 0.0:
-            a1, g1 = self._fetch(i1)
-            v = (1.0 - theta) * v + theta * _interp_any(self.grid, a1, pts)
-            grads1 = np.stack([_interp_any(self.grid, g, pts) for g in g1],
-                              axis=1)
-            grads = (1.0 - theta) * grads + theta * grads1
-        return v, grads
+        """psi (B,) and grad psi (B, d) at the points pts (B, d), time t."""
+        i0, i1, theta = self.bracket(t)
+        c0 = self._columns(i0)
+        if i1 == i0 or theta == 0.0:
+            f = _interp_any(self.grid, self._window[..., c0], pts)
+        else:
+            c1 = self._columns(i1)
+            pair = _interp_any(self.grid, self._window, pts)
+            f = (1.0 - theta) * pair[:, c0] + theta * pair[:, c1]
+        return f[:, 0], f[:, 1:]
+
+
+def _frozen(t):
+    """Bracket of a single field that does not change in time."""
+    return 0, 0, 0.0
 
 
 def _velocity_batch(sampler, pts, t, constants, threshold, action, v_max):
@@ -187,7 +189,7 @@ def velocity(psi, q, constants, policy=None):
     _check_inside(psi.grid, coords)
     constants.check_dimension(psi.grid)
     policy = policy or NodePolicy()
-    sampler = FieldSampler(psi)
+    sampler = RecordSampler(psi.grid, [psi], _frozen)
     threshold = policy.resolve(sampler.peak_density)
     pts = np.asarray(coords, dtype=np.float64).reshape(1, -1)
     v, node = _velocity_batch(sampler, pts, None, constants, threshold,
@@ -307,6 +309,14 @@ class FlowResult:
     def status_names(self):
         return [_STATUS_NAMES[int(s)] for s in self.statuses]
 
+    def trajectory(self, b):
+        """Member b's stored path up to the step where it stopped."""
+        if self.paths is None:
+            raise ValueError("flow result has no stored paths")
+        stop = int(self.stop_index[b])
+        return Trajectory(self.times[: stop + 1], self.paths[: stop + 1, b, :],
+                          _STATUS_NAMES[int(self.statuses[b])])
+
     def count(self, name):
         code = {v: k for k, v in _STATUS_NAMES.items()}[name]
         return int(np.sum(self.statuses == code))
@@ -319,10 +329,35 @@ def _inside_mask(grid, pts):
     return ok
 
 
-def _flow_chunk(sampler, pts0, times, constants, threshold, action, v_max,
-                store_path):
-    b, d = pts0.shape
-    q = pts0.copy()
+def _ode_times(record, dt_ode):
+    span = record.t_final - record.t_initial
+    n = int(round(span / dt_ode))
+    if n <= 0 or abs(n * dt_ode - span) > 1e-9 * max(1.0, span):
+        raise ValueError("dt_ode must evenly divide the record span")
+    return record.t_initial + dt_ode * np.arange(n + 1)
+
+
+def integrate_flow(points, record, constants, policy=None, dt_ode=None,
+                   store_path=False):
+    """Integrate a batch of configurations (B, d) through the record's
+    velocity field by classical RK4 with step dt_ode (default: the snapshot
+    spacing).
+
+    All members advance together, one step at a time, over one sampler
+    window. A member that meets a node or leaves the grid during a step
+    stops at the start of that step; one that lands outside the grid stops
+    there. Stopped members keep their last position in the stored paths.
+    """
+    constants.check_dimension(record.grid)
+    policy = policy or NodePolicy()
+    dt_ode = dt_ode if dt_ode is not None else record.dt
+    if record.step_dt * record.stride > dt_ode + 1e-12:
+        raise ValueError("snapshot spacing exceeds dt_ode; densify snapshots")
+    times = _ode_times(record, dt_ode)
+    sampler = RecordSampler(record.grid, record.snapshots, record.bracket)
+    threshold = policy.resolve(sampler.peak_density)
+    q = np.array(points, dtype=np.float64, ndmin=2)
+    b, d = q.shape
     statuses = np.zeros(b, dtype=np.int8)
     stop = np.full(b, len(times) - 1, dtype=np.int64)
     active = np.ones(b, dtype=bool)
@@ -332,7 +367,7 @@ def _flow_chunk(sampler, pts0, times, constants, threshold, action, v_max,
 
     def eval_v(pts, t):
         v, node = _velocity_batch(sampler, pts, t, constants, threshold,
-                                  action, v_max)
+                                  policy.action, policy.v_max)
         oob = ~_inside_mask(sampler.grid, pts)
         return v, node, oob
 
@@ -369,59 +404,13 @@ def _flow_chunk(sampler, pts0, times, constants, threshold, action, v_max,
     return FlowResult(times, q, statuses, stop, paths)
 
 
-def _ode_times(record, dt_ode):
-    span = record.t_final - record.t_initial
-    n = int(round(span / dt_ode))
-    if n <= 0 or abs(n * dt_ode - span) > 1e-9 * max(1.0, span):
-        raise ValueError("dt_ode must evenly divide the record span")
-    return record.t_initial + dt_ode * np.arange(n + 1)
-
-
-def integrate_flow(points, record, constants, policy=None, dt_ode=None,
-                   store_path=False, threads=1):
-    """Integrate a batch of configurations through the record's velocity
-    field. Members are split into fixed-size chunks whose results do not
-    depend on the worker count."""
-    constants.check_dimension(record.grid)
-    policy = policy or NodePolicy()
-    dt_ode = dt_ode if dt_ode is not None else record.dt
-    if record.step_dt * record.stride > dt_ode + 1e-12:
-        raise ValueError("snapshot spacing exceeds dt_ode; densify snapshots")
-    times = _ode_times(record, dt_ode)
-    sampler = RecordSampler(record)
-    threshold = policy.resolve(sampler.peak_density)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    chunks = [slice(i, min(i + _CHUNK, pts.shape[0]))
-              for i in range(0, pts.shape[0], _CHUNK)]
-
-    def run(sl):
-        return _flow_chunk(sampler, pts[sl], times, constants, threshold,
-                           policy.action, policy.v_max, store_path)
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(sl) for sl in chunks]
-    out = FlowResult(
-        times,
-        np.concatenate([p.points for p in parts]),
-        np.concatenate([p.statuses for p in parts]),
-        np.concatenate([p.stop_index for p in parts]),
-        np.concatenate([p.paths for p in parts], axis=1) if store_path else None,
-    )
-    return out
-
-
 def integrate_trajectory(q0, record, constants, policy=None, dt_ode=None):
     """Classical RK4 on the time-dependent guidance field, with the wave
     function linearly interpolated between snapshots. Returns the path and a
-    status explaining any early stop (node hit or grid exit)."""
+    status explaining any early stop (node hit or grid exit): the one-member
+    case of ``integrate_flow``."""
     coords = q0.coordinates if isinstance(q0, Configuration) else tuple(np.atleast_1d(q0))
     if not record.grid.contains(coords):
         raise OutOfBoundsError(f"initial configuration {coords} outside grid")
-    res = integrate_flow(np.asarray(coords).reshape(1, -1), record, constants,
-                         policy=policy, dt_ode=dt_ode, store_path=True)
-    stop = int(res.stop_index[0])
-    return Trajectory(res.times[: stop + 1], res.paths[: stop + 1, 0, :],
-                      res.status_names()[0])
+    return integrate_flow([coords], record, constants, policy=policy,
+                          dt_ode=dt_ode, store_path=True).trajectory(0)

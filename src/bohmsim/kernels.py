@@ -43,19 +43,32 @@ def cubic_stencil(n, lo, h, periodic, xq):
 
 def interp_cubic_1d(values, lo, h, periodic, xq):
     """Evaluate a gridded complex field at arbitrary points by cubic
-    Lagrange interpolation. Caller guarantees in-range xq on boxed axes."""
-    values = np.ascontiguousarray(values, dtype=np.complex128)
+    Lagrange interpolation. Caller guarantees in-range xq on boxed axes.
+
+    ``values`` is one field of shape (n,), giving a result of shape (m,), or
+    K fields on the same grid stacked as (n, K), giving (m, K). The stacked
+    fields share one stencil, and each column equals the single-field call
+    bit for bit.
+    """
+    values = np.asarray(values, dtype=np.complex128)
     idx, w = cubic_stencil(values.shape[0], lo, h, periodic, xq)
-    return np.einsum("km,km->m", w, values[idx])
+    return np.einsum("km,km...->m...", w, values[idx])
 
 
 def interp_cubic_2d(values, lo0, h0, per0, lo1, h1, per1, xq, yq):
     """Separable bicubic interpolation of a 2-d complex field at point
-    pairs (xq[j], yq[j])."""
-    values = np.ascontiguousarray(values, dtype=np.complex128)
+    pairs (xq[j], yq[j]).
+
+    ``values`` has shape (n0, n1), or (n0, n1, K) for K stacked fields on
+    the same grid, with results of shape (m,) or (m, K) as in
+    ``interp_cubic_1d``.
+    """
+    values = np.asarray(values, dtype=np.complex128)
     idx0, w0 = cubic_stencil(values.shape[0], lo0, h0, per0, xq)
     idx1, w1 = cubic_stencil(values.shape[1], lo1, h1, per1, yq)
-    out = np.zeros(np.shape(xq), dtype=np.complex128)
+    if values.ndim == 3:  # one weight per point, shared by the K fields
+        w0, w1 = w0[..., None], w1[..., None]
+    out = np.zeros(np.shape(xq) + values.shape[2:], dtype=np.complex128)
     for a in range(4):
         row = np.zeros_like(out)
         for b in range(4):

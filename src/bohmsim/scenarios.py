@@ -91,7 +91,7 @@ def _write_csv(out_dir, name, header, rows):
 # --- scenario: oscillator-oracle --------------------------------------------------
 
 
-def run_oscillator_oracle(params, out_dir=None, threads=1):
+def run_oscillator_oracle(params, out_dir=None):
     grid = Grid.regular(-8.0, 8.0, params["points"], dimension=2)
     constants = PhysicalConstants.natural(dimension=2)
     psi0 = ScalarWaveFunction.from_callable(
@@ -110,11 +110,12 @@ def run_oscillator_oracle(params, out_dir=None, threads=1):
     angles = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False) + 0.37
     starts = [(r * math.cos(a) + 0.1, r * math.sin(a) - 0.05)
               for r in radii for a in angles]
+    flow = integrate_flow(starts, record, constants, dt_ode=params["dt_ode"],
+                          store_path=True)
     traj_err = 0.0
     first_rows = []
     for idx, q0 in enumerate(starts):
-        traj = integrate_trajectory(q0, record, constants,
-                                    dt_ode=params["dt_ode"])
+        traj = flow.trajectory(idx)
         xe, ye = analytic.coupled_oscillator_trajectory(q0[0], q0[1],
                                                         traj.times)
         err = float(np.max(np.abs(traj.points[:, 0] - xe))
@@ -139,7 +140,7 @@ def run_oscillator_oracle(params, out_dir=None, threads=1):
 # --- scenario: equivariance --------------------------------------------------------
 
 
-def _equivariance_case(case, n, bins, seed, threads):
+def _equivariance_case(case, n, bins, seed):
     grid = Grid.regular(case["grid"]["lower"], case["grid"]["upper"],
                         case["grid"]["count"], dimension=1)
     constants = PhysicalConstants.natural(dimension=1)
@@ -148,17 +149,17 @@ def _equivariance_case(case, n, bins, seed, threads):
     record = evolve(psi0, potential, constants, case["t_final"], case["dt"],
                     SPLIT_FOURIER, snapshot_stride=case["stride"])
     out = equivariance_check(psi0, record, constants, n, seed, bins=bins,
-                             dt_ode=case["dt_ode"], threads=threads)
+                             dt_ode=case["dt_ode"])
     out["name"] = case["name"]
     return out, record
 
 
-def run_equivariance(params, out_dir=None, threads=1):
+def run_equivariance(params, out_dir=None):
     checks = []
     results = []
     for j, case in enumerate(params["cases"]):
         out, record = _equivariance_case(case, params["n"], params["bins"],
-                                         params["seed"] + 101 * j, threads)
+                                         params["seed"] + 101 * j)
         results.append(out)
         checks.append(_check(f"{case['name']}: L1(empirical, |psi_t|^2) < 0.05",
                              out["l1"], out["l1"] < 0.05, threshold=0.05))
@@ -183,7 +184,7 @@ def run_equivariance(params, out_dir=None, threads=1):
 # --- scenario: collapse -------------------------------------------------------------
 
 
-def run_collapse(params, out_dir=None, threads=1):
+def run_collapse(params, out_dir=None):
     runs = []
     checks = []
     for j, p1 in enumerate(params["weights"]):
@@ -192,7 +193,7 @@ def run_collapse(params, out_dir=None, threads=1):
                                   seed=params["seed"] + 13 * j,
                                   coupling=params["coupling"],
                                   t_meas=params["t_meas"], dt=params["dt"],
-                                  dt_ode=params["dt_ode"], threads=threads)
+                                  dt_ode=params["dt_ode"])
         runs.append(rep)
         for c in rep["checks"]:
             checks.append({**c, "name": f"p={p1}: {c['name']}"})
@@ -203,7 +204,7 @@ def run_collapse(params, out_dir=None, threads=1):
 # --- scenario: flux -----------------------------------------------------------------
 
 
-def _flux_case(case, n, seed, threads):
+def _flux_case(case, n, seed):
     grid = Grid.regular(case["grid"]["lower"], case["grid"]["upper"],
                         case["grid"]["count"], dimension=1)
     constants = PhysicalConstants.natural(dimension=1)
@@ -214,8 +215,7 @@ def _flux_case(case, n, seed, threads):
     exp_total, exp_signed = expected_crossings(record, constants, surface)
     ens = sample_density(psi0, n, seed)
     flow = integrate_flow(ens.members, record, constants,
-                          dt_ode=case["dt_ode"], store_path=True,
-                          threads=threads)
+                          dt_ode=case["dt_ode"], store_path=True)
     counts = per_member_counts(flow, surface)
     emp_total, emp_signed = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / math.sqrt(counts.shape[0])
@@ -235,12 +235,11 @@ def _flux_case(case, n, seed, threads):
     return result, trace
 
 
-def run_flux(params, out_dir=None, threads=1):
+def run_flux(params, out_dir=None):
     checks = []
     results = []
     for j, case in enumerate(params["cases"]):
-        res, trace = _flux_case(case, params["n"], params["seed"] + 29 * j,
-                                threads)
+        res, trace = _flux_case(case, params["n"], params["seed"] + 29 * j)
         results.append(res)
         for kind in ("total", "signed"):
             gap = abs(res[f"empirical_{kind}"] - res[f"expected_{kind}"])
@@ -261,7 +260,7 @@ def run_flux(params, out_dir=None, threads=1):
 # --- scenario: povm ------------------------------------------------------------------
 
 
-def run_povm(params, out_dir=None, threads=1):
+def run_povm(params, out_dir=None):
     rng = np.random.default_rng(params["seed"])
     checks = []
     zoo = povm_mod.model_zoo()
@@ -315,7 +314,7 @@ def _random_state(rng, n):
 # --- scenario: classical-limit --------------------------------------------------------
 
 
-def run_classical_limit(params, out_dir=None, threads=1):
+def run_classical_limit(params, out_dir=None):
     omega, displacement = params["omega"], params["displacement"]
     deviations = []
     for hbar in params["hbars"]:
@@ -355,7 +354,7 @@ def run_classical_limit(params, out_dir=None, threads=1):
 # --- scenario: spin --------------------------------------------------------------------
 
 
-def run_spin(params, out_dir=None, threads=1):
+def run_spin(params, out_dir=None):
     from .propagate import step as scalar_step
 
     grid = Grid.regular(-8.0, 8.0, params["points"], dimension=1)
@@ -564,6 +563,11 @@ def _merge(defaults, override, path, errors):
         return defaults
     if isinstance(defaults, (int, float)) and not isinstance(override, bool) \
             and isinstance(override, (int, float)):
+        # integer defaults are counts, sizes and seeds, and range() and
+        # array shapes reject a float
+        if isinstance(defaults, int) and not isinstance(override, int):
+            errors.append(f"{path}: expected an integer")
+            return defaults
         return override
     if isinstance(defaults, (int, float)):
         errors.append(f"{path}: expected a number")
@@ -596,8 +600,6 @@ def _semantic_errors(name, params):
                 walk(v, f"{path}[{i}]")
 
     walk(params, "")
-    if "seed" in params and not isinstance(params["seed"], int):
-        errors.append("seed: must be an integer")
     return errors
 
 
@@ -622,6 +624,8 @@ def run_scenario(config, out_dir=None, threads=1, seed_override=None):
     """Validate, execute, and persist one scenario run.
 
     Returns (exit_code, report): 0 pass, 1 failed assertion, 2 config error.
+    ``threads`` is accepted for compatibility and has no effect: every
+    scenario runs on one thread, so reports never depend on it.
     """
     errors = validate_config(config)
     if errors:
@@ -635,7 +639,7 @@ def run_scenario(config, out_dir=None, threads=1, seed_override=None):
     out_dir = out_dir or config.get("out_dir")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    body = SCENARIOS[name].runner(params, out_dir=out_dir, threads=threads)
+    body = SCENARIOS[name].runner(params, out_dir=out_dir)
     report = {
         "scenario": name,
         "parameters": params,

@@ -61,6 +61,23 @@ def test_grid_description_roundtrip():
     assert Grid.from_description(g.describe()) == g
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_grid_values_rejected(bad):
+    for lower, spacing in ((bad, 0.5), (0.0, bad), (bad, bad)):
+        with pytest.raises(ValueError):
+            Axis(lower, 16, spacing)
+        desc = Grid(axes=(Axis(0.0, 16, 0.5),)).describe()
+        desc["axes"][0].update(lower=lower, spacing=spacing)
+        with pytest.raises(ValueError):
+            Grid.from_description(desc)
+    for hbar, masses in ((bad, (1.0,)), (1.0, (bad,)), (1.0, (1.0, bad))):
+        with pytest.raises(ValueError):
+            PhysicalConstants(hbar=hbar, masses=masses)
+        with pytest.raises(ValueError):
+            PhysicalConstants.from_description({"hbar": hbar,
+                                                "masses": list(masses)})
+
+
 # --- norm ------------------------------------------------------------------------
 
 

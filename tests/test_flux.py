@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmsim.equilibrium import sample_density
 from bohmsim.fields import ScalarWaveFunction, density
@@ -9,7 +11,7 @@ from bohmsim.flux import (CrossingReport, CrossingSurface, count_crossings,
                           crossing_report, expected_crossings,
                           per_member_counts)
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import Trajectory, integrate_flow
+from bohmsim.guidance import FlowResult, Trajectory, integrate_flow
 from bohmsim.potentials import Free, Harmonic
 from bohmsim.propagate import SPLIT_FOURIER, evolve
 
@@ -80,6 +82,49 @@ def test_count_grazing_tie_break():
     surf = CrossingSurface(0.0, 0.0, 1.0)
     assert count_crossings([touch], surf) == (0.0, 0.0)
     assert count_crossings([crossing], surf) == (1.0, 1.0)
+
+
+def _count_one(times, xs, surface):
+    """Loop reference for one member: one crossing per sign change between
+    consecutive nonzero samples inside the time window."""
+    sel = (times >= surface.t0 - 1e-12) & (times <= surface.t1 + 1e-12)
+    d = xs[sel] - surface.location
+    nz = d[d != 0.0]
+    if nz.size < 2:
+        return 0, 0
+    s = np.sign(nz)
+    flips = s[1:] * s[:-1] < 0
+    return (int(np.sum(flips)),
+            int(np.sum(s[1:][flips])) * surface.orientation)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40),
+       members=st.integers(1, 12), orientation=st.sampled_from([1, -1]),
+       zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+       location=st.sampled_from([0.0, 0.25, -3.0]))
+def test_counts_match_loop_reference(seed, steps, members, orientation,
+                                     zero_frac, location):
+    """Random paths with exact touches of the surface, early stops and
+    both orientations count exactly as the per-member loop."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, steps)
+    d = rng.normal(size=(steps, members))
+    d[rng.random(d.shape) < zero_frac] = 0.0
+    xs = location + d
+    stop = rng.integers(0, steps, members)
+    t0 = rng.uniform(-0.2, 0.6)
+    surf = CrossingSurface(location, t0, t0 + rng.uniform(0.1, 1.2),
+                           orientation)
+    flow = FlowResult(times, xs[-1, :, None], np.zeros(members, np.int8),
+                      stop, xs[:, :, None])
+    trajs = [Trajectory(times[: s + 1], xs[: s + 1, b, None], "Completed")
+             for b, s in enumerate(stop)]
+    expected = np.asarray([_count_one(times[: s + 1], xs[: s + 1, b], surf)
+                           for b, s in enumerate(stop)], dtype=np.float64)
+    assert per_member_counts(flow, surf).tobytes() == expected.tobytes()
+    assert per_member_counts(trajs, surf).tobytes() == expected.tobytes()
+    assert count_crossings(flow, surf) == tuple(expected.mean(axis=0))
 
 
 def test_expected_interval_additivity():

@@ -1,10 +1,12 @@
 """Velocity fields, node handling, spinor operations, and RK4 trajectory
 integration against closed forms."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from bohmsim import analytic
+from bohmsim import analytic, guidance
 from bohmsim.fields import ScalarWaveFunction, SpinorWaveFunction, norm
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import (CAP_SPEED, Configuration, HitNodeError,
@@ -303,6 +305,63 @@ def test_no_crossing_in_one_dimension():
     for j in range(flow.paths.shape[0]):
         order = flow.paths[j, :, 0]
         assert np.all(np.diff(order) > 0)
+
+
+def _mixed_record():
+    """A fast packet on a short grid: from MIXED_STARTS, members complete,
+    leave the grid, or meet the node threshold in the far tail."""
+    g = grid1d(256, 4.0)
+    k = 2 * np.pi * 80 / g.axes[0].length
+    psi = ScalarWaveFunction.from_callable(
+        g, lambda x: np.exp(-x * x / 2 + 1j * k * x), normalize=True)
+    return evolve(psi, Free(), C1, 0.05, 1e-4, SPLIT_FOURIER,
+                  snapshot_stride=10)
+
+
+MIXED_STARTS = np.array([[-0.5], [3.0], [-3.9], [0.2], [-3.95], [2.5]])
+TAIL_POLICY = NodePolicy(density_threshold=1e-6)
+
+
+@pytest.mark.parametrize("dt_ode", [1e-3, 2e-3])
+def test_batched_flow_equals_each_member_alone(dt_ode):
+    rec = _mixed_record()
+    batch = integrate_flow(MIXED_STARTS, rec, C1, policy=TAIL_POLICY,
+                           dt_ode=dt_ode, store_path=True)
+    assert set(batch.status_names()) == {"Completed", "LeftGrid", "HitNode"}
+    for b, q0 in enumerate(MIXED_STARTS):
+        alone = integrate_flow(q0[None, :], rec, C1, policy=TAIL_POLICY,
+                               dt_ode=dt_ode, store_path=True)
+        assert alone.points[0].tobytes() == batch.points[b].tobytes()
+        assert alone.statuses[0] == batch.statuses[b]
+        assert alone.stop_index[0] == batch.stop_index[b]
+        assert (alone.paths[:, 0].tobytes()
+                == np.ascontiguousarray(batch.paths[:, b]).tobytes())
+
+
+@pytest.mark.parametrize("dt_ode", [1e-3, 2e-3])
+def test_flow_derives_each_snapshot_gradient_once(monkeypatch, dt_ode):
+    """dt_ode equal to and coarser than the snapshot spacing (1e-3)."""
+    calls = Counter()
+    by_field = guidance.gradient
+    by_array = guidance.gradient_array
+
+    def gradient(psi, axis):
+        calls[id(psi.amplitudes), axis] += 1
+        return by_field(psi, axis)
+
+    def gradient_array(grid, amplitudes, axis):
+        calls[id(amplitudes), axis] += 1
+        return by_array(grid, amplitudes, axis)
+
+    monkeypatch.setattr(guidance, "gradient", gradient)
+    monkeypatch.setattr(guidance, "gradient_array", gradient_array)
+    rec = _mixed_record()
+    # 3000 members, so a flow that split them into blocks would recompute
+    flow = integrate_flow(np.tile(MIXED_STARTS, (500, 1)), rec, C1,
+                          policy=TAIL_POLICY, dt_ode=dt_ode)
+    assert flow.count("Completed") > 0  # so every snapshot is reached
+    assert max(calls.values()) == 1
+    assert set(calls) == {(id(s.amplitudes), 0) for s in rec.snapshots}
 
 
 def test_rk4_order_on_exact_field():

@@ -140,3 +140,31 @@ def test_periodic_interp_wraps(n0, n1, seed, wraps):
                         xq + wraps * per0, yq - wraps * per1),
         interp_cubic_2d(plane, lo0, h0, True, lo1, h1, True, xq, yq),
         rtol=0, atol=tol)
+
+
+@settings(deadline=None)
+@given(n0=st.integers(8, 24), n1=st.integers(8, 24), k=st.integers(1, 6),
+       m=st.integers(1, 200), per=st.tuples(st.booleans(), st.booleans()),
+       seed=SEEDS)
+def test_stacked_fields_match_single_calls_bit_for_bit(n0, n1, k, m, per,
+                                                       seed):
+    """K fields stacked on a trailing axis interpolate exactly as K separate
+    calls, including at nodes and on zero-valued fields."""
+    rng = np.random.default_rng(seed)
+    lo0, h0, lo1, h1 = -1.5, 0.125, 0.25, 0.25
+    xq = rng.uniform(lo0, _upper(lo0, h0, n0, per[0]), m)
+    yq = rng.uniform(lo1, _upper(lo1, h1, n1, per[1]), m)
+    xq[::3] = lo0 + h0 * rng.integers(0, n0, xq[::3].size)
+    line = _random_field(rng, (n0, k))
+    plane = _random_field(rng, (n0, n1, k))
+    line[:, 0] = 0.0
+    plane[rng.random(plane.shape) < 0.2] = 0.0
+    out1 = interp_cubic_1d(line, lo0, h0, per[0], xq)
+    out2 = interp_cubic_2d(plane, lo0, h0, per[0], lo1, h1, per[1], xq, yq)
+    assert out1.shape == out2.shape == (m, k)
+    for j in range(k):
+        single1 = interp_cubic_1d(line[:, j], lo0, h0, per[0], xq)
+        single2 = interp_cubic_2d(plane[..., j], lo0, h0, per[0],
+                                  lo1, h1, per[1], xq, yq)
+        assert np.ascontiguousarray(out1[:, j]).tobytes() == single1.tobytes()
+        assert np.ascontiguousarray(out2[:, j]).tobytes() == single2.tobytes()

@@ -51,6 +51,14 @@ def test_validate_type_errors():
     assert any("seed" in e for e in errs)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_validate_rejects_non_integer_count(value):
+    cfg = {"scenario": "povm", "n_states": value}
+    assert validate_config(cfg) == ["n_states: expected an integer"]
+    with pytest.raises(ConfigError):
+        run_scenario(cfg)
+
+
 def test_run_scenario_rejects_bad_config():
     with pytest.raises(ConfigError):
         run_scenario({"scenario": "povm", "bogus": 1})
@@ -156,6 +164,14 @@ def test_cli_run_povm(tmp_path):
     assert res.returncode == 0
     assert "[PASS]" in res.stdout
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_cli_non_integer_count_exit_code(tmp_path):
+    cfg = tmp_path / "float_count.json"
+    cfg.write_text(json.dumps({"scenario": "povm", "n_states": 2.5}))
+    res = _cli("run", str(cfg))
+    assert res.returncode == 2
+    assert "n_states: expected an integer" in res.stderr
 
 
 def test_cli_unknown_generator_exit_code(tmp_path):

@@ -143,10 +143,7 @@ def gradient(psi, axis):
     differences with one-sided closure on boxed axes."""
     if axis >= psi.grid.dimension:
         raise ValueError("axis out of range")
-    ax = psi.grid.axes[axis]
-    if ax.periodic:
-        return _spectral_derivative(psi.amplitudes, ax.spacing, axis)
-    return _fd4_derivative(psi.amplitudes, ax.spacing, axis)
+    return gradient_array(psi.grid, psi.amplitudes, axis)
 
 
 def gradient_array(grid, amplitudes, axis):

@@ -26,6 +26,12 @@ class CrossingSurface:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
 
+    def check_grid(self, grid):
+        """Raise ValueError unless the location lies on the first axis."""
+        ax = grid.axes[0]
+        if not (ax.lower <= self.location <= ax.upper):
+            raise ValueError("surface location outside the grid")
+
 
 @dataclass(frozen=True)
 class CrossingReport:
@@ -54,8 +60,7 @@ def _current_at_surface(record, constants, surface):
     cubic interpolation at x=c, integrated over the transverse axis in 2-d."""
     grid = record.grid
     ax = grid.axes[0]
-    if not (ax.lower <= surface.location <= ax.upper):
-        raise ValueError("surface location outside the grid")
+    surface.check_grid(grid)
     if not record.spans(surface.t0, surface.t1):
         raise ValueError("surface time window outside the record span")
     idx, w = cubic_stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
@@ -94,7 +99,8 @@ def per_member_counts(flow, surface):
     x - location between consecutive nonzero samples, so a touch of the
     surface without a sign change counts zero. The signed count follows
     the surface orientation. Members are counted together, one time row at
-    a time.
+    a time. On a periodic axis a member stops as LeftGrid at the period
+    boundary (see ``integrate_flow``), so windings are not counted.
     """
     if hasattr(flow, "paths"):
         if flow.paths is None:

@@ -70,7 +70,8 @@ class Grid:
         """Uniform grid on [lower, upper) (periodic) or [lower, upper] (boxed),
         the same axis repeated along every dimension."""
         n = count if boundary == PERIODIC else count - 1
-        spacing = (upper - lower) / n
+        # a count too small to divide by fails Axis' own count check
+        spacing = (upper - lower) / max(n, 1)
         ax = Axis(lower, count, spacing, boundary)
         return cls(axes=(ax,) * dimension)
 

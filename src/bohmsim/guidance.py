@@ -11,6 +11,7 @@ call. The flow runs on one thread: on two cores, splitting each stage's
 members over two threads ran slower than one thread.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,15 +210,9 @@ def spinor_velocity(psi, q, constants, policy=None):
     _check_inside(psi.grid, coords)
     policy = policy or NodePolicy()
     pts = np.asarray(coords, dtype=np.float64).reshape(1, 1)
-    ax = psi.grid.axes[0]
-
-    def at(arr):
-        return interp_cubic_1d(arr, ax.lower, ax.spacing, ax.periodic,
-                               np.ascontiguousarray(pts[:, 0]))[0]
-
-    up, down = at(psi.up), at(psi.down)
-    dup = at(gradient_array(psi.grid, psi.up, 0))
-    ddown = at(gradient_array(psi.grid, psi.down, 0))
+    fields = np.stack([psi.up, psi.down, gradient_array(psi.grid, psi.up, 0),
+                       gradient_array(psi.grid, psi.down, 0)], axis=-1)
+    up, down, dup, ddown = _interp_any(psi.grid, fields, pts)[0]
     den = abs(up) ** 2 + abs(down) ** 2
     peak = float(np.max(np.abs(psi.up) ** 2 + np.abs(psi.down) ** 2))
     threshold = policy.resolve(peak)
@@ -329,12 +324,18 @@ def _inside_mask(grid, pts):
     return ok
 
 
-def _ode_times(record, dt_ode):
-    span = record.t_final - record.t_initial
-    n = int(round(span / dt_ode))
+def ode_step_count(span, dt_ode, snapshot_dt):
+    """Number of RK4 steps of dt_ode over a record span. dt_ode must divide
+    the span and may not be below the snapshot spacing snapshot_dt."""
+    if dt_ode <= 0:
+        raise ValueError("dt_ode must be positive")
+    if snapshot_dt > dt_ode + 1e-12:
+        raise ValueError("snapshot spacing exceeds dt_ode; densify snapshots")
+    ratio = span / dt_ode
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
     if n <= 0 or abs(n * dt_ode - span) > 1e-9 * max(1.0, span):
         raise ValueError("dt_ode must evenly divide the record span")
-    return record.t_initial + dt_ode * np.arange(n + 1)
+    return n
 
 
 def integrate_flow(points, record, constants, policy=None, dt_ode=None,
@@ -347,13 +348,17 @@ def integrate_flow(points, record, constants, policy=None, dt_ode=None,
     window. A member that meets a node or leaves the grid during a step
     stops at the start of that step; one that lands outside the grid stops
     there. Stopped members keep their last position in the stored paths.
+
+    The domain of a periodic axis is one period, [lower, upper]: a member
+    that crosses the period boundary stops as LeftGrid rather than wrapping
+    around, so its windings never enter crossing statistics.
     """
     constants.check_dimension(record.grid)
     policy = policy or NodePolicy()
     dt_ode = dt_ode if dt_ode is not None else record.dt
-    if record.step_dt * record.stride > dt_ode + 1e-12:
-        raise ValueError("snapshot spacing exceeds dt_ode; densify snapshots")
-    times = _ode_times(record, dt_ode)
+    n = ode_step_count(record.t_final - record.t_initial, dt_ode,
+                       record.step_dt * record.stride)
+    times = record.t_initial + dt_ode * np.arange(n + 1)
     sampler = RecordSampler(record.grid, record.snapshots, record.bracket)
     threshold = policy.resolve(sampler.peak_density)
     q = np.array(points, dtype=np.float64, ndmin=2)

@@ -91,14 +91,14 @@ class Sampled:
         return {"kind": "sampled"}
 
 
+KINDS = {"free": Free, "harmonic": Harmonic,
+         "coupled-oscillator": CoupledOscillator, "soft-coulomb": SoftCoulomb}
+
+
 def from_description(spec):
-    kind = spec["kind"]
-    if kind == "free":
-        return Free()
-    if kind == "harmonic":
-        return Harmonic(tuple(spec["omegas"]))
-    if kind == "coupled-oscillator":
-        return CoupledOscillator(spec["kappa"])
-    if kind == "soft-coulomb":
-        return SoftCoulomb(spec["eps"])
-    raise ValueError(f"unknown potential kind {kind!r}")
+    """The potential a ``describe()`` dict names. The keys besides ``kind``
+    are the fields of the kind's class in KINDS."""
+    cls = KINDS.get(spec["kind"])
+    if cls is None:
+        raise ValueError(f"unknown potential kind {spec['kind']!r}")
+    return cls(**{k: v for k, v in spec.items() if k != "kind"})

@@ -13,12 +13,6 @@ class NotProjectionValued(Exception):
     pass
 
 
-def _tolerance(n, m):
-    """Algebraic-identity tolerance: 1e-10 up to nm = 64, scaled above."""
-    nm = n * m
-    return 1e-10 if nm <= 64 else 1e-10 * np.sqrt(nm / 64.0)
-
-
 @dataclass(frozen=True)
 class ExperimentModel:
     """System (dim n) + apparatus (dim m), ready state, unitary interaction,

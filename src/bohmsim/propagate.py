@@ -5,6 +5,7 @@ sweep solved in one LAPACK call), plus the continuity-equation diagnostic
 and on-disk persistence of evolutions."""
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -173,22 +174,35 @@ class EvolutionRecord:
         return i, i + 1, theta
 
 
+def step_count(t_final, dt, snapshot_stride=1):
+    """Number of dt steps from t=0 to t_final, which the snapshot stride
+    must divide. Checks dt before dividing by it."""
+    if t_final < 0:
+        raise ValueError("t_final must be nonnegative")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if snapshot_stride < 1:
+        raise ValueError("snapshot_stride must be positive")
+    ratio = t_final / dt
+    if not (math.isfinite(ratio)
+            and abs(round(ratio) * dt - t_final) <= 1e-9 * max(1.0, t_final)):
+        raise ValueError("t_final must be an integer number of dt steps")
+    n_steps = int(round(ratio))
+    if n_steps % snapshot_stride != 0:
+        raise ValueError("snapshot_stride must divide the step count")
+    return n_steps
+
+
 def evolve(psi0, potential, constants, t_final, dt, method, snapshot_stride=1):
     """Repeated stepping from t=0, storing every stride-th snapshot
     (t=0 and t_final included)."""
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    n_steps = step_count(t_final, dt, snapshot_stride)
     if abs(norm(psi0) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    if t_final == 0:
+    if n_steps == 0:
         return EvolutionRecord(psi0.grid, constants, potential, method,
                                dt * snapshot_stride, dt, snapshot_stride,
                                np.array([0.0]), [psi0])
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer number of dt steps")
-    if n_steps % snapshot_stride != 0:
-        raise ValueError("snapshot_stride must divide the step count")
     stepper = prepare_stepper(psi0.grid, potential, constants, dt, method)
     arr = psi0.amplitudes
     snaps = [psi0]

@@ -1,10 +1,15 @@
 """Named, reproducible experiments tying the modules together. Each scenario
-takes a JSON-able parameter dict, writes a JSON report plus plot-ready CSVs,
-and returns the report; a scenario passes when every check in it passes."""
+declares one parameter table, takes the JSON-able parameter dict parsed from
+it, writes a JSON report plus plot-ready CSVs, and returns the report; a run
+passes when it makes at least one check and every check passes."""
 
+import copy
+import dataclasses
+import functools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,59 +20,299 @@ from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
 from .flux import (CrossingSurface, _current_at_surface, expected_crossings,
                    per_member_counts)
 from .grids import Grid, PhysicalConstants
-from .guidance import integrate_flow, integrate_trajectory, step_spinor_pauli
+from .guidance import (integrate_flow, integrate_trajectory, ode_step_count,
+                       step_spinor_pauli)
 from .kernels import BACKEND
-from .potentials import CoupledOscillator, Free, Harmonic, from_description
-from .propagate import SPLIT_FOURIER, evolve
+from .potentials import KINDS, CoupledOscillator, Free, Harmonic, from_description
+from .propagate import SPLIT_FOURIER, evolve, step_count
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
 
+# --- parameter tables ------------------------------------------------------------
+#
+# Each scenario declares its parameters once, as a table of specs. A spec knows
+# its JSON type, legal range and default. ``parse`` returns the value it
+# accepts and appends one "path: message" line per fault. A spec's rule calls
+# the library code that would reject the value at run time, so a config that
+# parses also runs.
+
+_MISSING = object()
+
+# Grids above these sizes do not fit a run's snapshots in a desk machine's
+# memory; the bound also keeps validation, which samples initial states on the
+# grid, cheap.
+_MAX_1D = 1 << 16
+_MAX_2D = 1024
+
+
+def _at(path, key):
+    return f"{path}.{key}" if path else key
+
+
+class _Spec:
+    def __init__(self, default=_MISSING, rule=None):
+        self.default = default
+        self.rule = rule
+
+    def parse(self, value, path, errors, base=_MISSING):
+        """The accepted value (None after a fault). ``base`` is the value
+        that ``value`` replaces: an object takes the keys it leaves out
+        from it."""
+        before = len(errors)
+        out = self._parse(value, path, errors, base)
+        if self.rule is not None and len(errors) == before:
+            try:
+                self.rule(out)
+            except ValueError as exc:
+                errors.append(f"{path or 'config'}: {exc}")
+        return out
+
+
+class Num(_Spec):
+    """A finite JSON number, an integer when ``integer``; ``low`` and
+    ``high`` are inclusive bounds, ``above`` an exclusive one."""
+
+    def __init__(self, default=_MISSING, low=None, high=None, above=None,
+                 integer=False, rule=None):
+        super().__init__(default, rule)
+        self.low, self.high, self.above = low, high, above
+        self.integer = integer
+
+    def _parse(self, value, path, errors, base):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            fault = "expected a number"
+        elif self.integer and not isinstance(value, int):
+            # counts, sizes and seeds: range() and array shapes reject a float
+            fault = "expected an integer"
+        elif isinstance(value, float) and not math.isfinite(value):
+            fault = "expected a finite number"
+        elif self.low is not None and value < self.low:
+            fault = f"must be >= {self.low}"
+        elif self.high is not None and value > self.high:
+            fault = f"must be <= {self.high}"
+        elif self.above is not None and value <= self.above:
+            fault = f"must be > {self.above}"
+        else:
+            return value
+        errors.append(f"{path}: {fault}")
+        return None
+
+
+def Int(default=_MISSING, **bounds):
+    return Num(default, integer=True, **bounds)
+
+
+class Str(_Spec):
+    """A JSON string that fully matches ``pattern``."""
+
+    def __init__(self, pattern):
+        super().__init__()
+        self.pattern = pattern
+
+    def _parse(self, value, path, errors, base):
+        if not isinstance(value, str):
+            fault = "expected a string"
+        elif not re.fullmatch(self.pattern, value):
+            fault = f"expected a match of {self.pattern}"
+        else:
+            return value
+        errors.append(f"{path}: {fault}")
+        return None
+
+
+class Many(_Spec):
+    """A JSON list of ``item``. An object item takes the keys it leaves out
+    from the first default item."""
+
+    def __init__(self, item, default=_MISSING):
+        super().__init__(default)
+        self.item = item
+        self.first = default[0] if default is not _MISSING and default \
+            else _MISSING
+
+    def _parse(self, value, path, errors, base):
+        if not isinstance(value, list):
+            errors.append(f"{path}: expected a list")
+            return None
+        return [self.item.parse(v, f"{path}[{i}]", errors, self.first)
+                for i, v in enumerate(value)]
+
+
+class Fixed(_Spec):
+    """A JSON list holding one value per spec in ``items``."""
+
+    def __init__(self, *items):
+        super().__init__()
+        self.items = items
+
+    def _parse(self, value, path, errors, base):
+        if not isinstance(value, list) or len(value) != len(self.items):
+            errors.append(f"{path}: expected a list of {len(self.items)} "
+                          "entries")
+            return None
+        return [s.parse(v, f"{path}[{i}]", errors)
+                for i, (s, v) in enumerate(zip(self.items, value))]
+
+
+class Obj(_Spec):
+    """A JSON object with the keys of ``fields``. A key left out takes its
+    value from the base object when there is one, else its spec default."""
+
+    def __init__(self, fields, rule=None):
+        defaults = {k: s.default for k, s in fields.items()}
+        super().__init__(_MISSING if _MISSING in defaults.values()
+                         else defaults, rule)
+        self.fields = fields
+
+    def _parse(self, value, path, errors, base):
+        if not isinstance(value, dict):
+            errors.append(f"{path or 'config'}: expected an object")
+            return None
+        out = {}
+        for key, spec in self.fields.items():
+            fallback = spec.default if base is _MISSING else base[key]
+            if key in value:
+                out[key] = spec.parse(value[key], _at(path, key), errors,
+                                      fallback)
+            elif fallback is _MISSING:
+                errors.append(f"{_at(path, key)}: missing")
+            else:
+                out[key] = copy.deepcopy(fallback)
+        errors.extend(f"{_at(path, k)}: unknown key" for k in value
+                      if k not in self.fields)
+        return out
+
+
+class Tagged(_Spec):
+    """A JSON object whose ``tag`` key names one of ``variants``; that
+    variant's Obj gives the other keys and their defaults. A left-out tag is
+    the base object's."""
+
+    def __init__(self, tag, variants):
+        super().__init__()
+        self.tag, self.variants = tag, variants
+
+    def _parse(self, value, path, errors, base):
+        if not isinstance(value, dict):
+            errors.append(f"{path or 'config'}: expected an object")
+            return None
+        where = _at(path, self.tag)
+        name = value.get(self.tag, _MISSING if base is _MISSING
+                         else base[self.tag])
+        if name is _MISSING:
+            errors.append(f"{where}: missing")
+            return None
+        if not isinstance(name, str) or name not in self.variants:
+            errors.append(f"{where}: unknown {self.tag} {name!r}")
+            return None
+        out = self.variants[name].parse(
+            {k: v for k, v in value.items() if k != self.tag}, path, errors)
+        return None if out is None else {self.tag: name, **out}
+
+
+def _seed(default):
+    return Int(default, low=0)
+
+
+# A case name becomes part of a CSV file name.
+_NAME = Str(r"[A-Za-z0-9_.+-]{1,64}")
+
+
+def _grid_1d(spec):
+    return Grid.regular(spec["lower"], spec["upper"], spec["count"])
+
+
+_GRID = Obj({"lower": Num(), "upper": Num(), "count": Int(high=_MAX_1D)},
+            rule=_grid_1d)
+
+
+# Each potential kind's parameters are the fields of its class, which enforces
+# their ranges.
+_FIELD_SPECS = {float: Num(), tuple: Many(Num())}
+POTENTIAL = Tagged("kind", {
+    kind: Obj({f.name: _FIELD_SPECS[f.type] for f in dataclasses.fields(cls)})
+    for kind, cls in KINDS.items()})
+
+
 # --- initial-state generators ----------------------------------------------------
 
-GENERATORS = ("gaussian", "coherent", "plane-wave", "two-packet",
-              "product-gaussian-2d")
+
+def _gaussian(grid, constants, center, width, momentum):
+    return lambda x: np.exp(-((x - center) ** 2) / (4.0 * width * width)
+                            + 1j * momentum * x)
+
+
+def _coherent(grid, constants, displacement, omega):
+    alpha = constants.masses[0] * omega / (2.0 * constants.hbar)
+    return lambda x: np.exp(-alpha * (x - displacement) ** 2)
+
+
+def _plane_wave(grid, constants, k):
+    ax = grid.axes[0]
+    # the nearest wave number the period carries; rint keeps a huge k finite
+    k = 2.0 * np.pi * np.rint(k * ax.length / (2.0 * np.pi)) / ax.length
+    return lambda x: np.exp(1j * k * x)
+
+
+def _two_packet(grid, constants, centers, width, momenta, weights):
+    if not len(centers) == len(momenta) == len(weights):
+        raise ValueError("two-packet needs one momentum and one weight per "
+                         "center")
+
+    def fn(x):
+        out = np.zeros_like(x, dtype=np.complex128)
+        for c, k, p in zip(centers, momenta, weights):
+            packet = np.exp(-((x - c) ** 2) / (4.0 * width * width) + 1j * k * x)
+            pnorm = np.sqrt(np.sum(
+                grid.quadrature_weights() * np.abs(packet) ** 2))
+            out += math.sqrt(p) * packet / pnorm
+        return out
+    return fn
+
+
+# generator name -> (maker of the unnormalized field, its parameter table)
+INITIAL_STATES = {
+    "gaussian": (_gaussian, {"center": Num(0.0), "width": Num(1.0, above=0.0),
+                             "momentum": Num(0.0)}),
+    "coherent": (_coherent, {"displacement": Num(1.0),
+                             "omega": Num(1.0, above=0.0)}),
+    "plane-wave": (_plane_wave, {"k": Num(1.0)}),
+    "two-packet": (_two_packet, {
+        "centers": Many(Num(), [-5.0, 5.0]), "width": Num(1.0, above=0.0),
+        "momenta": Many(Num(), [1.0, -1.0]),
+        "weights": Many(Num(low=0.0), [0.5, 0.5])}),
+}
+INITIAL = Tagged("generator", {name: Obj(table) for name, (_, table)
+                               in INITIAL_STATES.items()})
 
 
 def make_initial(grid, constants, spec):
-    """Build a normalized initial state from a named generator spec."""
-    kind = spec["generator"]
-    if kind == "gaussian":
-        c = spec.get("center", 0.0)
-        w = spec.get("width", 1.0)
-        k = spec.get("momentum", 0.0)
-        fn = lambda x: np.exp(-((x - c) ** 2) / (4.0 * w * w) + 1j * k * x)
-    elif kind == "coherent":
-        d = spec.get("displacement", 1.0)
-        omega = spec.get("omega", 1.0)
-        alpha = constants.masses[0] * omega / (2.0 * constants.hbar)
-        fn = lambda x: np.exp(-alpha * (x - d) ** 2)
-    elif kind == "plane-wave":
-        ax = grid.axes[0]
-        k = 2.0 * np.pi * round(spec.get("k", 1.0) * ax.length / (2.0 * np.pi)) / ax.length
-        fn = lambda x: np.exp(1j * k * x)
-    elif kind == "two-packet":
-        cs = spec.get("centers", [-5.0, 5.0])
-        w = spec.get("width", 1.0)
-        ks = spec.get("momenta", [1.0, -1.0])
-        wts = spec.get("weights", [0.5, 0.5])
-        def fn(x):
-            out = np.zeros_like(x, dtype=np.complex128)
-            for c, k, p in zip(cs, ks, wts):
-                packet = np.exp(-((x - c) ** 2) / (4.0 * w * w) + 1j * k * x)
-                pnorm = np.sqrt(np.sum(
-                    grid.quadrature_weights() * np.abs(packet) ** 2))
-                out += math.sqrt(p) * packet / pnorm
-            return out
-    elif kind == "product-gaussian-2d":
-        fn = lambda x, y: np.exp(-0.5 * (x * x + y * y))
-    else:
-        raise ConfigError([f"initial.generator: unknown generator {kind!r}"])
-    return ScalarWaveFunction.from_callable(grid, fn, normalize=True)
+    """Build a normalized initial state from a generator spec; keys it leaves
+    out take the generator's defaults in INITIAL_STATES."""
+    errors = []
+    params = INITIAL.parse(spec, "initial", errors)
+    if errors:
+        raise ConfigError(errors)
+    build = INITIAL_STATES[params.pop("generator")][0]
+    return ScalarWaveFunction.from_callable(
+        grid, build(grid, constants, **params), normalize=True)
+
+
+def _flow_steps(t_final, dt, stride, dt_ode):
+    """Raise ValueError where evolve or integrate_flow would reject these
+    step sizes."""
+    n_steps = step_count(t_final, dt, stride)
+    ode_step_count(n_steps * dt, dt_ode, dt * stride)
+
+
+def _check_flow(params):
+    _flow_steps(params["t_final"], params["dt"], params["stride"],
+                params["dt_ode"])
 
 
 def _check(name, value, passed, threshold=None, **extra):
@@ -91,8 +336,11 @@ def _write_csv(out_dir, name, header, rows):
 # --- scenario: oscillator-oracle --------------------------------------------------
 
 
+_oracle_grid = functools.partial(Grid.regular, -8.0, 8.0, dimension=2)
+
+
 def run_oscillator_oracle(params, out_dir=None):
-    grid = Grid.regular(-8.0, 8.0, params["points"], dimension=2)
+    grid = _oracle_grid(params["points"])
     constants = PhysicalConstants.natural(dimension=2)
     psi0 = ScalarWaveFunction.from_callable(
         grid, lambda x, y: analytic.coupled_oscillator_wavefunction(x, y, 0.0))
@@ -133,19 +381,26 @@ def run_oscillator_oracle(params, out_dir=None):
                traj_err < 1e-3, threshold=1e-3, n_starts=len(starts)),
         _check("norm drift at t_final", drift, drift < 1e-9, threshold=1e-9),
     ]
-    return {"checks": checks, "passed": all(c["passed"] for c in checks),
-            "n_trajectories": len(starts)}
+    return {"checks": checks, "n_trajectories": len(starts)}
 
 
 # --- scenario: equivariance --------------------------------------------------------
 
 
-def _equivariance_case(case, n, bins, seed):
-    grid = Grid.regular(case["grid"]["lower"], case["grid"]["upper"],
-                        case["grid"]["count"], dimension=1)
+def _equivariance_setup(case):
+    """Constants, potential and initial state of one case; raises ValueError
+    where the run would reject the case."""
+    grid = _grid_1d(case["grid"])
     constants = PhysicalConstants.natural(dimension=1)
     potential = from_description(case["potential"])
+    potential.evaluate(grid, constants)  # one frequency per axis, a 2-d grid
     psi0 = make_initial(grid, constants, case["initial"])
+    _check_flow(case)
+    return constants, potential, psi0
+
+
+def _equivariance_case(case, n, bins, seed):
+    constants, potential, psi0 = _equivariance_setup(case)
     record = evolve(psi0, potential, constants, case["t_final"], case["dt"],
                     SPLIT_FOURIER, snapshot_stride=case["stride"])
     out = equivariance_check(psi0, record, constants, n, seed, bins=bins,
@@ -177,11 +432,13 @@ def run_equivariance(params, out_dir=None):
             _write_csv(out_dir, f"equivariance_{case['name']}_bins.csv",
                        "bin_left,bin_right,expected_mass",
                        list(zip(edges[0][:-1], edges[0][1:], expected)))
-    return {"cases": results, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return {"cases": results, "checks": checks}
 
 
 # --- scenario: collapse -------------------------------------------------------------
+
+
+_COLLAPSE_STRIDE = 10  # time steps per stored snapshot of the collapse record
 
 
 def run_collapse(params, out_dir=None):
@@ -193,25 +450,33 @@ def run_collapse(params, out_dir=None):
                                   seed=params["seed"] + 13 * j,
                                   coupling=params["coupling"],
                                   t_meas=params["t_meas"], dt=params["dt"],
+                                  snapshot_stride=_COLLAPSE_STRIDE,
                                   dt_ode=params["dt_ode"])
         runs.append(rep)
         for c in rep["checks"]:
             checks.append({**c, "name": f"p={p1}: {c['name']}"})
-    return {"experiments": runs, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return {"experiments": runs, "checks": checks}
 
 
 # --- scenario: flux -----------------------------------------------------------------
 
 
-def _flux_case(case, n, seed):
-    grid = Grid.regular(case["grid"]["lower"], case["grid"]["upper"],
-                        case["grid"]["count"], dimension=1)
+def _flux_setup(case):
+    """Constants, initial state and surface of one case; raises ValueError
+    where the run would reject the case."""
+    grid = _grid_1d(case["grid"])
     constants = PhysicalConstants.natural(dimension=1)
     psi0 = make_initial(grid, constants, case["initial"])
+    surface = CrossingSurface(case["surface"], 0.0, case["t_final"])
+    surface.check_grid(grid)
+    _check_flow(case)
+    return constants, psi0, surface
+
+
+def _flux_case(case, n, seed, out_dir):
+    constants, psi0, surface = _flux_setup(case)
     record = evolve(psi0, Free(), constants, case["t_final"], case["dt"],
                     SPLIT_FOURIER, snapshot_stride=case["stride"])
-    surface = CrossingSurface(case["surface"], 0.0, case["t_final"])
     exp_total, exp_signed = expected_crossings(record, constants, surface)
     ens = sample_density(psi0, n, seed)
     flow = integrate_flow(ens.members, record, constants,
@@ -231,15 +496,18 @@ def _flux_case(case, n, seed):
         "hit_node": int(np.sum(flow.statuses == 1)),
         "left_grid": int(np.sum(flow.statuses == 2)),
     }
-    trace = _current_at_surface(record, constants, surface)
-    return result, trace
+    if out_dir is not None:
+        _write_csv(out_dir, f"flux_{case['name']}_current.csv",
+                   "t,normal_current",
+                   zip(*_current_at_surface(record, constants, surface)))
+    return result
 
 
 def run_flux(params, out_dir=None):
     checks = []
     results = []
     for j, case in enumerate(params["cases"]):
-        res, trace = _flux_case(case, params["n"], params["seed"] + 29 * j)
+        res = _flux_case(case, params["n"], params["seed"] + 29 * j, out_dir)
         results.append(res)
         for kind in ("total", "signed"):
             gap = abs(res[f"empirical_{kind}"] - res[f"expected_{kind}"])
@@ -247,14 +515,11 @@ def run_flux(params, out_dir=None):
             checks.append(_check(
                 f"{case['name']}: {kind} crossings match flux integral (4 SE)",
                 gap, gap <= tol, threshold=tol))
-        for name, target, tol in case.get("asserts", []):
+        for name, target, tol in case["asserts"]:
             val = res[name]
             checks.append(_check(f"{case['name']}: {name} == {target} +- {tol}",
                                  val, abs(val - target) <= tol, threshold=tol))
-        _write_csv(out_dir, f"flux_{case['name']}_current.csv",
-                   "t,normal_current", list(zip(*trace)))
-    return {"cases": results, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return {"cases": results, "checks": checks}
 
 
 # --- scenario: povm ------------------------------------------------------------------
@@ -303,7 +568,7 @@ def run_povm(params, out_dir=None):
         with open(os.path.join(out_dir, "povm_controlled_flip.json"), "w") as fh:
             json.dump(povm_mod.povm_to_json(cf), fh, indent=2, sort_keys=True)
     return {"models": sorted(zoo), "worst_statistics_gap": stats_worst,
-            "checks": checks, "passed": all(c["passed"] for c in checks)}
+            "checks": checks}
 
 
 def _random_state(rng, n):
@@ -314,20 +579,39 @@ def _random_state(rng, n):
 # --- scenario: classical-limit --------------------------------------------------------
 
 
+_classical_grid = functools.partial(Grid.regular, -6.0, 6.0)
+
+
+def _classical_setup(params, hbar):
+    """Constants, initial packet, its position sd and the start x0 for one
+    hbar of the sweep; raises ValueError where the run would fail."""
+    constants = PhysicalConstants(hbar=hbar, masses=(1.0,))
+    grid = _classical_grid(params["points"])
+    psi0 = make_initial(grid, constants,
+                        {"generator": "coherent",
+                         "displacement": params["displacement"],
+                         "omega": params["omega"]})
+    width = math.sqrt(hbar / (2.0 * params["omega"]))  # packet position sd
+    x0 = params["displacement"] + width
+    if not grid.contains((x0,)):
+        raise ValueError(f"start {x0} for hbar {hbar} lies outside the grid")
+    return constants, psi0, width, x0
+
+
+def _check_classical_limit(params):
+    _check_flow(params)
+    for hbar in params["hbars"]:
+        _classical_setup(params, hbar)
+
+
 def run_classical_limit(params, out_dir=None):
-    omega, displacement = params["omega"], params["displacement"]
+    omega = params["omega"]
     deviations = []
     for hbar in params["hbars"]:
-        constants = PhysicalConstants(hbar=hbar, masses=(1.0,))
-        grid = Grid.regular(-6.0, 6.0, params["points"], dimension=1)
-        psi0 = make_initial(grid, constants,
-                            {"generator": "coherent",
-                             "displacement": displacement, "omega": omega})
+        constants, psi0, width, x0 = _classical_setup(params, hbar)
         record = evolve(psi0, Harmonic((omega,)), constants,
                         params["t_final"], params["dt"], SPLIT_FOURIER,
                         snapshot_stride=params["stride"])
-        width = math.sqrt(hbar / (2.0 * omega))  # packet position sd
-        x0 = displacement + width
         traj = integrate_trajectory((x0,), record, constants,
                                     dt_ode=params["dt_ode"])
         classical = x0 * np.cos(omega * traj.times)
@@ -347,17 +631,19 @@ def run_classical_limit(params, out_dir=None):
     ]
     _write_csv(out_dir, "classical_limit.csv", "hbar,max_deviation",
                [(d["hbar"], d["max_deviation"]) for d in deviations])
-    return {"sweep": deviations, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return {"sweep": deviations, "checks": checks}
 
 
 # --- scenario: spin --------------------------------------------------------------------
 
 
+_spin_grid = functools.partial(Grid.regular, -8.0, 8.0)
+
+
 def run_spin(params, out_dir=None):
     from .propagate import step as scalar_step
 
-    grid = Grid.regular(-8.0, 8.0, params["points"], dimension=1)
+    grid = _spin_grid(params["points"])
     constants = PhysicalConstants.natural(dimension=1)
     x = grid.coordinates(0)
     packet = np.exp(-0.25 * x * x)
@@ -411,8 +697,7 @@ def run_spin(params, out_dir=None):
         _check("real spinor has zero guidance velocity", abs(v0),
                abs(v0) < 1e-9, threshold=1e-9),
     ]
-    return {"rabi_period": period, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return {"rabi_period": period, "checks": checks}
 
 
 # --- registry and driver -----------------------------------------------------------
@@ -422,31 +707,41 @@ def run_spin(params, out_dir=None):
 class Scenario:
     name: str
     description: str
-    defaults: dict
+    params: Obj  # the one parameter table: types, legal ranges, defaults
     runner: object
+
+    @property
+    def defaults(self):
+        return self.params.default
 
 
 SCENARIOS = {}
 
 
-def _register(name, description, defaults, runner):
-    SCENARIOS[name] = Scenario(name, description, defaults, runner)
+def _register(name, description, table, runner, rule=None):
+    SCENARIOS[name] = Scenario(name, description, Obj(table, rule), runner)
 
 
 _register(
     "oscillator-oracle",
     "2-d coupled-Gaussian evolution and trajectories vs the closed form",
-    {"points": 256, "t_final": 2.0, "dt": 1e-3, "stride": 10, "dt_ode": 1e-2,
-     "seed": 1},
-    run_oscillator_oracle,
+    {"points": Int(256, high=_MAX_2D, rule=_oracle_grid),
+     # the field is compared with the closed form at t = 1
+     "t_final": Num(2.0, low=1.0),
+     "dt": Num(1e-3), "stride": Int(10), "dt_ode": Num(1e-2),
+     "seed": _seed(1)},
+    run_oscillator_oracle, rule=_check_flow,
 )
 
 _register(
     "equivariance",
     "transported |psi0|^2 samples stay |psi_t|^2-distributed (L1 + KS)",
     {
-        "n": 10000, "bins": 50, "seed": 2024,
-        "cases": [
+        "n": Int(10000, low=1), "bins": Int(50, low=1), "seed": _seed(2024),
+        "cases": Many(Obj({
+            "name": _NAME, "grid": _GRID, "potential": POTENTIAL,
+            "initial": INITIAL, "t_final": Num(), "dt": Num(),
+            "stride": Int(), "dt_ode": Num()}, rule=_equivariance_setup), [
             {"name": "free-gaussian",
              "grid": {"lower": -12.0, "upper": 12.0, "count": 1024},
              "potential": {"kind": "free"},
@@ -459,7 +754,7 @@ _register(
              "initial": {"generator": "coherent", "displacement": 1.0,
                          "omega": 1.0},
              "t_final": 1.0, "dt": 1e-3, "stride": 2, "dt_ode": 2e-3},
-        ],
+        ]),
     },
     run_equivariance,
 )
@@ -467,17 +762,31 @@ _register(
 _register(
     "collapse",
     "two-outcome pointer measurement: branch weights and effective states",
-    {"weights": [0.5, 0.8], "n": 4000, "seed": 7, "coupling": 40.0,
-     "t_meas": 1.0, "dt": 1e-3, "dt_ode": 1e-2},
+    {"weights": Many(Num(low=0.0, high=1.0), [0.5, 0.8]),
+     "n": Int(4000, low=1), "seed": _seed(7), "coupling": Num(40.0),
+     "t_meas": Num(1.0), "dt": Num(1e-3), "dt_ode": Num(1e-2)},
     run_collapse,
+    rule=lambda p: _flow_steps(p["t_meas"], p["dt"], _COLLAPSE_STRIDE,
+                               p["dt_ode"]),
 )
+
+# the numeric entries of a flux case result, which asserts may name
+_FLUX_RESULTS = Str("expected_total|expected_signed|empirical_total|"
+                    "empirical_signed|se_total|se_signed|n_members|hit_node|"
+                    "left_grid")
 
 _register(
     "flux",
     "trajectory crossing counts vs the time-integrated current",
     {
-        "n": 10000, "seed": 99,
-        "cases": [
+        # the standard error of the counts needs two members
+        "n": Int(10000, low=2), "seed": _seed(99),
+        "cases": Many(Obj({
+            "name": _NAME, "grid": _GRID, "initial": INITIAL,
+            "surface": Num(), "t_final": Num(), "dt": Num(), "stride": Int(),
+            "dt_ode": Num(),
+            "asserts": Many(Fixed(_FLUX_RESULTS, Num(), Num(low=0.0)))},
+            rule=_flux_setup), [
             {"name": "traversal",
              "grid": {"lower": -12.0, "upper": 20.0, "count": 2048},
              "initial": {"generator": "gaussian", "center": -3.0,
@@ -501,7 +810,7 @@ _register(
                          "width": 1.0, "momentum": 1.0},
              "surface": 1.0, "t_final": 2.0, "dt": 1e-3, "stride": 5,
              "dt_ode": 5e-3, "asserts": []},
-        ],
+        ]),
     },
     run_flux,
 )
@@ -509,24 +818,31 @@ _register(
 _register(
     "povm",
     "statistics identity, completeness/positivity, PV classification on the zoo",
-    {"seed": 5, "n_states": 100},
+    # n_states <= 0 is legal and fails the statistics checks
+    {"seed": _seed(5), "n_states": Int(100)},
     run_povm,
 )
 
 _register(
     "classical-limit",
     "harmonic coherent packet: trajectory vs classical motion as hbar shrinks",
-    {"hbars": [1.0, 0.3, 0.1, 0.03], "omega": 1.0, "displacement": 1.0,
-     "points": 2048, "t_final": 6.0, "dt": 5e-4, "stride": 10,
-     "dt_ode": 5e-3, "seed": 3},
-    run_classical_limit,
+    # fewer than two hbar values are legal and fail the monotonicity check
+    {"hbars": Many(Num(rule=lambda h: PhysicalConstants(hbar=h)),
+                   [1.0, 0.3, 0.1, 0.03]),
+     "omega": Num(1.0, above=0.0), "displacement": Num(1.0),
+     "points": Int(2048, high=_MAX_1D, rule=_classical_grid),
+     "t_final": Num(6.0), "dt": Num(5e-4), "stride": Int(10),
+     "dt_ode": Num(5e-3), "seed": _seed(3)},
+    run_classical_limit, rule=_check_classical_limit,
 )
 
 _register(
     "spin",
     "two-component checks: decoupling at B=0, transverse-field oscillation",
-    {"points": 256, "dt": 1e-3, "decoupled_steps": 200,
-     "b_transverse": 1.0, "rabi_steps": 4000, "seed": 4},
+    {"points": Int(256, high=_MAX_1D, rule=_spin_grid),
+     "dt": Num(1e-3, above=0.0), "decoupled_steps": Int(200, low=1),
+     "b_transverse": Num(1.0, above=0.0), "rabi_steps": Int(4000, low=1),
+     "seed": _seed(4)},
     run_spin,
 )
 
@@ -536,115 +852,60 @@ def list_scenarios():
     return [(s.name, s.description) for _, s in sorted(SCENARIOS.items())]
 
 
-def _merge(defaults, override, path, errors):
-    if isinstance(defaults, dict):
-        if not isinstance(override, dict):
-            errors.append(f"{path or 'config'}: expected an object")
-            return defaults
-        out = {}
-        for key, dval in defaults.items():
-            if key in override:
-                out[key] = _merge(dval, override[key], f"{path}.{key}" if path
-                                  else key, errors)
-            else:
-                out[key] = dval
-        for key in override:
-            if key not in defaults:
-                errors.append(f"{path + '.' if path else ''}{key}: unknown key")
-        return out
-    if isinstance(defaults, list) and defaults and isinstance(defaults[0], dict):
-        if not isinstance(override, list):
-            errors.append(f"{path}: expected a list")
-            return defaults
-        return [_merge(defaults[0], item, f"{path}[{i}]", errors)
-                for i, item in enumerate(override)]
-    if isinstance(defaults, bool) and not isinstance(override, bool):
-        errors.append(f"{path}: expected a boolean")
-        return defaults
-    if isinstance(defaults, (int, float)) and not isinstance(override, bool) \
-            and isinstance(override, (int, float)):
-        # integer defaults are counts, sizes and seeds, and range() and
-        # array shapes reject a float
-        if isinstance(defaults, int) and not isinstance(override, int):
-            errors.append(f"{path}: expected an integer")
-            return defaults
-        return override
-    if isinstance(defaults, (int, float)):
-        errors.append(f"{path}: expected a number")
-        return defaults
-    if isinstance(defaults, str) and not isinstance(override, str):
-        errors.append(f"{path}: expected a string")
-        return defaults
-    return override
-
-
-def _semantic_errors(name, params):
+def parse_config(config, seed_override=None):
+    """(scenario name, its full parameters) of a config, or ConfigError
+    listing one "path: message" per fault. The one parse behind
+    validate_config and run_scenario."""
+    if not isinstance(config, dict):
+        raise ConfigError(["config: expected a JSON object"])
+    name = config.get("scenario")
+    if name is None:
+        raise ConfigError(["scenario: missing"])
+    if not isinstance(name, str) or name not in SCENARIOS:
+        raise ConfigError([f"scenario: unknown scenario {name!r}"])
     errors = []
-
-    def walk(node, path):
-        if isinstance(node, dict):
-            gen = node.get("generator")
-            if gen is not None and gen not in GENERATORS:
-                errors.append(f"{path + '.' if path else ''}generator: "
-                              f"unknown generator {gen!r}")
-            kind = node.get("kind")
-            if kind is not None and kind not in ("free", "harmonic",
-                                                 "coupled-oscillator",
-                                                 "soft-coulomb"):
-                errors.append(f"{path + '.' if path else ''}kind: "
-                              f"unknown potential {kind!r}")
-            for k, v in node.items():
-                walk(v, f"{path}.{k}" if path else k)
-        elif isinstance(node, list):
-            for i, v in enumerate(node):
-                walk(v, f"{path}[{i}]")
-
-    walk(params, "")
-    return errors
+    if not isinstance(config.get("out_dir"), (str, type(None))):
+        errors.append("out_dir: expected a string")
+    body = {k: v for k, v in config.items() if k not in ("scenario", "out_dir")}
+    if seed_override is not None:
+        body["seed"] = int(seed_override)
+    params = SCENARIOS[name].params.parse(body, "", errors)
+    if errors:
+        raise ConfigError(errors)
+    return name, params
 
 
 def validate_config(config):
-    """Structural + semantic validation; returns a list of error strings."""
-    errors = []
-    if not isinstance(config, dict):
-        return ["config: expected a JSON object"]
-    name = config.get("scenario")
-    if name is None:
-        return ["scenario: missing"]
-    if name not in SCENARIOS:
-        return [f"scenario: unknown scenario {name!r}"]
-    override = {k: v for k, v in config.items()
-                if k not in ("scenario", "out_dir")}
-    merged = _merge(SCENARIOS[name].defaults, override, "", errors)
-    errors.extend(_semantic_errors(name, merged))
-    return errors
+    """Every fault of a config as "path: message" lines; [] when it runs."""
+    try:
+        parse_config(config)
+    except ConfigError as exc:
+        return exc.errors
+    return []
 
 
 def run_scenario(config, out_dir=None, threads=1, seed_override=None):
     """Validate, execute, and persist one scenario run.
 
-    Returns (exit_code, report): 0 pass, 1 failed assertion, 2 config error.
-    ``threads`` is accepted for compatibility and has no effect: every
-    scenario runs on one thread, so reports never depend on it.
+    Returns (exit_code, report): 0 pass, 1 failed assertion; a config error
+    raises ConfigError (exit 2). A run passes when it made at least one
+    check and every check passed. ``threads`` is accepted for compatibility
+    and has no effect: every scenario runs on one thread, so reports never
+    depend on it.
     """
-    errors = validate_config(config)
-    if errors:
-        raise ConfigError(errors)
-    name = config["scenario"]
-    override = {k: v for k, v in config.items()
-                if k not in ("scenario", "out_dir")}
-    params = _merge(SCENARIOS[name].defaults, override, "", [])
-    if seed_override is not None:
-        params["seed"] = int(seed_override)
+    name, params = parse_config(config, seed_override)
     out_dir = out_dir or config.get("out_dir")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     body = SCENARIOS[name].runner(params, out_dir=out_dir)
+    checks = body["checks"]
     report = {
         "scenario": name,
         "parameters": params,
         "kernel_backend": BACKEND,
         **body,
+        # no checks is no evidence
+        "passed": bool(checks) and all(c["passed"] for c in checks),
     }
     if out_dir:
         with open(os.path.join(out_dir, "report.json"), "w") as fh:

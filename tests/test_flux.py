@@ -207,3 +207,20 @@ def test_expected_crossings_2d_surface():
                  snapshot_stride=10)
     total, signed = expected_crossings(rec, c2, CrossingSurface(0.3, 0.0, 0.1))
     assert abs(total) < 1e-9 and abs(signed) < 1e-9
+
+
+def test_periodic_exit_stops_and_counts_no_windings():
+    # A packet moving right on the periodic grid [-8, 8): its members reach
+    # the period boundary, stop there as LeftGrid and do not wrap to the
+    # left end, so each crosses the surface at x = 4 at most once.
+    psi, rec = moving_gaussian_record(3.0, 6.0, 8.0, 256, 1.5, width=0.5)
+    ens = sample_density(psi, 200, 5)
+    flow = integrate_flow(ens.members, rec, C1, dt_ode=5e-3, store_path=True)
+    left = flow.statuses == 2
+    assert left.sum() > 100 and np.all(flow.statuses[~left] == 0)
+    assert np.all(np.diff(flow.paths[:, :, 0], axis=0) >= 0.0)
+    assert np.all(flow.points[left, 0] > 8.0 - 0.1)
+    counts = per_member_counts(flow, CrossingSurface(4.0, 0.0, 1.5))
+    started_left = ens.members[:, 0] < 4.0
+    assert np.array_equal(counts[:, 0], np.where(started_left, 1.0, 0.0))
+    assert np.array_equal(counts[:, 1], counts[:, 0])

@@ -65,6 +65,18 @@ def sample_density(psi, n, seed):
     return Ensemble(members, time=0.0, seed=seed, source="|psi|^2 inverse-cdf")
 
 
+class EmptyFlowError(ValueError):
+    """Every member of an ensemble stopped before the end of the flow, so
+    there is no transported ensemble; the counts say how they stopped."""
+
+    def __init__(self, n_input, hit_node, left_grid):
+        super().__init__(f"no member completed the flow: of {n_input}, "
+                         f"{hit_node} hit a node, {left_grid} left the grid")
+        self.n_input = n_input
+        self.hit_node = hit_node
+        self.left_grid = left_grid
+
+
 @dataclass
 class EnsembleFlowResult:
     """Transported ensemble and the tally of excluded members."""
@@ -81,19 +93,20 @@ class EnsembleFlowResult:
 
 def evolve_ensemble(ens, record, constants, policy=None, dt_ode=None):
     """Integrate every member independently through the record's guidance
-    flow; members that hit a node or leave the grid are excluded and counted."""
+    flow; members that hit a node or leave the grid are excluded and counted.
+    Raises EmptyFlowError when no member is left."""
     if abs(ens.time - record.t_initial) > 1e-9:
         raise ValueError("ensemble time does not match the record start")
     res = integrate_flow(ens.members, record, constants, policy=policy,
                          dt_ode=dt_ode)
     ok = res.statuses == 0
+    hit_node = int(np.sum(res.statuses == 1))
+    left_grid = int(np.sum(res.statuses == 2))
     if not np.any(ok):
-        raise ValueError("no member completed the flow")
+        raise EmptyFlowError(ens.size, hit_node, left_grid)
     moved = Ensemble(res.points[ok], time=record.t_final, seed=ens.seed,
                      source=ens.source + " -> guidance flow")
-    return EnsembleFlowResult(moved, ens.size,
-                              int(np.sum(res.statuses == 1)),
-                              int(np.sum(res.statuses == 2)))
+    return EnsembleFlowResult(moved, ens.size, hit_node, left_grid)
 
 
 @dataclass(frozen=True)

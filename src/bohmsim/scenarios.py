@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, povm as povm_mod
-from .equilibrium import collapse_experiment, equivariance_check, sample_density
+from .equilibrium import (EmptyFlowError, collapse_experiment,
+                          equivariance_check, sample_density)
 from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
 from .flux import (CrossingSurface, _current_at_surface, expected_crossings,
                    per_member_counts)
@@ -323,6 +324,14 @@ def _check(name, value, passed, threshold=None, **extra):
     return entry
 
 
+def _empty_flow_check(exc, prefix=""):
+    """The one check of a run whose members all stopped early. It fails:
+    with no transported ensemble, nothing else has evidence to pass on."""
+    return _check(f"{prefix}some member completes the flow", 0, False,
+                  n=exc.n_input, hit_node=exc.hit_node,
+                  left_grid=exc.left_grid)
+
+
 def _write_csv(out_dir, name, header, rows):
     if out_dir is None:
         return
@@ -413,8 +422,15 @@ def run_equivariance(params, out_dir=None):
     checks = []
     results = []
     for j, case in enumerate(params["cases"]):
-        out, record = _equivariance_case(case, params["n"], params["bins"],
-                                         params["seed"] + 101 * j)
+        try:
+            out, record = _equivariance_case(case, params["n"], params["bins"],
+                                             params["seed"] + 101 * j)
+        except EmptyFlowError as exc:
+            results.append({"name": case["name"], "n": params["n"],
+                            "hit_node": exc.hit_node,
+                            "left_grid": exc.left_grid})
+            checks.append(_empty_flow_check(exc, f"{case['name']}: "))
+            continue
         results.append(out)
         checks.append(_check(f"{case['name']}: L1(empirical, |psi_t|^2) < 0.05",
                              out["l1"], out["l1"] < 0.05, threshold=0.05))
@@ -445,13 +461,19 @@ def run_collapse(params, out_dir=None):
     runs = []
     checks = []
     for j, p1 in enumerate(params["weights"]):
-        rep = collapse_experiment(math.sqrt(p1), math.sqrt(1.0 - p1),
-                                  n_members=params["n"],
-                                  seed=params["seed"] + 13 * j,
-                                  coupling=params["coupling"],
-                                  t_meas=params["t_meas"], dt=params["dt"],
-                                  snapshot_stride=_COLLAPSE_STRIDE,
-                                  dt_ode=params["dt_ode"])
+        seed = params["seed"] + 13 * j
+        try:
+            rep = collapse_experiment(math.sqrt(p1), math.sqrt(1.0 - p1),
+                                      n_members=params["n"], seed=seed,
+                                      coupling=params["coupling"],
+                                      t_meas=params["t_meas"], dt=params["dt"],
+                                      snapshot_stride=_COLLAPSE_STRIDE,
+                                      dt_ode=params["dt_ode"])
+        except EmptyFlowError as exc:
+            rep = {"seed": seed,
+                   "counts": {"hit_node": exc.hit_node,
+                              "left_grid": exc.left_grid},
+                   "checks": [_empty_flow_check(exc)]}
         runs.append(rep)
         for c in rep["checks"]:
             checks.append({**c, "name": f"p={p1}: {c['name']}"})
@@ -896,7 +918,11 @@ def run_scenario(config, out_dir=None, threads=1, seed_override=None):
     name, params = parse_config(config, seed_override)
     out_dir = out_dir or config.get("out_dir")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"out_dir: cannot create directory "
+                               f"{out_dir!r}: {exc.strerror}"]) from exc
     body = SCENARIOS[name].runner(params, out_dir=out_dir)
     checks = body["checks"]
     report = {

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bohmsim.kernels import (cubic_stencil, interp_cubic_1d, interp_cubic_2d,
-                             thomas_solve)
+from bohmsim.kernels import (cubic_stencil, factor_tridiagonal,
+                             interp_cubic_1d, interp_cubic_2d, thomas_solve)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -89,7 +89,7 @@ def test_interp_2d_reproduces_bicubic_on_boxed_axes():
 
 
 def _assert_matches_dense(dl, d, du, rhs):
-    x = thomas_solve(dl, d, du, rhs)
+    x = thomas_solve(factor_tridiagonal(dl, d, du), rhs)
     assert x.shape == rhs.shape
     for r in range(rhs.shape[0]):
         full = np.diag(d[r]) + np.diag(dl[r, 1:], -1) + np.diag(du[r, :-1], 1)
@@ -103,6 +103,7 @@ def test_thomas_matches_dense_solve():
 
 @settings(deadline=None)
 @given(lines=st.integers(1, 8), n=st.integers(1, 40), seed=SEEDS)
+@example(lines=1, n=1, seed=0)  # the LAPACK wrappers reject a 1 x 1 system
 def test_thomas_matches_dense_solve_any_shape(lines, n, seed):
     _assert_matches_dense(
         *_dominant_system(np.random.default_rng(seed), lines, n))
@@ -113,10 +114,11 @@ def test_thomas_matches_dense_solve_any_shape(lines, n, seed):
        junk=st.complex_numbers(allow_nan=True, allow_infinity=True))
 def test_thomas_ignores_outer_couplings(lines, n, seed, junk):
     dl, d, du, rhs = _dominant_system(np.random.default_rng(seed), lines, n)
-    x = thomas_solve(dl, d, du, rhs)
+    x = thomas_solve(factor_tridiagonal(dl, d, du), rhs)
     dl[:, 0] = junk
     du[:, -1] = junk
-    np.testing.assert_array_equal(thomas_solve(dl, d, du, rhs), x)
+    np.testing.assert_array_equal(
+        thomas_solve(factor_tridiagonal(dl, d, du), rhs), x)
 
 
 @settings(deadline=None)
@@ -168,3 +170,111 @@ def test_stacked_fields_match_single_calls_bit_for_bit(n0, n1, k, m, per,
                                   lo1, h1, per[1], xq, yq)
         assert np.ascontiguousarray(out1[:, j]).tobytes() == single1.tobytes()
         assert np.ascontiguousarray(out2[:, j]).tobytes() == single2.tobytes()
+
+
+# --- loop reference: the earlier formulation of the interpolation kernels
+
+
+def _reference_stencil(n, lo, h, periodic, xq):
+    s = (np.asarray(xq, dtype=np.float64) - lo) / h
+    if periodic:
+        s = np.mod(s, n)
+        i1 = np.minimum(np.floor(s).astype(np.int64), n - 1)
+        start = i1 - 1
+        idx = np.stack([np.mod(start + k, n) for k in range(4)])
+    else:
+        i1 = np.clip(np.floor(s).astype(np.int64), 0, n - 2)
+        start = np.clip(i1 - 1, 0, n - 4)
+        idx = np.stack([start + k for k in range(4)])
+    u = s - start
+    w = np.stack([-(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0,
+                  u * (u - 2.0) * (u - 3.0) / 2.0,
+                  -u * (u - 1.0) * (u - 3.0) / 2.0,
+                  u * (u - 1.0) * (u - 2.0) / 6.0])
+    return idx, w
+
+
+def _reference_1d(values, lo, h, periodic, xq):
+    """Fancy-index gather and an einsum over the stencil."""
+    values = np.asarray(values, dtype=np.complex128)
+    idx, w = _reference_stencil(values.shape[0], lo, h, periodic, xq)
+    return np.einsum("km,km...->m...", w, values[idx])
+
+
+def _reference_2d(values, lo0, h0, per0, lo1, h1, per1, xq, yq):
+    """Sixteen fancy-index gathers summed row by row."""
+    values = np.asarray(values, dtype=np.complex128)
+    idx0, w0 = _reference_stencil(values.shape[0], lo0, h0, per0, xq)
+    idx1, w1 = _reference_stencil(values.shape[1], lo1, h1, per1, yq)
+    if values.ndim == 3:
+        w0, w1 = w0[..., None], w1[..., None]
+    out = np.zeros(np.shape(xq) + values.shape[2:], dtype=np.complex128)
+    for a in range(4):
+        row = np.zeros_like(out)
+        for b in range(4):
+            row += w1[b] * values[idx0[a], idx1[b]]
+        out += w0[a] * row
+    return out
+
+
+def _queries(rng, lo, h, n, periodic, m):
+    """m points over the axis: uniform, a third moved onto nodes, and on
+    boxed axes both edges; periodic axes also get points a period off."""
+    upper = _upper(lo, h, n, periodic)
+    q = rng.uniform(lo, upper, m)
+    q[::3] = lo + h * rng.integers(0, n, q[::3].size)
+    if periodic:
+        q[1::4] += (upper - lo) * rng.integers(-2, 3, q[1::4].size)
+    else:
+        q[0], q[-1] = lo, upper
+    return q
+
+
+def _fields(rng, shape, k, strided):
+    """Random fields of the given grid shape, k stacked on a trailing axis
+    (None: one unstacked field). Strided fields are a column slice of a
+    wider stack, as the guidance window's one-slot view is."""
+    if k is None:
+        full = _random_field(rng, shape + (2,))
+        return full[..., 1] if strided else np.ascontiguousarray(full[..., 1])
+    full = _random_field(rng, shape + (2 * k,))
+    return full[..., k:] if strided else np.ascontiguousarray(full[..., k:])
+
+
+GRID = dict(lo0=-1.5, h0=0.125, lo1=0.25, h1=0.25)  # nodes exact in binary
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(4, 40), m=st.integers(1, 3000), periodic=st.booleans(),
+       k=st.sampled_from([None, 1, 2, 4, 6]), strided=st.booleans(),
+       seed=SEEDS)
+def test_interp_1d_matches_loop_reference(n, m, periodic, k, strided, seed):
+    rng = np.random.default_rng(seed)
+    values = _fields(rng, (n,), k, strided)
+    lo, h = GRID["lo0"], GRID["h0"]
+    xq = _queries(rng, lo, h, n, periodic, m)
+    idx, w = cubic_stencil(n, lo, h, periodic, xq)
+    ref_idx, ref_w = _reference_stencil(n, lo, h, periodic, xq)
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert w.tobytes() == ref_w.tobytes()
+    out = interp_cubic_1d(values, lo, h, periodic, xq)
+    ref = _reference_1d(values, lo, h, periodic, xq)
+    assert out.shape == ref.shape
+    assert np.array_equal(out, ref)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n0=st.integers(4, 24), n1=st.integers(4, 24), m=st.integers(1, 3000),
+       per=st.tuples(st.booleans(), st.booleans()),
+       k=st.sampled_from([None, 1, 3, 6]), strided=st.booleans(), seed=SEEDS)
+def test_interp_2d_matches_loop_reference(n0, n1, m, per, k, strided, seed):
+    rng = np.random.default_rng(seed)
+    values = _fields(rng, (n0, n1), k, strided)
+    g = GRID
+    xq = _queries(rng, g["lo0"], g["h0"], n0, per[0], m)
+    yq = _queries(rng, g["lo1"], g["h1"], n1, per[1], m)
+    args = (g["lo0"], g["h0"], per[0], g["lo1"], g["h1"], per[1], xq, yq)
+    out = interp_cubic_2d(values, *args)
+    ref = _reference_2d(values, *args)
+    assert out.shape == ref.shape
+    assert np.array_equal(out, ref)

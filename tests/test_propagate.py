@@ -3,15 +3,16 @@ reversal, the continuity diagnostic, and record persistence."""
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from bohmsim import analytic
+from bohmsim import analytic, propagate
 from bohmsim.fields import ScalarWaveFunction, density, norm
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import interpolate
 from bohmsim.potentials import CoupledOscillator, Free, Harmonic, SoftCoulomb
 from bohmsim.propagate import (CRANK_NICOLSON, SPLIT_FOURIER, EvolutionRecord,
                                continuity_residual, evolve, load_record,
-                               save_record, step)
+                               prepare_stepper, save_record, step)
 
 C1 = PhysicalConstants.natural(1)
 
@@ -157,6 +158,73 @@ def test_record_invariants():
     with pytest.raises(ValueError):
         EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, 0.1, 0.1, 1,
                         np.array([0.0]), [psi.with_amplitudes(2 * psi.amplitudes)])
+
+
+# --- the factored Crank-Nicolson solve ---------------------------------------
+
+
+def _zgtsv_solve(dl, d, du, rhs):
+    """The per-call solve that factoring once replaced: one zgtsv
+    elimination over all lines of a sweep, stacked with zeroed couplings."""
+    lines, n = rhs.shape
+    sub = np.array(dl, dtype=np.complex128)
+    sub[:, 0] = 0.0
+    sup = np.array(du, dtype=np.complex128)
+    sup[:, -1] = 0.0
+    x, info = lapack.zgtsv(sub.ravel()[1:],
+                           np.array(d, dtype=np.complex128).ravel(),
+                           sup.ravel()[:-1], rhs.reshape(-1, 1))[3:]
+    assert info == 0
+    return x.reshape(lines, n)
+
+
+def _cn_case(dimension, count):
+    g = Grid.regular(-8.0, 8.0, count, boundary="boxed", dimension=dimension)
+    psi = ScalarWaveFunction.from_callable(
+        g, lambda *q: np.exp(sum(-(x - 0.5) ** 2 / 2 + 1j * x for x in q)),
+        normalize=True)
+    constants = PhysicalConstants.natural(dimension)
+    return psi, Harmonic((1.0,) * dimension), constants
+
+
+@pytest.mark.parametrize("dimension,count", [(1, 1025), (2, 64)])
+def test_factored_cayley_steps_match_per_call_zgtsv(monkeypatch, dimension,
+                                                    count):
+    psi, pot, c = _cn_case(dimension, count)
+
+    def run():
+        return evolve(psi, pot, c, 0.2, 1e-3, CRANK_NICOLSON,
+                      snapshot_stride=200).snapshots[-1].amplitudes
+
+    factored = run()
+    monkeypatch.setattr(propagate, "factor_tridiagonal",
+                        lambda dl, d, du: (dl, d, du))
+    monkeypatch.setattr(propagate, "thomas_solve",
+                        lambda matrix, rhs: _zgtsv_solve(*matrix, rhs))
+    assert factored.tobytes() == run().tobytes()
+
+
+def test_cayley_residual_guard_catches_corrupt_factors():
+    psi, pot, c = _cn_case(1, 257)
+    stepper = prepare_stepper(psi.grid, pot, c, 1e-3, CRANK_NICOLSON)
+    stepper.advance(psi.amplitudes)
+    stepper.factors[0].lu[1][:] *= 1.0 + 1e-6  # the diagonal of U
+    with pytest.raises(RuntimeError, match="residual"):
+        stepper.advance(psi.amplitudes)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 40])
+@pytest.mark.parametrize("dimension,factorizations", [(1, 1), (2, 2)])
+def test_each_cayley_axis_factored_once(monkeypatch, steps, dimension,
+                                        factorizations):
+    calls = []
+    factor = propagate.factor_tridiagonal
+    monkeypatch.setattr(propagate, "factor_tridiagonal",
+                        lambda *args: calls.append(args) or factor(*args))
+    psi, pot, c = _cn_case(dimension, 33)
+    evolve(psi, pot, c, steps * 1e-2, 1e-2, CRANK_NICOLSON,
+           snapshot_stride=steps)
+    assert len(calls) == factorizations
 
 
 # --- unitarity, reversal, convergence ----------------------------------------------

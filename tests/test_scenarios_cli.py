@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from bohmsim import scenarios
+from bohmsim.cli import main
+from bohmsim.equilibrium import EmptyFlowError
 from bohmsim.scenarios import (ConfigError, SCENARIOS, list_scenarios,
                                run_scenario, validate_config)
 
@@ -92,6 +95,44 @@ def test_classical_limit_without_a_pair_fails(hbars):
            "dt": 1e-3, "points": 512, "dt_ode": 1e-2, "stride": 10}
     code, report = run_scenario(cfg)
     assert code == 1 and not report["checks"][0]["passed"]
+
+
+def test_cli_run_where_no_member_completes_fails(tmp_path, capsys):
+    """Every member leaves the periodic grid: one failing check, exit 1, and
+    no check passes on the empty ensemble."""
+    cfg = {"scenario": "equivariance", "n": 200,
+           "cases": [{"grid": {"count": 256}, "t_final": 1.0,
+                      "initial": {"generator": "gaussian", "momentum": 25.0}}]}
+    assert validate_config(cfg) == []
+    path = tmp_path / "lost.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "[PASS]" not in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    (check,) = report["checks"]
+    assert not check["passed"] and not report["passed"]
+    assert check["hit_node"] + check["left_grid"] == 200
+
+
+def test_collapse_where_no_member_completes_fails(monkeypatch):
+    def lose_everyone(c1, c2, n_members, **kwargs):
+        raise EmptyFlowError(n_members, 0, n_members)
+
+    monkeypatch.setattr(scenarios, "collapse_experiment", lose_everyone)
+    code, report = run_scenario({"scenario": "collapse", "weights": [0.5, 0.8],
+                                 "n": 10})
+    assert code == 1
+    assert [c["passed"] for c in report["checks"]] == [False, False]
+
+
+def test_cli_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps({"scenario": "povm", "out_dir": str(taken)}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_dir: ")
+    assert taken.read_text() == ""
 
 
 def test_seed_override():

@@ -11,8 +11,9 @@ from scipy import stats
 
 from .fields import ScalarWaveFunction, density, norm
 from .grids import Grid, PhysicalConstants
-from .guidance import NodePolicy, integrate_flow
-from .kernels import cubic_stencil
+from .guidance import (HIT_NODE, LEFT_GRID, NodePolicy, OutOfBoundsError,
+                       integrate_flow)
+from .kernels import interp_cubic_1d
 from .potentials import Sampled
 from .propagate import SPLIT_FOURIER, evolve
 
@@ -100,8 +101,8 @@ def evolve_ensemble(ens, record, constants, policy=None, dt_ode=None):
     res = integrate_flow(ens.members, record, constants, policy=policy,
                          dt_ode=dt_ode)
     ok = res.statuses == 0
-    hit_node = int(np.sum(res.statuses == 1))
-    left_grid = int(np.sum(res.statuses == 2))
+    hit_node = res.count(HIT_NODE)
+    left_grid = res.count(LEFT_GRID)
     if not np.any(ok):
         raise EmptyFlowError(ens.size, hit_node, left_grid)
     moved = Ensemble(res.points[ok], time=record.t_final, seed=ens.seed,
@@ -217,12 +218,10 @@ def conditional_wavefunction(psi2d, y_value):
     if grid.dimension != 2:
         raise ValueError("conditional slice requires a 2-d field")
     ax_env = grid.axes[1]
-    if not (ax_env.lower <= y_value <= ax_env.upper):
-        from .guidance import OutOfBoundsError
+    if not ax_env.contains(y_value):
         raise OutOfBoundsError(f"Y={y_value} outside the environment axis")
-    idx, w = cubic_stencil(ax_env.count, ax_env.lower, ax_env.spacing,
-                           ax_env.periodic, np.array([y_value]))
-    vals = sum(w[b, 0] * psi2d.amplitudes[:, idx[b, 0]] for b in range(4))
+    vals = interp_cubic_1d(psi2d.amplitudes.T, ax_env.lower, ax_env.spacing,
+                           ax_env.periodic, np.array([y_value]))[0]
     slice_wf = ScalarWaveFunction(Grid(axes=(grid.axes[0],)), vals)
     if norm(slice_wf) < 1e-12:
         raise ZeroSliceError(f"slice norm below 1e-12 at Y={y_value}")
@@ -388,6 +387,11 @@ def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
     classification_time = next(
         (t for t, leak in leakage_series if leak < leakage_threshold), None)
     final_leakage = leakage_series[-1][1]
+    # the largest leakage from classification on, over every snapshot; over
+    # the whole run when it is never classified
+    peak_leakage = max(leak for t, leak in leakage_series
+                       if classification_time is None
+                       or t >= classification_time)
 
     ens = sample_density(psi0, n_members, seed)
     flow = evolve_ensemble(ens, record, constants, policy=NodePolicy(),
@@ -431,6 +435,14 @@ def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
     checks.append({"name": "pointer cells macroscopically disjoint",
                    "value": final_leakage, "threshold": leakage_threshold,
                    "passed": final_leakage < leakage_threshold})
+    checks.append({"name": "pointer cells stay disjoint from classification "
+                   "to t_meas", "value": peak_leakage,
+                   "threshold": leakage_threshold,
+                   "passed": (classification_time is not None
+                              and peak_leakage < leakage_threshold)})
+    lost = (flow.hit_node + flow.left_grid) / n_members
+    checks.append({"name": "lost fraction (node hits and grid exits) <= 0.01",
+                   "value": lost, "threshold": 0.01, "passed": lost <= 0.01})
     report = {
         "parameters": {
             "c1": [c1.real, c1.imag] if isinstance(c1, complex) else [float(c1), 0.0],

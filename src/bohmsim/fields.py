@@ -1,6 +1,7 @@
 """Complex wave-function fields on a grid: norms, densities, derivatives,
 probability currents, and the binary/CSV serialization of fields."""
 
+import contextlib
 import io
 import math
 import struct
@@ -182,16 +183,18 @@ _FLAGS = {BOXED: 0, PERIODIC: 1}
 _FLAG_NAMES = {v: k for k, v in _FLAGS.items()}
 
 
+def _opened(path_or_stream, mode):
+    """A context giving the stream itself, or the file at the path opened
+    in mode and closed on exit."""
+    if isinstance(path_or_stream, (str, bytes)) or hasattr(path_or_stream, "__fspath__"):
+        return open(path_or_stream, mode)
+    return contextlib.nullcontext(path_or_stream)
+
+
 def write_wavefunction(psi, constants, path_or_stream):
     """Binary container: header (dimension, axes, constants) followed by
     little-endian float64 interleaved (re, im) amplitudes in C order."""
-    close = False
-    if isinstance(path_or_stream, (str, bytes)) or hasattr(path_or_stream, "__fspath__"):
-        stream = open(path_or_stream, "wb")
-        close = True
-    else:
-        stream = path_or_stream
-    try:
+    with _opened(path_or_stream, "wb") as stream:
         stream.write(_MAGIC)
         stream.write(struct.pack("<B", psi.grid.dimension))
         for ax in psi.grid.axes:
@@ -205,9 +208,6 @@ def write_wavefunction(psi, constants, path_or_stream):
         interleaved[0::2] = psi.amplitudes.real.ravel()
         interleaved[1::2] = psi.amplitudes.imag.ravel()
         stream.write(interleaved.tobytes())
-    finally:
-        if close:
-            stream.close()
 
 
 def _read_field(stream, size, what):
@@ -232,13 +232,7 @@ def read_wavefunction(path_or_stream):
     """Inverse of write_wavefunction; returns (ScalarWaveFunction, constants).
 
     Truncated or corrupt input raises a ValueError that names the field."""
-    close = False
-    if isinstance(path_or_stream, (str, bytes)) or hasattr(path_or_stream, "__fspath__"):
-        stream = open(path_or_stream, "rb")
-        close = True
-    else:
-        stream = path_or_stream
-    try:
+    with _opened(path_or_stream, "rb") as stream:
         if stream.read(4) != _MAGIC:
             raise ValueError("not a wave-function container")
         (dim,) = _unpack(stream, "<B", "dimension")
@@ -270,9 +264,6 @@ def read_wavefunction(path_or_stream):
         amps = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
         psi = ScalarWaveFunction(grid, amps, normalized=bool(normalized))
         return psi, PhysicalConstants(hbar=hbar, masses=masses)
-    finally:
-        if close:
-            stream.close()
 
 
 def wavefunction_to_csv(psi, path):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import probability_current
-from .kernels import cubic_stencil
+from .kernels import interp_cubic_1d
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class CrossingSurface:
 
     def check_grid(self, grid):
         """Raise ValueError unless the location lies on the first axis."""
-        ax = grid.axes[0]
-        if not (ax.lower <= self.location <= ax.upper):
+        if not grid.axes[0].contains(self.location):
             raise ValueError("surface location outside the grid")
 
 
@@ -63,15 +62,14 @@ def _current_at_surface(record, constants, surface):
     surface.check_grid(grid)
     if not record.spans(surface.t0, surface.t1):
         raise ValueError("surface time window outside the record span")
-    idx, w = cubic_stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
-                           np.array([surface.location]))
-    w = w[:, 0]
+    at = np.array([surface.location])
     times, vals = [], []
-    for t, snap in zip(record.times, record.snapshots):
-        if t < surface.t0 - 1e-12 or t > surface.t1 + 1e-12:
+    for t, snap, inside in zip(record.times, record.snapshots,
+                               _in_window(record.times, surface)):
+        if not inside:
             continue
         j = probability_current(snap, constants).components[0]
-        line = sum(w[b] * j[idx[b, 0]] for b in range(4))
+        line = interp_cubic_1d(j, ax.lower, ax.spacing, ax.periodic, at)[0].real
         if grid.dimension == 2:
             line = float(np.sum(grid.axes[1].quadrature_weights() * line))
         times.append(t)

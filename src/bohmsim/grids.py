@@ -44,6 +44,10 @@ class Axis:
     def points(self):
         return self.lower + self.spacing * np.arange(self.count)
 
+    def contains(self, x):
+        """Elementwise: x in the closed interval [lower, upper]; NaN is not."""
+        return (x >= self.lower) & (x <= self.upper)
+
     def quadrature_weights(self):
         """Rectangle weights on periodic axes, trapezoid on boxed ones."""
         w = np.full(self.count, self.spacing)
@@ -103,13 +107,17 @@ class Grid:
     def cell_volume(self):
         return float(np.prod([ax.spacing for ax in self.axes]))
 
-    def contains(self, point):
-        """True if the point lies inside the grid domain on every axis."""
-        point = np.atleast_1d(point)
-        for q, ax in zip(point, self.axes):
-            if not (ax.lower <= q <= ax.upper):
-                return False
-        return True
+    def contains(self, points):
+        """Whether each point, shape (..., dimension) or a scalar in 1-d,
+        lies in the closed domain; a wrong coordinate count raises ValueError."""
+        points = np.atleast_1d(points)
+        if points.shape[-1] != self.dimension:
+            raise ValueError(f"points with {points.shape[-1]} coordinates "
+                             f"on a {self.dimension}-d grid")
+        inside = self.axes[0].contains(points[..., 0])
+        for k in range(1, self.dimension):
+            inside &= self.axes[k].contains(points[..., k])
+        return inside
 
     def describe(self):
         return {

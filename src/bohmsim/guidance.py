@@ -7,8 +7,10 @@ the same field, so all of them advance together, one RK4 step at a time, and
 no member's arithmetic depends on which others share its batch. One
 ``RecordSampler`` window serves the whole batch: it derives each snapshot's
 psi and grad psi once, and each RK4 stage interpolates them in one stacked
-call. The flow runs on one thread: on two cores, splitting each stage's
-members over two threads ran slower than one thread.
+call. The sampler owns the snapshot clock (snapshot i is at t0 + i dt), so
+the flow needs only a record's start, spacing and snapshots. The flow runs
+on one thread: on two cores, splitting each stage's members over two
+threads ran slower than one thread.
 """
 
 import math
@@ -78,10 +80,13 @@ class NodePolicy:
         return DEFAULT_NODE_FRACTION * peak_density
 
 
-def _check_inside(grid, coords):
-    for q, ax in zip(coords, grid.axes):
-        if not (ax.lower <= q <= ax.upper):
-            raise OutOfBoundsError(f"coordinate {q} outside [{ax.lower}, {ax.upper}]")
+def _point(grid, q):
+    """Configuration or coordinates q as a (1, d) array of a point on grid."""
+    coords = q.coordinates if isinstance(q, Configuration) else np.atleast_1d(q)
+    pts = np.asarray(coords, dtype=np.float64).reshape(1, -1)
+    if not grid.contains(pts)[0]:
+        raise OutOfBoundsError(f"configuration {pts[0].tolist()} off the grid")
+    return pts
 
 
 def _interp_any(grid, values, pts):
@@ -101,31 +106,28 @@ def _interp_any(grid, values, pts):
 def interpolate(psi, q):
     """Off-grid evaluation of the field by separable cubic interpolation.
     Exact at grid points."""
-    coords = q.coordinates if isinstance(q, Configuration) else tuple(np.atleast_1d(q))
-    if len(coords) != psi.grid.dimension:
-        raise ValueError("configuration dimension mismatch")
-    _check_inside(psi.grid, coords)
-    pts = np.asarray(coords, dtype=np.float64).reshape(1, -1)
-    return complex(_interp_any(psi.grid, psi.amplitudes, pts)[0])
+    return complex(_interp_any(psi.grid, psi.amplitudes,
+                               _point(psi.grid, q))[0])
 
 
 class RecordSampler:
     """psi and grad psi of a run of snapshots, linearly interpolated in time.
 
-    ``bracket(t)`` returns (i0, i1, theta) as ``EvolutionRecord.bracket``
-    does. A sliding window holds the fields of at most two snapshots, one
-    per slot: snapshot i sits in slot i % 2 as the stack (psi, d_1 psi, ...,
-    d_d psi) along the last axis, so the bracketing pair is the whole
-    window. A single snapshot gets a one-slot window. Within
-    one flow the query times never decrease, so each snapshot's gradients
-    are computed once; an earlier time is still answered correctly, at the
-    cost of recomputing.
+    Snapshot i is the field at time t0 + i dt; t0 and dt matter only when
+    there is more than one snapshot. A sliding window holds the fields of
+    at most two snapshots, one per slot: snapshot i sits in slot i % 2 as
+    the stack (psi, d_1 psi, ..., d_d psi) along the last axis, so the
+    bracketing pair is the whole window. A single snapshot gets a one-slot
+    window. Within one flow the query times never decrease, so each
+    snapshot's gradients are computed once; an earlier time is still
+    answered correctly, at the cost of recomputing.
     """
 
-    def __init__(self, grid, snapshots, bracket):
+    def __init__(self, grid, snapshots, t0=0.0, dt=None):
         self.grid = grid
         self.snapshots = snapshots
-        self.bracket = bracket
+        self.t0 = t0
+        self.dt = dt
         self.peak_density = float(np.max(density(snapshots[0])))
         self._width = 1 + grid.dimension
         self._held = [None] * min(2, len(snapshots))  # snapshot in each slot
@@ -145,6 +147,16 @@ class RecordSampler:
             self._held[slot] = idx
         return cols
 
+    def bracket(self, t):
+        """Indices (i, i + 1) of the snapshots around t and the blend weight
+        of the later one; (0, 0, 0.0) for a single snapshot."""
+        if len(self.snapshots) == 1:
+            return 0, 0, 0.0
+        s = (t - self.t0) / self.dt
+        i = int(np.clip(np.floor(s), 0, len(self.snapshots) - 2))
+        theta = float(np.clip(s - i, 0.0, 1.0))
+        return i, i + 1, theta
+
     def sample(self, pts, t):
         """psi (B,) and grad psi (B, d) at the points pts (B, d), time t."""
         i0, i1, theta = self.bracket(t)
@@ -156,11 +168,6 @@ class RecordSampler:
             pair = _interp_any(self.grid, self._window, pts)
             f = (1.0 - theta) * pair[:, c0] + theta * pair[:, c1]
         return f[:, 0], f[:, 1:]
-
-
-def _frozen(t):
-    """Bracket of a single field that does not change in time."""
-    return 0, 0, 0.0
 
 
 def _velocity_batch(sampler, pts, t, constants, threshold, action, v_max):
@@ -186,17 +193,15 @@ def _velocity_batch(sampler, pts, t, constants, threshold, action, v_max):
 def velocity(psi, q, constants, policy=None):
     """Guidance velocity at one configuration; raises HitNodeError under a
     halting policy when |psi(q)|^2 falls below the node threshold."""
-    coords = q.coordinates if isinstance(q, Configuration) else tuple(np.atleast_1d(q))
-    _check_inside(psi.grid, coords)
+    pts = _point(psi.grid, q)
     constants.check_dimension(psi.grid)
     policy = policy or NodePolicy()
-    sampler = RecordSampler(psi.grid, [psi], _frozen)
+    sampler = RecordSampler(psi.grid, [psi])
     threshold = policy.resolve(sampler.peak_density)
-    pts = np.asarray(coords, dtype=np.float64).reshape(1, -1)
     v, node = _velocity_batch(sampler, pts, None, constants, threshold,
                               policy.action, policy.v_max)
     if node[0]:
-        raise HitNodeError(f"density below {threshold:g} at {coords}")
+        raise HitNodeError(f"density below {threshold:g} at {pts[0].tolist()}")
     return [float(c) for c in v[0]]
 
 
@@ -206,10 +211,8 @@ def velocity(psi, q, constants, policy=None):
 def spinor_velocity(psi, q, constants, policy=None):
     """Velocity from the spinor inner product:
     (hbar/m) Im(up* d up + down* d down) / (|up|^2 + |down|^2)."""
-    coords = q.coordinates if isinstance(q, Configuration) else (float(np.atleast_1d(q)[0]),)
-    _check_inside(psi.grid, coords)
+    pts = _point(psi.grid, q)
     policy = policy or NodePolicy()
-    pts = np.asarray(coords, dtype=np.float64).reshape(1, 1)
     fields = np.stack([psi.up, psi.down, gradient_array(psi.grid, psi.up, 0),
                        gradient_array(psi.grid, psi.down, 0)], axis=-1)
     up, down, dup, ddown = _interp_any(psi.grid, fields, pts)[0]
@@ -317,13 +320,6 @@ class FlowResult:
         return int(np.sum(self.statuses == code))
 
 
-def _inside_mask(grid, pts):
-    ok = np.ones(pts.shape[0], dtype=bool)
-    for k, ax in enumerate(grid.axes):
-        ok &= (pts[:, k] >= ax.lower) & (pts[:, k] <= ax.upper)
-    return ok
-
-
 def ode_step_count(span, dt_ode, snapshot_dt):
     """Number of RK4 steps of dt_ode over a record span. dt_ode must divide
     the span and may not be below the snapshot spacing snapshot_dt."""
@@ -356,10 +352,10 @@ def integrate_flow(points, record, constants, policy=None, dt_ode=None,
     constants.check_dimension(record.grid)
     policy = policy or NodePolicy()
     dt_ode = dt_ode if dt_ode is not None else record.dt
-    n = ode_step_count(record.t_final - record.t_initial, dt_ode,
-                       record.step_dt * record.stride)
+    n = ode_step_count(record.t_final - record.t_initial, dt_ode, record.dt)
     times = record.t_initial + dt_ode * np.arange(n + 1)
-    sampler = RecordSampler(record.grid, record.snapshots, record.bracket)
+    sampler = RecordSampler(record.grid, record.snapshots, record.t_initial,
+                            record.dt)
     threshold = policy.resolve(sampler.peak_density)
     q = np.array(points, dtype=np.float64, ndmin=2)
     b, d = q.shape
@@ -373,8 +369,7 @@ def integrate_flow(points, record, constants, policy=None, dt_ode=None,
     def eval_v(pts, t):
         v, node = _velocity_batch(sampler, pts, t, constants, threshold,
                                   policy.action, policy.v_max)
-        oob = ~_inside_mask(sampler.grid, pts)
-        return v, node, oob
+        return v, node, ~sampler.grid.contains(pts)
 
     for j in range(len(times) - 1):
         idx = np.flatnonzero(active)
@@ -398,7 +393,7 @@ def integrate_flow(points, record, constants, policy=None, dt_ode=None,
         live = idx[~dead]
         qn = qa[~dead] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)[~dead]
         # landing outside the domain is a grid exit as well
-        landed_in = _inside_mask(sampler.grid, qn)
+        landed_in = sampler.grid.contains(qn)
         q[live] = qn
         statuses[live[~landed_in]] = 2
         stop[live[~landed_in]] = j + 1
@@ -414,8 +409,5 @@ def integrate_trajectory(q0, record, constants, policy=None, dt_ode=None):
     function linearly interpolated between snapshots. Returns the path and a
     status explaining any early stop (node hit or grid exit): the one-member
     case of ``integrate_flow``."""
-    coords = q0.coordinates if isinstance(q0, Configuration) else tuple(np.atleast_1d(q0))
-    if not record.grid.contains(coords):
-        raise OutOfBoundsError(f"initial configuration {coords} outside grid")
-    return integrate_flow([coords], record, constants, policy=policy,
+    return integrate_flow(_point(record.grid, q0), record, constants, policy=policy,
                           dt_ode=dt_ode, store_path=True).trajectory(0)

@@ -1,9 +1,10 @@
 """The hot kernels: batched cubic Lagrange interpolation of complex fields in
 one and two dimensions, and a batched complex tridiagonal solve.
 
-There is one implementation. Interpolation is plain numpy on a shared
-four-point stencil (``cubic_stencil``), which the flux and conditional
-wave-function code use as well. The tridiagonal systems are LU-factored once
+There is one implementation. Interpolation is plain numpy on a four-point
+stencil (``cubic_stencil``), and every off-grid evaluation goes through it:
+the guidance flow, the surface current and the conditional wave function.
+The tridiagonal systems are LU-factored once
 (LAPACK ``zgttrf``) and each solve is one ``zgttrs`` call.
 
 Interpolation is bound by its gathers, so they are ``np.take(..., axis=0)``

@@ -54,13 +54,23 @@ class _SplitFourierStepper:
         return self.exp_v_half * out
 
 
+def _tridiagonal_times(diag, off, lines):
+    """Each line (row) times its tridiagonal matrix, with diagonal diag (one
+    row per line) and the scalar off on both off-diagonals."""
+    out = diag * lines
+    out[:, 1:] += off * lines[:, :-1]
+    out[:, :-1] += off * lines[:, 1:]
+    return out
+
+
 class _CayleyAxis:
     """Exactly unitary Cayley half of the Hamiltonian along one axis:
     (1 + i tau H/2hbar)^(-1) (1 - i tau H/2hbar), solved line by line.
 
     The left-hand matrix never changes, so it is LU-factored once here and
     every step only back-substitutes. Each solve is still checked against
-    the unfactored matrix."""
+    the unfactored matrix. The kinetic coupling is one scalar, the same for
+    all neighbours: ``off`` on the left-hand side, -``off`` on the right."""
 
     def __init__(self, grid, axis, v_share, constants, tau):
         ax = grid.axes[axis]
@@ -68,24 +78,19 @@ class _CayleyAxis:
         lam = tau / (2.0 * constants.hbar)
         hop = -constants.hbar**2 / (2.0 * constants.masses[axis] * ax.spacing**2)
         diag_h = -2.0 * hop + np.moveaxis(v_share, axis, -1).reshape(-1, ax.count)
-        b = diag_h.shape[0]
         self.a_d = 1.0 + 1j * lam * diag_h
         self.b_d = 1.0 - 1j * lam * diag_h
-        self.a_off = np.full((b, ax.count), 1j * lam * hop)
-        self.b_off = -self.a_off
-        self.lu = factor_tridiagonal(self.a_off, self.a_d, self.a_off)
+        self.off = 1j * lam * hop
+        off = np.broadcast_to(self.off, self.a_d.shape)
+        self.lu = factor_tridiagonal(off, self.a_d, off)
 
     def apply(self, arr):
         moved = np.moveaxis(arr, self.axis, -1)
         shape = moved.shape
         lines = moved.reshape(-1, shape[-1])
-        rhs = self.b_d * lines
-        rhs[:, 1:] += self.b_off[:, 1:] * lines[:, :-1]
-        rhs[:, :-1] += self.b_off[:, :-1] * lines[:, 1:]
+        rhs = _tridiagonal_times(self.b_d, -self.off, lines)
         sol = thomas_solve(self.lu, rhs)
-        res = self.a_d * sol
-        res[:, 1:] += self.a_off[:, 1:] * sol[:, :-1]
-        res[:, :-1] += self.a_off[:, :-1] * sol[:, 1:]
+        res = _tridiagonal_times(self.a_d, self.off, sol)
         scale = np.max(np.abs(rhs))
         if scale > 0 and np.max(np.abs(res - rhs)) > SOLVE_TOL * scale:
             raise RuntimeError("tridiagonal solve residual above tolerance")
@@ -136,13 +141,23 @@ class EvolutionRecord:
     constants: PhysicalConstants
     potential: object
     method: str
-    dt: float           # snapshot spacing
+    dt: float           # snapshot spacing, step_dt * stride to 1e-9
     step_dt: float      # integrator step
     stride: int
     times: np.ndarray
     snapshots: list = field(default_factory=list)
 
     def __post_init__(self):
+        _check_method(self.grid, self.method)
+        if not (math.isfinite(self.step_dt) and self.step_dt > 0):
+            raise ValueError(f"step_dt: must be positive and finite, found "
+                             f"{self.step_dt!r}")
+        if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
+            raise ValueError(f"stride: must be a positive integer, found "
+                             f"{self.stride!r}")
+        if not abs(self.dt - self.step_dt * self.stride) <= 1e-9 * abs(self.dt):
+            raise ValueError(f"dt: snapshot spacing {self.dt!r} is not step_dt "
+                             f"{self.step_dt!r} times stride {self.stride}")
         times = np.asarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
         if len(times) != len(self.snapshots) or len(times) == 0:
@@ -168,15 +183,6 @@ class EvolutionRecord:
     def spans(self, t0, t1):
         eps = 1e-9 * max(1.0, abs(self.t_final))
         return self.t_initial - eps <= t0 and t1 <= self.t_final + eps
-
-    def bracket(self, t):
-        """Indices (i, i+1) and blend weight for linear interpolation at t."""
-        if len(self.times) == 1:
-            return 0, 0, 0.0
-        s = (t - self.t_initial) / self.dt
-        i = int(np.clip(np.floor(s), 0, len(self.times) - 2))
-        theta = float(np.clip(s - i, 0.0, 1.0))
-        return i, i + 1, theta
 
 
 def step_count(t_final, dt, snapshot_stride=1):
@@ -204,10 +210,6 @@ def evolve(psi0, potential, constants, t_final, dt, method, snapshot_stride=1):
     n_steps = step_count(t_final, dt, snapshot_stride)
     if abs(norm(psi0) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    if n_steps == 0:
-        return EvolutionRecord(psi0.grid, constants, potential, method,
-                               dt * snapshot_stride, dt, snapshot_stride,
-                               np.array([0.0]), [psi0])
     stepper = prepare_stepper(psi0.grid, potential, constants, dt, method)
     arr = psi0.amplitudes
     snaps = [psi0]
@@ -263,9 +265,19 @@ def save_record(record, directory):
         write_wavefunction(snap, record.constants, os.path.join(directory, name))
 
 
+_MANIFEST_KEYS = ("grid", "constants", "potential", "method", "dt", "step_dt",
+                  "stride", "times", "snapshots")
+
+
 def load_record(directory):
+    """Inverse of save_record. A manifest with a missing or inconsistent
+    field, or a snapshot whose constants differ from the manifest's, raises
+    a ValueError that names the field."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ValueError(f"manifest: missing field {missing[0]!r}")
     grid = Grid.from_description(manifest["grid"])
     constants = PhysicalConstants.from_description(manifest["constants"])
     pot_desc = manifest["potential"]
@@ -276,7 +288,11 @@ def load_record(directory):
         potential = potentials_mod.from_description(pot_desc)
     snaps = []
     for name in manifest["snapshots"]:
-        psi, _ = read_wavefunction(os.path.join(directory, name))
+        psi, snap_constants = read_wavefunction(os.path.join(directory, name))
+        if snap_constants != constants:
+            raise ValueError(f"{name}: constants {snap_constants.describe()} "
+                             f"differ from the manifest's "
+                             f"{constants.describe()}")
         snaps.append(psi)
     return EvolutionRecord(grid, constants, potential, manifest["method"],
                            manifest["dt"], manifest["step_dt"],

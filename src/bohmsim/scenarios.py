@@ -21,7 +21,8 @@ from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
 from .flux import (CrossingSurface, _current_at_surface, expected_crossings,
                    per_member_counts)
 from .grids import Grid, PhysicalConstants
-from .guidance import (integrate_flow, integrate_trajectory, ode_step_count,
+from .guidance import (HIT_NODE, LEFT_GRID, integrate_flow,
+                       integrate_trajectory, ode_step_count,
                        step_spinor_pauli)
 from .kernels import BACKEND
 from .potentials import KINDS, CoupledOscillator, Free, Harmonic, from_description
@@ -515,8 +516,8 @@ def _flux_case(case, n, seed, out_dir):
         "se_total": float(se[0]),
         "se_signed": float(se[1]),
         "n_members": int(counts.shape[0]),
-        "hit_node": int(np.sum(flow.statuses == 1)),
-        "left_grid": int(np.sum(flow.statuses == 2)),
+        "hit_node": flow.count(HIT_NODE),
+        "left_grid": flow.count(LEFT_GRID),
     }
     if out_dir is not None:
         _write_csv(out_dir, f"flux_{case['name']}_current.csv",

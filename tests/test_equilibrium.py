@@ -17,6 +17,7 @@ from bohmsim.equilibrium import (Ensemble, MacroPartition, ZeroSliceError,
 from bohmsim.fields import ScalarWaveFunction, gradient_array, norm
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import OutOfBoundsError
+from bohmsim.kernels import cubic_stencil
 from bohmsim.potentials import CoupledOscillator, Free, Harmonic
 from bohmsim.propagate import SPLIT_FOURIER, evolve
 
@@ -219,6 +220,30 @@ def test_conditional_matches_oracle(analytic_field_t1):
     oracle_amp = analytic.conditional_oracle(x0, y0, t, xs)
     oracle = ScalarWaveFunction(cond.grid, oracle_amp)
     assert aligned_l2_error(cond, oracle) < 1e-3
+
+
+def _hand_summed_slice(psi2d, y_value):
+    """Psi(x, Y) summed by hand over the four stencil columns, as it was
+    before the interpolation kernel took it over."""
+    ax = psi2d.grid.axes[1]
+    idx, w = cubic_stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
+                           np.array([y_value]))
+    return sum(w[b, 0] * psi2d.amplitudes[:, idx[b, 0]] for b in range(4))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "boxed"])
+def test_conditional_slice_matches_four_term_sum(boundary):
+    g = Grid.regular(-4.0, 4.0, 40, boundary=boundary, dimension=2)
+    rng = np.random.default_rng(5)
+    psi = ScalarWaveFunction(g, rng.normal(size=g.shape)
+                             + 1j * rng.normal(size=g.shape))
+    ax = g.axes[1]
+    for y in (*rng.uniform(ax.lower, ax.upper, 20), ax.lower, ax.upper,
+              ax.lower + 7 * ax.spacing):
+        ref = ScalarWaveFunction(Grid(axes=(g.axes[0],)),
+                                 _hand_summed_slice(psi, y)).normalize()
+        cond = conditional_wavefunction(psi, y)
+        assert cond.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
 
 def test_conditional_bounds_and_zero_slice():

@@ -61,6 +61,41 @@ def test_grid_description_roundtrip():
     assert Grid.from_description(g.describe()) == g
 
 
+def _contains_loop(grid, point):
+    """One point against the closed interval of each axis in turn."""
+    return all(ax.lower <= q <= ax.upper for q, ax in zip(point, grid.axes))
+
+
+_AXES = (Axis(-1.0, 16, 0.125, "boxed"), Axis(-1.0, 16, 0.125))
+# the edges of both axes, the floats just outside them, and non-finite values
+_EDGES = sorted({v for ax in _AXES for e in (ax.lower, ax.upper)
+                 for v in (e, np.nextafter(e, -np.inf),
+                           np.nextafter(e, np.inf))})
+COORDINATES = st.floats(-2.0, 2.0) | st.sampled_from(
+    _EDGES + [float("nan"), float("inf"), -float("inf")])
+
+
+@settings(deadline=None, max_examples=200)
+@given(axes=st.lists(st.sampled_from(_AXES), min_size=1, max_size=2),
+       data=st.data())
+def test_grid_contains_matches_axis_loop(axes, data):
+    grid = Grid(axes=tuple(axes))
+    d = grid.dimension
+    batch = np.array(data.draw(st.lists(
+        st.lists(COORDINATES, min_size=d, max_size=d), min_size=1,
+        max_size=20)))
+    expected = [_contains_loop(grid, p) for p in batch]
+    assert grid.contains(batch).tolist() == expected
+    assert [bool(grid.contains(p)) for p in batch] == expected
+    assert [bool(grid.contains(tuple(p))) for p in batch] == expected
+    if d == 1:
+        assert [bool(grid.contains(p[0])) for p in batch] == expected
+    for wrong in (np.zeros((len(batch), d + 1)), np.zeros(d + 1),
+                  np.zeros((len(batch), d - 1)), np.zeros(d - 1)):
+        with pytest.raises(ValueError, match="coordinates"):
+            grid.contains(wrong)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_grid_values_rejected(bad):
     for lower, spacing in ((bad, 0.5), (0.0, bad), (bad, bad)):

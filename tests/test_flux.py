@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohmsim.equilibrium import sample_density
-from bohmsim.fields import ScalarWaveFunction, density
-from bohmsim.flux import (CrossingReport, CrossingSurface, count_crossings,
-                          crossing_report, expected_crossings,
+from bohmsim.fields import ScalarWaveFunction, density, probability_current
+from bohmsim.flux import (CrossingReport, CrossingSurface, _current_at_surface,
+                          count_crossings, crossing_report, expected_crossings,
                           per_member_counts)
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import FlowResult, Trajectory, integrate_flow
+from bohmsim.kernels import cubic_stencil
 from bohmsim.potentials import Free, Harmonic
-from bohmsim.propagate import SPLIT_FOURIER, evolve
+from bohmsim.propagate import CRANK_NICOLSON, SPLIT_FOURIER, evolve
 
 C1 = PhysicalConstants.natural(1)
 
@@ -38,6 +39,50 @@ def test_surface_validation():
 def test_report_invariant():
     with pytest.raises(ValueError):
         CrossingReport(1.0, 0.5, 0.2, 0.5, 10)
+
+
+def _hand_summed_current(record, constants, surface):
+    """The surface current summed by hand over the four stencil nodes, as
+    it was before the interpolation kernel took it over."""
+    grid = record.grid
+    ax = grid.axes[0]
+    idx, w = cubic_stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
+                           np.array([surface.location]))
+    w = w[:, 0]
+    times, vals = [], []
+    for t, snap in zip(record.times, record.snapshots):
+        if t < surface.t0 - 1e-12 or t > surface.t1 + 1e-12:
+            continue
+        j = probability_current(snap, constants).components[0]
+        line = sum(w[b] * j[idx[b, 0]] for b in range(4))
+        if grid.dimension == 2:
+            line = float(np.sum(grid.axes[1].quadrature_weights() * line))
+        times.append(t)
+        vals.append(float(line) * surface.orientation)
+    return np.asarray(times), np.asarray(vals)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("boundary,method", [("periodic", SPLIT_FOURIER),
+                                             ("boxed", CRANK_NICOLSON)])
+def test_surface_current_matches_four_term_sum(dimension, boundary, method):
+    g = Grid.regular(-6.0, 6.0, 48, boundary=boundary, dimension=dimension)
+    constants = PhysicalConstants.natural(dimension)
+    psi = ScalarWaveFunction.from_callable(
+        g, lambda x, *y: np.exp(-(x + 1.0) ** 2 - sum(q * q for q in y)
+                                + 2j * x + 0.5j * sum(y)),
+        normalize=True)
+    rec = evolve(psi, Free(), constants, 0.1, 1e-2, method)
+    ax = g.axes[0]
+    # off the nodes, on a node and on both edges
+    for location in (0.37, -1.0, ax.lower, ax.upper):
+        for orientation in (1, -1):
+            surface = CrossingSurface(location, 0.02, 0.1, orientation)
+            times, vals = _current_at_surface(rec, constants, surface)
+            ref_times, ref_vals = _hand_summed_current(rec, constants, surface)
+            assert len(times) == 9
+            assert times.tobytes() == ref_times.tobytes()
+            assert vals.tobytes() == ref_vals.tobytes()
 
 
 def test_expected_stationary_zero():

@@ -389,6 +389,30 @@ def test_rk4_order_on_exact_field():
     assert 10 < errs[0] / errs[1] < 24
 
 
+def test_flow_second_order_in_snapshot_spacing():
+    """The flow blends snapshots linearly in time, so its endpoint error is
+    second order in the snapshot spacing: halving it cuts the error ~4x.
+    A free Gaussian makes the test clean: the split-Fourier step is exact
+    for it, and its trajectories have the closed form
+    x(t) = c + k t + (x0 - c) sqrt(1 + (t / 2 w^2)^2)."""
+    c, w, k, t_final = -2.0, 1.0, 2.0, 1.0
+    g = grid1d(1024, 20.0)
+    psi = ScalarWaveFunction.from_callable(
+        g, lambda x: np.exp(-(x - c) ** 2 / (4 * w * w) + 1j * k * x),
+        normalize=True)
+    starts = c + np.array([-1.5, -0.7, 0.0, 0.4, 1.2])
+    exact = c + k * t_final + (starts - c) * np.sqrt(
+        1.0 + (t_final / (2.0 * w * w)) ** 2)
+    errs = []
+    for spacing in (0.04, 0.02, 0.01):
+        rec = evolve(psi, Free(), C1, t_final, spacing, SPLIT_FOURIER)
+        flow = integrate_flow(starts[:, None], rec, C1, dt_ode=spacing)
+        assert flow.count("Completed") == len(starts)
+        errs.append(np.max(np.abs(flow.points[:, 0] - exact)))
+    assert 3.6 < errs[0] / errs[1] < 4.4
+    assert 3.6 < errs[1] / errs[2] < 4.4
+
+
 def test_trajectory_csv_export(tmp_path):
     traj = Trajectory(np.array([0.0, 0.1, 0.2]),
                       np.array([[0.0], [0.5], [1.0]]), "Completed")

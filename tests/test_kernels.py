@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bohmsim.grids import Grid
 from bohmsim.kernels import (cubic_stencil, factor_tridiagonal,
                              interp_cubic_1d, interp_cubic_2d, thomas_solve)
 
@@ -17,6 +18,43 @@ def _random_field(rng, shape):
 
 def _upper(lo, h, n, periodic):
     return lo + (n if periodic else n - 1) * h
+
+
+def _smooth_field(periodic, x, y=0.0):
+    """A smooth complex field, 2 pi-periodic in both arguments or not."""
+    if periodic:
+        return np.exp(np.sin(x) + 0.5j * np.cos(2 * y) + 0.3j * np.sin(x + y))
+    return np.exp(0.4 * x - 0.2 * (y - 1) ** 2 + 0.3j * x * y + 0.5j * x)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_interp_fourth_order_in_h(dimension, periodic):
+    """Halving the grid spacing cuts the RMS interpolation error ~16x, with
+    a third of the queries in each edge cell of the coarsest grid."""
+    rng = np.random.default_rng(7)
+    u = rng.uniform(0.0, 1.0, (2, 3000))
+    u[:, :1000] /= 32
+    u[:, 1000:2000] = 1.0 - u[:, 1000:2000] / 32
+    xq, yq = 2 * np.pi * u
+    exact = _smooth_field(periodic, xq, yq if dimension == 2 else 0.0)
+    errs = []
+    for n in (32, 64, 128):
+        boundary = "periodic" if periodic else "boxed"
+        g = Grid.regular(0.0, 2 * np.pi, n if periodic else n + 1,
+                         boundary=boundary, dimension=dimension)
+        a = g.axes
+        if dimension == 1:
+            values = _smooth_field(periodic, a[0].points())
+            out = interp_cubic_1d(values, a[0].lower, a[0].spacing, periodic,
+                                  xq)
+        else:
+            values = _smooth_field(periodic, *g.meshgrid())
+            out = interp_cubic_2d(values, a[0].lower, a[0].spacing, periodic,
+                                  a[1].lower, a[1].spacing, periodic, xq, yq)
+        errs.append(np.sqrt(np.mean(np.abs(out - exact) ** 2)))
+    assert 12 < errs[0] / errs[1] < 24
+    assert 12 < errs[1] / errs[2] < 24
 
 
 def _dominant_system(rng, lines, n):

@@ -1,12 +1,16 @@
 """The two unitary schemes: phases, unitarity, convergence order, time
 reversal, the continuity diagnostic, and record persistence."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
 from bohmsim import analytic, propagate
-from bohmsim.fields import ScalarWaveFunction, density, norm
+from bohmsim.fields import (ScalarWaveFunction, density, norm,
+                            read_wavefunction, write_wavefunction)
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import interpolate
 from bohmsim.potentials import CoupledOscillator, Free, Harmonic, SoftCoulomb
@@ -158,6 +162,21 @@ def test_record_invariants():
     with pytest.raises(ValueError):
         EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, 0.1, 0.1, 1,
                         np.array([0.0]), [psi.with_amplitudes(2 * psi.amplitudes)])
+
+
+@pytest.mark.parametrize("dt,step_dt,stride", [
+    (0.01, 0.01, 2),   # the default flow would reject its own record
+    (0.01, 0.005, 1),  # dt_ode = step_dt x stride would undercut the spacing
+    (0.01, 0.01 / 3, 2),
+])
+def test_record_spacing_must_be_step_times_stride(dt, step_dt, stride):
+    psi = gaussian(periodic_grid())
+    with pytest.raises(ValueError, match="dt: snapshot spacing"):
+        EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, dt, step_dt,
+                        stride, dt * np.arange(3), [psi] * 3)
+    # agreement to a relative 1e-9 is accepted
+    EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, dt * (1 + 1e-12),
+                    dt / 4, 4, dt * np.arange(3), [psi] * 3)
 
 
 # --- the factored Crank-Nicolson solve ---------------------------------------
@@ -353,3 +372,50 @@ def test_record_save_load_roundtrip(tmp_path):
     for s1, s2 in zip(back.snapshots, rec.snapshots):
         np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
     assert back.potential.describe() == rec.potential.describe()
+
+
+def _set(key, value):
+    def mutate(manifest, directory):
+        manifest[key] = value
+    return mutate
+
+
+def _drop(key):
+    def mutate(manifest, directory):
+        del manifest[key]
+    return mutate
+
+
+def _rewrite_snapshot_hbar(manifest, directory):
+    path = os.path.join(directory, manifest["snapshots"][1])
+    psi, _ = read_wavefunction(path)
+    write_wavefunction(psi, PhysicalConstants(hbar=2.0, masses=(1.0,)), path)
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (_drop("step_dt"), "step_dt"),
+    (_drop("times"), "times"),
+    (_set("method", "bogus"), "method"),
+    (_set("method", CRANK_NICOLSON), "crank-nicolson"),
+    (_set("step_dt", -0.01), "step_dt"),
+    (_set("stride", 3), "stride"),
+    (_set("stride", 0), "stride"),
+    (_set("dt", 0.03), "^dt: snapshot spacing"),
+    (_rewrite_snapshot_hbar, "constants"),
+], ids=["no-step_dt", "no-times", "method-bogus", "method-boxed-only",
+        "step_dt-negative", "stride-3", "stride-0", "dt-0.03", "snapshot-hbar"])
+def test_corrupt_manifest_raises_naming_field(tmp_path, mutate, field):
+    """A saved record (dt 0.02 = step_dt 0.01 x stride 2) with one field
+    made inconsistent."""
+    directory = str(tmp_path / "run")
+    rec = evolve(gaussian(periodic_grid(64)), Free(), C1, 0.04, 0.01,
+                 SPLIT_FOURIER, snapshot_stride=2)
+    save_record(rec, directory)
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    mutate(manifest, directory)
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match=field):
+        load_record(directory)

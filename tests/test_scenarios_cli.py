@@ -125,6 +125,25 @@ def test_collapse_where_no_member_completes_fails(monkeypatch):
     assert [c["passed"] for c in report["checks"]] == [False, False]
 
 
+def test_cli_collapse_losing_half_its_members_fails(tmp_path, capsys):
+    """Half of these members leave the grid and the pointer packets meet
+    again after classification: the lost-fraction and the leakage-series
+    checks fail, and so does the run."""
+    cfg = {"scenario": "collapse", "weights": [0.5], "n": 20,
+           "coupling": 30.0, "t_meas": 3.0, "dt": 5e-3, "dt_ode": 5e-2}
+    assert validate_config(cfg) == []
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "scenario collapse: FAILED" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    checks = {c["name"].split(": ", 1)[1]: c for c in report["checks"]}
+    lost = checks["lost fraction (node hits and grid exits) <= 0.01"]
+    assert not lost["passed"] and lost["value"] == 0.5
+    held = checks["pointer cells stay disjoint from classification to t_meas"]
+    assert not held["passed"] and held["value"] > 1e-3
+
+
 def test_cli_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

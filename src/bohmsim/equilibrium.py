@@ -220,8 +220,8 @@ def conditional_wavefunction(psi2d, y_value):
     ax_env = grid.axes[1]
     if not ax_env.contains(y_value):
         raise OutOfBoundsError(f"Y={y_value} outside the environment axis")
-    vals = interp_cubic_1d(psi2d.amplitudes.T, ax_env.lower, ax_env.spacing,
-                           ax_env.periodic, np.array([y_value]))[0]
+    vals = interp_cubic_1d(psi2d.amplitudes, ax_env.lower, ax_env.spacing,
+                           ax_env.periodic, np.array([y_value]))[:, 0]
     slice_wf = ScalarWaveFunction(Grid(axes=(grid.axes[0],)), vals)
     if norm(slice_wf) < 1e-12:
         raise ZeroSliceError(f"slice norm below 1e-12 at Y={y_value}")

@@ -69,7 +69,8 @@ def _current_at_surface(record, constants, surface):
         if not inside:
             continue
         j = probability_current(snap, constants).components[0]
-        line = interp_cubic_1d(j, ax.lower, ax.spacing, ax.periodic, at)[0].real
+        line = interp_cubic_1d(j.T, ax.lower, ax.spacing, ax.periodic,
+                               at)[..., 0].real
         if grid.dimension == 2:
             line = float(np.sum(grid.axes[1].quadrature_weights() * line))
         times.append(t)

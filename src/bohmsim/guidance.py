@@ -91,7 +91,7 @@ def _point(grid, q):
 
 def _interp_any(grid, values, pts):
     """Batch cubic interpolation of one gridded complex array, or of several
-    stacked on a trailing axis; pts is (B, d)."""
+    stacked on a leading axis; pts is (B, d)."""
     if grid.dimension == 1:
         ax = grid.axes[0]
         return interp_cubic_1d(values, ax.lower, ax.spacing, ax.periodic,
@@ -114,13 +114,14 @@ class RecordSampler:
     """psi and grad psi of a run of snapshots, linearly interpolated in time.
 
     Snapshot i is the field at time t0 + i dt; t0 and dt matter only when
-    there is more than one snapshot. A sliding window holds the fields of
-    at most two snapshots, one per slot: snapshot i sits in slot i % 2 as
-    the stack (psi, d_1 psi, ..., d_d psi) along the last axis, so the
-    bracketing pair is the whole window. A single snapshot gets a one-slot
-    window. Within one flow the query times never decrease, so each
-    snapshot's gradients are computed once; an earlier time is still
-    answered correctly, at the cost of recomputing.
+    there is more than one snapshot. A sliding window of shape
+    (slots * (1 + d),) + grid.shape holds the fields of at most two
+    snapshots, one per slot: snapshot i sits in slot i % 2 as the 1 + d
+    leading rows (psi, d_1 psi, ..., d_d psi), so each slot is one
+    contiguous block and the bracketing pair is the whole window. A single
+    snapshot gets a one-slot window. Within one flow the query times never
+    decrease, so each snapshot's gradients are computed once; an earlier
+    time is still answered correctly, at the cost of recomputing.
     """
 
     def __init__(self, grid, snapshots, t0=0.0, dt=None):
@@ -131,21 +132,21 @@ class RecordSampler:
         self.peak_density = float(np.max(density(snapshots[0])))
         self._width = 1 + grid.dimension
         self._held = [None] * min(2, len(snapshots))  # snapshot in each slot
-        self._window = np.empty(grid.shape + (len(self._held) * self._width,),
+        self._window = np.empty((len(self._held) * self._width,) + grid.shape,
                                 dtype=np.complex128)
 
-    def _columns(self, idx):
-        """Window columns holding snapshot idx, which is loaded if absent."""
+    def _rows(self, idx):
+        """Window rows holding snapshot idx, which is loaded if absent."""
         slot = idx % len(self._held)
-        cols = slice(slot * self._width, (slot + 1) * self._width)
+        rows = slice(slot * self._width, (slot + 1) * self._width)
         if self._held[slot] != idx:
             snap = self.snapshots[idx]
-            fields = self._window[..., cols]
-            fields[..., 0] = snap.amplitudes
+            fields = self._window[rows]
+            fields[0] = snap.amplitudes
             for k in range(self.grid.dimension):
-                fields[..., 1 + k] = gradient(snap, k)
+                fields[1 + k] = gradient(snap, k)
             self._held[slot] = idx
-        return cols
+        return rows
 
     def bracket(self, t):
         """Indices (i, i + 1) of the snapshots around t and the blend weight
@@ -153,21 +154,21 @@ class RecordSampler:
         if len(self.snapshots) == 1:
             return 0, 0, 0.0
         s = (t - self.t0) / self.dt
-        i = int(np.clip(np.floor(s), 0, len(self.snapshots) - 2))
-        theta = float(np.clip(s - i, 0.0, 1.0))
+        i = min(max(math.floor(s), 0), len(self.snapshots) - 2)
+        theta = float(min(max(s - i, 0.0), 1.0))
         return i, i + 1, theta
 
     def sample(self, pts, t):
-        """psi (B,) and grad psi (B, d) at the points pts (B, d), time t."""
+        """psi (B,) and grad psi (d, B) at the points pts (B, d), time t."""
         i0, i1, theta = self.bracket(t)
-        c0 = self._columns(i0)
+        r0 = self._rows(i0)
         if i1 == i0 or theta == 0.0:
-            f = _interp_any(self.grid, self._window[..., c0], pts)
+            f = _interp_any(self.grid, self._window[r0], pts)
         else:
-            c1 = self._columns(i1)
+            r1 = self._rows(i1)
             pair = _interp_any(self.grid, self._window, pts)
-            f = (1.0 - theta) * pair[:, c0] + theta * pair[:, c1]
-        return f[:, 0], f[:, 1:]
+            f = (1.0 - theta) * pair[r0] + theta * pair[r1]
+        return f[0], f[1:]
 
 
 def _velocity_batch(sampler, pts, t, constants, threshold, action, v_max):
@@ -176,9 +177,8 @@ def _velocity_batch(sampler, pts, t, constants, threshold, action, v_max):
     dens = np.abs(val) ** 2
     node = dens < threshold
     safe = np.where(node, 1.0, val)
-    ratios = grads / safe[:, None]
     scale = constants.hbar / np.asarray(constants.masses)
-    v = scale[None, :] * np.imag(ratios)
+    v = (scale[:, None] * np.imag(grads / safe)).T
     if action == CAP_SPEED:
         speed = np.sqrt(np.sum(v * v, axis=1))
         over = speed > v_max
@@ -214,8 +214,8 @@ def spinor_velocity(psi, q, constants, policy=None):
     pts = _point(psi.grid, q)
     policy = policy or NodePolicy()
     fields = np.stack([psi.up, psi.down, gradient_array(psi.grid, psi.up, 0),
-                       gradient_array(psi.grid, psi.down, 0)], axis=-1)
-    up, down, dup, ddown = _interp_any(psi.grid, fields, pts)[0]
+                       gradient_array(psi.grid, psi.down, 0)])
+    up, down, dup, ddown = _interp_any(psi.grid, fields, pts)[:, 0]
     den = abs(up) ** 2 + abs(down) ** 2
     peak = float(np.max(np.abs(psi.up) ** 2 + np.abs(psi.down) ** 2))
     threshold = policy.resolve(peak)

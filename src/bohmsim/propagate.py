@@ -6,6 +6,7 @@ continuity-equation diagnostic and on-disk persistence of evolutions."""
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -149,9 +150,12 @@ class EvolutionRecord:
 
     def __post_init__(self):
         _check_method(self.grid, self.method)
-        if not (math.isfinite(self.step_dt) and self.step_dt > 0):
-            raise ValueError(f"step_dt: must be positive and finite, found "
-                             f"{self.step_dt!r}")
+        for name in ("dt", "step_dt"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and value > 0):
+                raise ValueError(f"{name}: must be positive and finite, "
+                                 f"found {value!r}")
         if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
             raise ValueError(f"stride: must be a positive integer, found "
                              f"{self.stride!r}")
@@ -269,6 +273,17 @@ _MANIFEST_KEYS = ("grid", "constants", "potential", "method", "dt", "step_dt",
                   "stride", "times", "snapshots")
 
 
+def _parse_field(manifest, key, parse):
+    """parse(manifest[key]); a fault nested inside the field, such as a
+    missing key or a value of the wrong type, raises a ValueError that
+    names the field."""
+    try:
+        return parse(manifest[key])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"manifest: malformed field {key!r} "
+                         f"({type(exc).__name__}: {exc})") from exc
+
+
 def load_record(directory):
     """Inverse of save_record. A manifest with a missing or inconsistent
     field, or a snapshot whose constants differ from the manifest's, raises
@@ -278,14 +293,17 @@ def load_record(directory):
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ValueError(f"manifest: missing field {missing[0]!r}")
-    grid = Grid.from_description(manifest["grid"])
-    constants = PhysicalConstants.from_description(manifest["constants"])
-    pot_desc = manifest["potential"]
-    if pot_desc["kind"] == "sampled":
-        potential = potentials_mod.Sampled(
-            np.load(os.path.join(directory, "potential.npy")))
-    else:
-        potential = potentials_mod.from_description(pot_desc)
+    grid = _parse_field(manifest, "grid", Grid.from_description)
+    constants = _parse_field(manifest, "constants",
+                             PhysicalConstants.from_description)
+
+    def potential_from(desc):
+        if desc["kind"] == "sampled":
+            return potentials_mod.Sampled(
+                np.load(os.path.join(directory, "potential.npy")))
+        return potentials_mod.from_description(desc)
+
+    potential = _parse_field(manifest, "potential", potential_from)
     snaps = []
     for name in manifest["snapshots"]:
         psi, snap_constants = read_wavefunction(os.path.join(directory, name))

@@ -188,26 +188,26 @@ def test_periodic_interp_wraps(n0, n1, seed, wraps):
        seed=SEEDS)
 def test_stacked_fields_match_single_calls_bit_for_bit(n0, n1, k, m, per,
                                                        seed):
-    """K fields stacked on a trailing axis interpolate exactly as K separate
+    """K fields stacked on a leading axis interpolate exactly as K separate
     calls, including at nodes and on zero-valued fields."""
     rng = np.random.default_rng(seed)
     lo0, h0, lo1, h1 = -1.5, 0.125, 0.25, 0.25
     xq = rng.uniform(lo0, _upper(lo0, h0, n0, per[0]), m)
     yq = rng.uniform(lo1, _upper(lo1, h1, n1, per[1]), m)
     xq[::3] = lo0 + h0 * rng.integers(0, n0, xq[::3].size)
-    line = _random_field(rng, (n0, k))
-    plane = _random_field(rng, (n0, n1, k))
-    line[:, 0] = 0.0
+    line = _random_field(rng, (k, n0))
+    plane = _random_field(rng, (k, n0, n1))
+    line[0] = 0.0
     plane[rng.random(plane.shape) < 0.2] = 0.0
     out1 = interp_cubic_1d(line, lo0, h0, per[0], xq)
     out2 = interp_cubic_2d(plane, lo0, h0, per[0], lo1, h1, per[1], xq, yq)
-    assert out1.shape == out2.shape == (m, k)
+    assert out1.shape == out2.shape == (k, m)
     for j in range(k):
-        single1 = interp_cubic_1d(line[:, j], lo0, h0, per[0], xq)
-        single2 = interp_cubic_2d(plane[..., j], lo0, h0, per[0],
+        single1 = interp_cubic_1d(line[j], lo0, h0, per[0], xq)
+        single2 = interp_cubic_2d(plane[j], lo0, h0, per[0],
                                   lo1, h1, per[1], xq, yq)
-        assert np.ascontiguousarray(out1[:, j]).tobytes() == single1.tobytes()
-        assert np.ascontiguousarray(out2[:, j]).tobytes() == single2.tobytes()
+        assert out1[j].tobytes() == single1.tobytes()
+        assert out2[j].tobytes() == single2.tobytes()
 
 
 # --- loop reference: the earlier formulation of the interpolation kernels
@@ -235,22 +235,20 @@ def _reference_stencil(n, lo, h, periodic, xq):
 def _reference_1d(values, lo, h, periodic, xq):
     """Fancy-index gather and an einsum over the stencil."""
     values = np.asarray(values, dtype=np.complex128)
-    idx, w = _reference_stencil(values.shape[0], lo, h, periodic, xq)
-    return np.einsum("km,km...->m...", w, values[idx])
+    idx, w = _reference_stencil(values.shape[-1], lo, h, periodic, xq)
+    return np.einsum("km,...km->...m", w, values[..., idx])
 
 
 def _reference_2d(values, lo0, h0, per0, lo1, h1, per1, xq, yq):
     """Sixteen fancy-index gathers summed row by row."""
     values = np.asarray(values, dtype=np.complex128)
-    idx0, w0 = _reference_stencil(values.shape[0], lo0, h0, per0, xq)
-    idx1, w1 = _reference_stencil(values.shape[1], lo1, h1, per1, yq)
-    if values.ndim == 3:
-        w0, w1 = w0[..., None], w1[..., None]
-    out = np.zeros(np.shape(xq) + values.shape[2:], dtype=np.complex128)
+    idx0, w0 = _reference_stencil(values.shape[-2], lo0, h0, per0, xq)
+    idx1, w1 = _reference_stencil(values.shape[-1], lo1, h1, per1, yq)
+    out = np.zeros(values.shape[:-2] + np.shape(xq), dtype=np.complex128)
     for a in range(4):
         row = np.zeros_like(out)
         for b in range(4):
-            row += w1[b] * values[idx0[a], idx1[b]]
+            row += w1[b] * values[..., idx0[a], idx1[b]]
         out += w0[a] * row
     return out
 
@@ -269,14 +267,14 @@ def _queries(rng, lo, h, n, periodic, m):
 
 
 def _fields(rng, shape, k, strided):
-    """Random fields of the given grid shape, k stacked on a trailing axis
-    (None: one unstacked field). Strided fields are a column slice of a
-    wider stack, as the guidance window's one-slot view is."""
-    if k is None:
-        full = _random_field(rng, shape + (2,))
-        return full[..., 1] if strided else np.ascontiguousarray(full[..., 1])
-    full = _random_field(rng, shape + (2 * k,))
-    return full[..., k:] if strided else np.ascontiguousarray(full[..., k:])
+    """Random fields of the given grid shape, k stacked on a leading axis
+    (None: one unstacked field). Strided fields take every other node of a
+    grid twice as long on its last axis, so the gather source is not
+    contiguous."""
+    stack = () if k is None else (k,)
+    full = _random_field(rng, stack + shape[:-1] + (2 * shape[-1],))
+    fields = full[..., 1::2]
+    return fields if strided else np.ascontiguousarray(fields)
 
 
 GRID = dict(lo0=-1.5, h0=0.125, lo1=0.25, h1=0.25)  # nodes exact in binary
@@ -316,3 +314,64 @@ def test_interp_2d_matches_loop_reference(n0, n1, m, per, k, strided, seed):
     ref = _reference_2d(values, *args)
     assert out.shape == ref.shape
     assert np.array_equal(out, ref)
+
+
+def _periodic_batch(rng, n, kind):
+    """Query offsets s = (x - lo) / h, exact in binary, of one kind of
+    periodic batch:
+
+    - "interior": every stencil inside the grid, so neither wrap runs;
+    - "edges": inside [0, n), with stencils across node 0 and node n - 1,
+      so only the integer wrap runs;
+    - "period-off": the edges batch with one point a period or two away;
+    - "at-upper": the edges batch plus points exactly at the upper end;
+    - "empty": no points.
+    """
+    if kind == "empty":
+        return np.empty(0)
+    frac = rng.integers(0, 8, 40) / 8.0
+    s = rng.integers(1, n - 2, 40) + frac
+    if kind == "interior":
+        return s
+    s[:2] = frac[:2]             # start -1: the stencil wraps to node n - 1
+    s[2:4] = n - 1 + frac[2:4]   # start n - 2: it wraps to nodes 0 and 1
+    if kind == "period-off":
+        s[rng.integers(0, s.size)] += n * rng.choice([-2, -1, 1, 2])
+    elif kind == "at-upper":
+        s[-3:] = n
+    return s
+
+
+@settings(deadline=None)
+@given(n=st.integers(4, 40), k=st.integers(1, 4), seed=SEEDS,
+       kind=st.sampled_from(["interior", "edges", "period-off", "at-upper",
+                             "empty"]))
+def test_conditional_periodic_wrap_matches_reference(n, k, seed, kind):
+    """Skipping either periodic wrap where it would be the identity leaves
+    the stencil's indices and weights bit-identical to the reference, which
+    always wraps."""
+    rng = np.random.default_rng(seed)
+    lo, h = GRID["lo0"], GRID["h0"]
+    s = _periodic_batch(rng, n, kind)
+    xq = lo + h * s
+    assert np.array_equal((xq - lo) / h, s)  # the offsets are exact
+    inside = bool(np.all((s >= 0) & (s < n)))
+    starts = np.floor(s) - 1
+    assert inside == (kind in ("interior", "edges", "empty"))
+    if kind in ("interior", "edges"):
+        in_grid = np.all((starts >= 0) & (starts <= n - 4))
+        assert in_grid == (kind == "interior")
+    idx, w = cubic_stencil(n, lo, h, True, xq)
+    ref_idx, ref_w = _reference_stencil(n, lo, h, True, xq)
+    assert idx.shape == w.shape == (4, s.size)
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert w.tobytes() == ref_w.tobytes()
+    values = _random_field(rng, (k, n))
+    out = interp_cubic_1d(values, lo, h, True, xq)
+    assert out.shape == (k, s.size)
+    assert np.array_equal(out, _reference_1d(values, lo, h, True, xq))
+    plane = _random_field(rng, (k, n, n))
+    out2 = interp_cubic_2d(plane, lo, h, True, lo, h, True, xq, xq[::-1])
+    assert out2.shape == (k, s.size)
+    assert np.array_equal(out2, _reference_2d(plane, lo, h, True, lo, h, True,
+                                              xq, xq[::-1]))

@@ -386,6 +386,12 @@ def _drop(key):
     return mutate
 
 
+def _drop_nested(key, inner):
+    def mutate(manifest, directory):
+        del manifest[key][inner]
+    return mutate
+
+
 def _rewrite_snapshot_hbar(manifest, directory):
     path = os.path.join(directory, manifest["snapshots"][1])
     psi, _ = read_wavefunction(path)
@@ -402,8 +408,12 @@ def _rewrite_snapshot_hbar(manifest, directory):
     (_set("stride", 0), "stride"),
     (_set("dt", 0.03), "^dt: snapshot spacing"),
     (_rewrite_snapshot_hbar, "constants"),
+    (_drop_nested("grid", "axes"), "field 'grid'"),
+    (_drop_nested("constants", "hbar"), "field 'constants'"),
+    (_set("step_dt", "0.01"), "^step_dt: must be positive and finite"),
 ], ids=["no-step_dt", "no-times", "method-bogus", "method-boxed-only",
-        "step_dt-negative", "stride-3", "stride-0", "dt-0.03", "snapshot-hbar"])
+        "step_dt-negative", "stride-3", "stride-0", "dt-0.03", "snapshot-hbar",
+        "grid-no-axes", "constants-no-hbar", "step_dt-string"])
 def test_corrupt_manifest_raises_naming_field(tmp_path, mutate, field):
     """A saved record (dt 0.02 = step_dt 0.01 x stride 2) with one field
     made inconsistent."""

@@ -13,7 +13,7 @@ from .analytic import (ab_coefficients, conditional_oracle,
 from .fields import (CurrentField, ScalarWaveFunction, SpinorWaveFunction,
                      density, gradient, norm, probability_current)
 from .grids import Axis, Grid, PhysicalConstants
-from .guidance import (Configuration, NodePolicy, Trajectory, interpolate,
+from .guidance import (Configuration, Trajectory, interpolate,
                        integrate_trajectory, spinor_velocity,
                        step_spinor_pauli, velocity)
 from .kernels import BACKEND as kernel_backend
@@ -28,7 +28,7 @@ __all__ = [
     "norm", "density", "gradient", "probability_current",
     "SPLIT_FOURIER", "CRANK_NICOLSON", "EvolutionRecord",
     "step", "evolve", "continuity_residual",
-    "Configuration", "NodePolicy", "Trajectory",
+    "Configuration", "Trajectory",
     "interpolate", "velocity", "spinor_velocity", "step_spinor_pauli",
     "integrate_trajectory",
     "ab_coefficients", "coupled_oscillator_wavefunction",

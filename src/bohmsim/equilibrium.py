@@ -11,7 +11,7 @@ from scipy import stats
 
 from .fields import ScalarWaveFunction, density, norm
 from .grids import Grid, PhysicalConstants
-from .guidance import (HIT_NODE, LEFT_GRID, NodePolicy, OutOfBoundsError,
+from .guidance import (COMPLETED_CODE, HIT_NODE, LEFT_GRID, OutOfBoundsError,
                        integrate_flow)
 from .kernels import interp_cubic_1d
 from .potentials import Sampled
@@ -92,15 +92,14 @@ class EnsembleFlowResult:
         return self.hit_node / self.n_input
 
 
-def evolve_ensemble(ens, record, constants, policy=None, dt_ode=None):
+def evolve_ensemble(ens, record, constants, dt_ode=None):
     """Integrate every member independently through the record's guidance
     flow; members that hit a node or leave the grid are excluded and counted.
     Raises EmptyFlowError when no member is left."""
     if abs(ens.time - record.t_initial) > 1e-9:
         raise ValueError("ensemble time does not match the record start")
-    res = integrate_flow(ens.members, record, constants, policy=policy,
-                         dt_ode=dt_ode)
-    ok = res.statuses == 0
+    res = integrate_flow(ens.members, record, constants, dt_ode=dt_ode)
+    ok = res.statuses == COMPLETED_CODE
     hit_node = res.count(HIT_NODE)
     left_grid = res.count(LEFT_GRID)
     if not np.any(ok):
@@ -167,13 +166,11 @@ def equivariance_distance(ens, psi, bins=50):
     return DistanceReport(l1=l1)
 
 
-def equivariance_check(psi0, record, constants, n, seed, bins=50, policy=None,
-                       dt_ode=None):
+def equivariance_check(psi0, record, constants, n, seed, bins=50, dt_ode=None):
     """Transport an equilibrium sample and compare it at the final time both
     to |psi_t|^2 and, by a two-sample KS test, to a fresh equilibrium sample."""
     ens0 = sample_density(psi0, n, seed)
-    flow = evolve_ensemble(ens0, record, constants, policy=policy,
-                           dt_ode=dt_ode)
+    flow = evolve_ensemble(ens0, record, constants, dt_ode=dt_ode)
     psi_t = record.snapshots[-1]
     dist = equivariance_distance(flow.ensemble, psi_t, bins=bins)
     out = {
@@ -338,11 +335,12 @@ def aligned_l2_error(psi_a, psi_b):
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * abs(ov))))
 
 
-def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
-                        t_meas=1.0, dt=1e-3, snapshot_stride=10, dt_ode=1e-2,
-                        leakage_threshold=1e-6,
-                        return_artifacts=False):
-    """Two-outcome von Neumann measurement on a 2-d grid.
+COLLAPSE_SHAPE = (128, 384)  # grid points of the system and pointer axes
+
+
+def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
+                        snapshot_stride, dt_ode, leakage_threshold=1e-6):
+    """Two-outcome von Neumann measurement on a 2-d grid; returns the report.
 
     The system is a superposition c1 phi1 + c2 phi2 of two well-separated
     packets; the pointer couples through V = g s(x) y with s = +-1 on the two
@@ -350,14 +348,15 @@ def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
     Equilibrium-sampled configurations are transported by the guidance flow,
     outcomes are read off the pointer cell at t_meas, and the report compares
     outcome frequencies with |c1|^2, |c2|^2 and the realized branch's
-    effective wave function with its packet.
+    effective wave function with its packet. The defaults of the run
+    parameters live in one place, the ``collapse`` scenario's table.
     """
     if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-9:
         raise ValueError("|c1|^2 + |c2|^2 must equal 1")
     sep, width_x, width_y = 3.0, 0.5, 0.2
     mass_x, mass_y = 4000.0, 10.0  # heavy system: its packets barely move
-    gx = Grid.regular(-6.0, 6.0, 128, dimension=1)
-    gy = Grid.regular(-6.0, 6.0, 384, dimension=1)
+    gx = Grid.regular(-6.0, 6.0, COLLAPSE_SHAPE[0], dimension=1)
+    gy = Grid.regular(-6.0, 6.0, COLLAPSE_SHAPE[1], dimension=1)
     grid = Grid(axes=(gx.axes[0], gy.axes[0]))
     constants = PhysicalConstants(hbar=1.0, masses=(mass_x, mass_y))
     x = gx.coordinates(0)
@@ -394,8 +393,7 @@ def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
                        or t >= classification_time)
 
     ens = sample_density(psi0, n_members, seed)
-    flow = evolve_ensemble(ens, record, constants, policy=NodePolicy(),
-                           dt_ode=dt_ode)
+    flow = evolve_ensemble(ens, record, constants, dt_ode=dt_ode)
     y_final = flow.ensemble.members[:, 1]
     n_done = flow.ensemble.size
     counts = {"1": int(np.sum(y_final < 0.0)), "2": int(np.sum(y_final > 0.0))}
@@ -443,7 +441,7 @@ def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
     lost = (flow.hit_node + flow.left_grid) / n_members
     checks.append({"name": "lost fraction (node hits and grid exits) <= 0.01",
                    "value": lost, "threshold": 0.01, "passed": lost <= 0.01})
-    report = {
+    return {
         "parameters": {
             "c1": [c1.real, c1.imag] if isinstance(c1, complex) else [float(c1), 0.0],
             "c2": [c2.real, c2.imag] if isinstance(c2, complex) else [float(c2), 0.0],
@@ -469,7 +467,3 @@ def collapse_experiment(c1, c2, n_members=4000, seed=0, coupling=40.0,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    if return_artifacts:
-        return report, {"record": record, "flow": flow, "packets": packets,
-                        "partition": partition, "psi0": psi0}
-    return report

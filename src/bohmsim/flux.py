@@ -32,28 +32,6 @@ class CrossingSurface:
             raise ValueError("surface location outside the grid")
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    expected_total: float
-    expected_signed: float
-    empirical_total: float
-    empirical_signed: float
-    n_members: int
-
-    def __post_init__(self):
-        if abs(self.empirical_signed) > self.empirical_total + 1e-12:
-            raise ValueError("signed count cannot exceed the total")
-
-    def to_dict(self):
-        return {
-            "expected_total": self.expected_total,
-            "expected_signed": self.expected_signed,
-            "empirical_total": self.empirical_total,
-            "empirical_signed": self.empirical_signed,
-            "n_members": self.n_members,
-        }
-
-
 def _current_at_surface(record, constants, surface):
     """Normal current at the surface for every snapshot time in [t0, t1]:
     cubic interpolation at x=c, integrated over the transverse axis in 2-d."""
@@ -90,32 +68,23 @@ def expected_crossings(record, constants, surface):
 
 
 def per_member_counts(flow, surface):
-    """Per-member (total, signed) crossing counts as a (B, 2) float array.
+    """Per-member (total, signed) crossing counts of a FlowResult as a
+    (B, 2) float array; raises ValueError when the flow stored no paths.
 
-    ``flow`` is a FlowResult with stored paths or a list of Trajectory
-    objects. Only samples inside the surface's time window and up to each
-    member's stop count. Tie-break: one crossing per sign change of
+    Only samples inside the surface's time window and up to each member's
+    stop index count. Tie-break: one crossing per sign change of
     x - location between consecutive nonzero samples, so a touch of the
     surface without a sign change counts zero. The signed count follows
     the surface orientation. Members are counted together, one time row at
     a time. On a periodic axis a member stops as LeftGrid at the period
     boundary (see ``integrate_flow``), so windings are not counted.
     """
-    if hasattr(flow, "paths"):
-        if flow.paths is None:
-            raise ValueError("flow result has no stored paths")
-        xs = flow.paths[:, :, 0]
-        rows = np.arange(len(flow.times))[:, None]
-        valid = _in_window(flow.times, surface)[:, None] & (
-            rows <= flow.stop_index[None, :])
-    else:
-        trajs = list(flow)
-        xs = np.zeros((max((len(t.times) for t in trajs), default=0),
-                       len(trajs)))
-        valid = np.zeros(xs.shape, dtype=bool)
-        for b, traj in enumerate(trajs):
-            xs[: len(traj.times), b] = traj.points[:, 0]
-            valid[: len(traj.times), b] = _in_window(traj.times, surface)
+    if flow.paths is None:
+        raise ValueError("flow result has no stored paths")
+    xs = flow.paths[:, :, 0]
+    rows = np.arange(len(flow.times))[:, None]
+    valid = _in_window(flow.times, surface)[:, None] & (
+        rows <= flow.stop_index[None, :])
     total = np.zeros(xs.shape[1])
     signed = np.zeros(xs.shape[1])
     last = np.zeros(xs.shape[1])  # sign of the latest nonzero sample, or 0
@@ -130,17 +99,3 @@ def per_member_counts(flow, surface):
 
 def _in_window(times, surface):
     return (times >= surface.t0 - 1e-12) & (times <= surface.t1 + 1e-12)
-
-
-def count_crossings(trajectories, surface):
-    """Ensemble means of (total, signed) crossing counts over the members of
-    a FlowResult with stored paths or a list of Trajectory objects."""
-    total, signed = per_member_counts(trajectories, surface).mean(axis=0)
-    return float(total), float(signed)
-
-
-def crossing_report(record, constants, surface, flow):
-    total, signed = expected_crossings(record, constants, surface)
-    emp_total, emp_signed = count_crossings(flow, surface)
-    n = flow.paths.shape[1] if hasattr(flow, "paths") else len(flow)
-    return CrossingReport(total, signed, emp_total, emp_signed, n)

@@ -1,6 +1,12 @@
 """The guidance law: velocity fields derived from wave functions (scalar and
-spinor), node handling, and trajectory integration dQ/dt = v(Q, t) by fixed-step
-RK4 on time-interpolated evolution records.
+spinor), node detection, and trajectory integration dQ/dt = v(Q, t) by
+fixed-step RK4 on time-interpolated evolution records.
+
+Bohmian trajectories almost surely never reach a node of psi, so meeting one
+only signals discretisation error. The rule is fixed: a configuration whose
+density lies below NODE_FRACTION times the peak density of the first field
+sampled is at a node. ``velocity`` and ``spinor_velocity`` then raise
+HitNodeError, and ``integrate_flow`` stops the member with status HitNode.
 
 Integration is time-major. Every member of a batch moves independently under
 the same field, so all of them advance together, one RK4 step at a time, and
@@ -25,12 +31,11 @@ COMPLETED = "Completed"
 HIT_NODE = "HitNode"
 LEFT_GRID = "LeftGrid"
 
-_STATUS_NAMES = {0: COMPLETED, 1: HIT_NODE, 2: LEFT_GRID}
+# A FlowResult status code is the index of its name here.
+_STATUS_NAMES = (COMPLETED, HIT_NODE, LEFT_GRID)
+COMPLETED_CODE, HIT_NODE_CODE, LEFT_GRID_CODE = range(len(_STATUS_NAMES))
 
-HALT = "halt"
-CAP_SPEED = "cap-speed"
-
-DEFAULT_NODE_FRACTION = 1e-12  # of the peak density
+NODE_FRACTION = 1e-12  # of the peak density
 
 
 class OutOfBoundsError(Exception):
@@ -53,31 +58,10 @@ class Configuration:
         object.__setattr__(self, "coordinates", coords)
 
 
-@dataclass(frozen=True)
-class NodePolicy:
-    """What to do when the density under a trajectory drops below threshold.
-
-    A None threshold resolves to DEFAULT_NODE_FRACTION times the peak density
-    of the field being sampled. Halting detects node approaches (the default,
-    used for reporting rates); capping the speed is a diagnostic mode only.
-    """
-
-    density_threshold: float = None
-    action: str = HALT
-    v_max: float = None
-
-    def __post_init__(self):
-        if self.action not in (HALT, CAP_SPEED):
-            raise ValueError(f"unknown node action {self.action!r}")
-        if self.action == CAP_SPEED and not self.v_max:
-            raise ValueError("cap-speed policy needs v_max")
-        if self.density_threshold is not None and self.density_threshold <= 0:
-            raise ValueError("density threshold must be positive")
-
-    def resolve(self, peak_density):
-        if self.density_threshold is not None:
-            return self.density_threshold
-        return DEFAULT_NODE_FRACTION * peak_density
+def _node_threshold(dens):
+    """The density below which a configuration is at a node: NODE_FRACTION
+    times the peak of the gridded density dens."""
+    return NODE_FRACTION * float(np.max(dens))
 
 
 def _point(grid, q):
@@ -129,7 +113,7 @@ class RecordSampler:
         self.snapshots = snapshots
         self.t0 = t0
         self.dt = dt
-        self.peak_density = float(np.max(density(snapshots[0])))
+        self.node_threshold = _node_threshold(density(snapshots[0]))
         self._width = 1 + grid.dimension
         self._held = [None] * min(2, len(snapshots))  # snapshot in each slot
         self._window = np.empty((len(self._held) * self._width,) + grid.shape,
@@ -171,62 +155,50 @@ class RecordSampler:
         return f[0], f[1:]
 
 
-def _velocity_batch(sampler, pts, t, constants, threshold, action, v_max):
-    """Velocity (B, d) plus node mask from interpolated psi and grad psi."""
+def _velocity_batch(sampler, pts, t, constants):
+    """Velocity (B, d) plus node mask from interpolated psi and grad psi;
+    members at a node get velocity 0."""
     val, grads = sampler.sample(pts, t)
     dens = np.abs(val) ** 2
-    node = dens < threshold
+    node = dens < sampler.node_threshold
     safe = np.where(node, 1.0, val)
     scale = constants.hbar / np.asarray(constants.masses)
     v = (scale[:, None] * np.imag(grads / safe)).T
-    if action == CAP_SPEED:
-        speed = np.sqrt(np.sum(v * v, axis=1))
-        over = speed > v_max
-        if np.any(over):
-            v[over] *= (v_max / speed[over])[:, None]
-        node[:] = False
-    else:
-        v[node] = 0.0
+    v[node] = 0.0
     return v, node
 
 
-def velocity(psi, q, constants, policy=None):
-    """Guidance velocity at one configuration; raises HitNodeError under a
-    halting policy when |psi(q)|^2 falls below the node threshold."""
+def velocity(psi, q, constants):
+    """Guidance velocity at one configuration; raises HitNodeError when
+    |psi(q)|^2 falls below the node threshold."""
     pts = _point(psi.grid, q)
     constants.check_dimension(psi.grid)
-    policy = policy or NodePolicy()
     sampler = RecordSampler(psi.grid, [psi])
-    threshold = policy.resolve(sampler.peak_density)
-    v, node = _velocity_batch(sampler, pts, None, constants, threshold,
-                              policy.action, policy.v_max)
+    v, node = _velocity_batch(sampler, pts, None, constants)
     if node[0]:
-        raise HitNodeError(f"density below {threshold:g} at {pts[0].tolist()}")
+        raise HitNodeError(f"density below {sampler.node_threshold:g} at "
+                           f"{pts[0].tolist()}")
     return [float(c) for c in v[0]]
 
 
 # --- spinor fields -------------------------------------------------------------
 
 
-def spinor_velocity(psi, q, constants, policy=None):
+def spinor_velocity(psi, q, constants):
     """Velocity from the spinor inner product:
-    (hbar/m) Im(up* d up + down* d down) / (|up|^2 + |down|^2)."""
+    (hbar/m) Im(up* d up + down* d down) / (|up|^2 + |down|^2); raises
+    HitNodeError when the spinor density at q falls below the node
+    threshold."""
     pts = _point(psi.grid, q)
-    policy = policy or NodePolicy()
     fields = np.stack([psi.up, psi.down, gradient_array(psi.grid, psi.up, 0),
                        gradient_array(psi.grid, psi.down, 0)])
     up, down, dup, ddown = _interp_any(psi.grid, fields, pts)[:, 0]
     den = abs(up) ** 2 + abs(down) ** 2
-    peak = float(np.max(np.abs(psi.up) ** 2 + np.abs(psi.down) ** 2))
-    threshold = policy.resolve(peak)
+    threshold = _node_threshold(np.abs(psi.up) ** 2 + np.abs(psi.down) ** 2)
     if den < threshold:
-        if policy.action == HALT:
-            raise HitNodeError(f"spinor density below {threshold:g}")
-        return [0.0]
+        raise HitNodeError(f"spinor density below {threshold:g}")
     num = (np.conj(up) * dup + np.conj(down) * ddown).imag
     v = constants.hbar / constants.masses[0] * num / den
-    if policy.action == CAP_SPEED and abs(v) > policy.v_max:
-        v = np.sign(v) * policy.v_max
     return [float(v)]
 
 
@@ -305,7 +277,7 @@ class FlowResult:
         self.paths = paths            # (T, B, d) when recorded
 
     def status_names(self):
-        return [_STATUS_NAMES[int(s)] for s in self.statuses]
+        return [_STATUS_NAMES[s] for s in self.statuses]
 
     def trajectory(self, b):
         """Member b's stored path up to the step where it stopped."""
@@ -313,11 +285,10 @@ class FlowResult:
             raise ValueError("flow result has no stored paths")
         stop = int(self.stop_index[b])
         return Trajectory(self.times[: stop + 1], self.paths[: stop + 1, b, :],
-                          _STATUS_NAMES[int(self.statuses[b])])
+                          _STATUS_NAMES[self.statuses[b]])
 
     def count(self, name):
-        code = {v: k for k, v in _STATUS_NAMES.items()}[name]
-        return int(np.sum(self.statuses == code))
+        return int(np.sum(self.statuses == _STATUS_NAMES.index(name)))
 
 
 def ode_step_count(span, dt_ode, snapshot_dt):
@@ -334,14 +305,14 @@ def ode_step_count(span, dt_ode, snapshot_dt):
     return n
 
 
-def integrate_flow(points, record, constants, policy=None, dt_ode=None,
-                   store_path=False):
+def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     """Integrate a batch of configurations (B, d) through the record's
     velocity field by classical RK4 with step dt_ode (default: the snapshot
     spacing).
 
     All members advance together, one step at a time, over one sampler
-    window. A member that meets a node or leaves the grid during a step
+    window. A member that meets a node (density below NODE_FRACTION times
+    the peak density of the first snapshot) or leaves the grid during a step
     stops at the start of that step; one that lands outside the grid stops
     there. Stopped members keep their last position in the stored paths.
 
@@ -350,16 +321,14 @@ def integrate_flow(points, record, constants, policy=None, dt_ode=None,
     around, so its windings never enter crossing statistics.
     """
     constants.check_dimension(record.grid)
-    policy = policy or NodePolicy()
     dt_ode = dt_ode if dt_ode is not None else record.dt
     n = ode_step_count(record.t_final - record.t_initial, dt_ode, record.dt)
     times = record.t_initial + dt_ode * np.arange(n + 1)
     sampler = RecordSampler(record.grid, record.snapshots, record.t_initial,
                             record.dt)
-    threshold = policy.resolve(sampler.peak_density)
     q = np.array(points, dtype=np.float64, ndmin=2)
     b, d = q.shape
-    statuses = np.zeros(b, dtype=np.int8)
+    statuses = np.full(b, COMPLETED_CODE, dtype=np.int8)
     stop = np.full(b, len(times) - 1, dtype=np.int64)
     active = np.ones(b, dtype=bool)
     paths = np.empty((len(times), b, d)) if store_path else None
@@ -367,8 +336,7 @@ def integrate_flow(points, record, constants, policy=None, dt_ode=None,
         paths[0] = q
 
     def eval_v(pts, t):
-        v, node = _velocity_batch(sampler, pts, t, constants, threshold,
-                                  policy.action, policy.v_max)
+        v, node = _velocity_batch(sampler, pts, t, constants)
         return v, node, ~sampler.grid.contains(pts)
 
     for j in range(len(times) - 1):
@@ -387,15 +355,15 @@ def integrate_flow(points, record, constants, policy=None, dt_ode=None,
         node = n1 | n2 | n3 | n4
         oob = (o1 | o2 | o3 | o4) & ~node
         dead = node | oob
-        statuses[idx[node]] = 1
-        statuses[idx[oob]] = 2
+        statuses[idx[node]] = HIT_NODE_CODE
+        statuses[idx[oob]] = LEFT_GRID_CODE
         stop[idx[dead]] = j
         live = idx[~dead]
         qn = qa[~dead] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)[~dead]
         # landing outside the domain is a grid exit as well
         landed_in = sampler.grid.contains(qn)
         q[live] = qn
-        statuses[live[~landed_in]] = 2
+        statuses[live[~landed_in]] = LEFT_GRID_CODE
         stop[live[~landed_in]] = j + 1
         active[idx[dead]] = False
         active[live[~landed_in]] = False
@@ -404,10 +372,10 @@ def integrate_flow(points, record, constants, policy=None, dt_ode=None,
     return FlowResult(times, q, statuses, stop, paths)
 
 
-def integrate_trajectory(q0, record, constants, policy=None, dt_ode=None):
+def integrate_trajectory(q0, record, constants, dt_ode=None):
     """Classical RK4 on the time-dependent guidance field, with the wave
     function linearly interpolated between snapshots. Returns the path and a
     status explaining any early stop (node hit or grid exit): the one-member
     case of ``integrate_flow``."""
-    return integrate_flow(_point(record.grid, q0), record, constants, policy=policy,
+    return integrate_flow(_point(record.grid, q0), record, constants,
                           dt_ode=dt_ode, store_path=True).trajectory(0)

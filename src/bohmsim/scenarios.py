@@ -11,12 +11,14 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from . import analytic, povm as povm_mod
-from .equilibrium import (EmptyFlowError, collapse_experiment,
-                          equivariance_check, sample_density)
+from .equilibrium import (COLLAPSE_SHAPE, EmptyFlowError,
+                          collapse_experiment, equivariance_check,
+                          sample_density)
 from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
 from .flux import (CrossingSurface, _current_at_surface, expected_crossings,
                    per_member_counts)
@@ -50,6 +52,12 @@ _MISSING = object()
 # grid, cheap.
 _MAX_1D = 1 << 16
 _MAX_2D = 1024
+
+# Bytes of stored snapshots (16 B per grid point each) and stored paths (8 B
+# per coordinate per RK4 step) that a run may hold. At their defaults the
+# scenarios hold at most 0.25 GB, the oscillator oracle's 201 snapshots of
+# 256^2 points; a desk machine has a few GB.
+_MEMORY_BUDGET = 2 * 10**9
 
 
 def _at(path, key):
@@ -306,15 +314,28 @@ def make_initial(grid, constants, spec):
 
 
 def _flow_steps(t_final, dt, stride, dt_ode):
-    """Raise ValueError where evolve or integrate_flow would reject these
-    step sizes."""
+    """(snapshots stored, RK4 steps) of a run; raises ValueError where
+    evolve or integrate_flow would reject these step sizes."""
     n_steps = step_count(t_final, dt, stride)
-    ode_step_count(n_steps * dt, dt_ode, dt * stride)
+    return (n_steps // stride + 1,
+            ode_step_count(n_steps * dt, dt_ode, dt * stride))
 
 
 def _check_flow(params):
-    _flow_steps(params["t_final"], params["dt"], params["stride"],
-                params["dt_ode"])
+    return _flow_steps(params["t_final"], params["dt"], params["stride"],
+                       params["dt_ode"])
+
+
+def _check_memory(names, snapshots, grid_points, path_values=0):
+    """Raise ValueError, naming the parameters ``names`` that set the size,
+    when a run's snapshots of grid_points each plus path_values stored path
+    coordinates exceed the memory budget."""
+    # integers throughout: a member count may exceed the float range
+    need = 16 * snapshots * grid_points + 8 * path_values
+    if need > _MEMORY_BUDGET:
+        raise ValueError(f"{names} would store {Decimal(need) / 10**9:.3g} "
+                         "GB of snapshots and paths, above the budget of "
+                         f"{_MEMORY_BUDGET / 10**9:g} GB")
 
 
 def _check(name, value, passed, threshold=None, **extra):
@@ -347,6 +368,15 @@ def _write_csv(out_dir, name, header, rows):
 
 
 _oracle_grid = functools.partial(Grid.regular, -8.0, 8.0, dimension=2)
+_ORACLE_ANGLES = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False) + 0.37
+_ORACLE_STARTS = [(r * math.cos(a) + 0.1, r * math.sin(a) - 0.05)
+                  for r in (0.3, 0.7, 1.1, 1.5) for a in _ORACLE_ANGLES]
+
+
+def _check_oracle(params):
+    snapshots, steps = _check_flow(params)
+    _check_memory("points, t_final, dt and stride", snapshots,
+                  params["points"] ** 2, 2 * len(_ORACLE_STARTS) * (steps + 1))
 
 
 def run_oscillator_oracle(params, out_dir=None):
@@ -364,15 +394,11 @@ def run_oscillator_oracle(params, out_dir=None):
     psi_err = float(np.max(np.abs(record.snapshots[i1].amplitudes - exact)))
     drift = abs(norm(record.snapshots[-1]) - 1.0)
 
-    radii = (0.3, 0.7, 1.1, 1.5)
-    angles = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False) + 0.37
-    starts = [(r * math.cos(a) + 0.1, r * math.sin(a) - 0.05)
-              for r in radii for a in angles]
-    flow = integrate_flow(starts, record, constants, dt_ode=params["dt_ode"],
-                          store_path=True)
+    flow = integrate_flow(_ORACLE_STARTS, record, constants,
+                          dt_ode=params["dt_ode"], store_path=True)
     traj_err = 0.0
     first_rows = []
-    for idx, q0 in enumerate(starts):
+    for idx, q0 in enumerate(_ORACLE_STARTS):
         traj = flow.trajectory(idx)
         xe, ye = analytic.coupled_oscillator_trajectory(q0[0], q0[1],
                                                         traj.times)
@@ -388,10 +414,11 @@ def run_oscillator_oracle(params, out_dir=None):
         _check("field matches closed form at t=1 (max norm)", psi_err, psi_err < 1e-3,
                threshold=1e-3),
         _check("trajectories match closed form to t=2", traj_err,
-               traj_err < 1e-3, threshold=1e-3, n_starts=len(starts)),
+               traj_err < 1e-3, threshold=1e-3,
+               n_starts=len(_ORACLE_STARTS)),
         _check("norm drift at t_final", drift, drift < 1e-9, threshold=1e-9),
     ]
-    return {"checks": checks, "n_trajectories": len(starts)}
+    return {"checks": checks, "n_trajectories": len(_ORACLE_STARTS)}
 
 
 # --- scenario: equivariance --------------------------------------------------------
@@ -405,7 +432,9 @@ def _equivariance_setup(case):
     potential = from_description(case["potential"])
     potential.evaluate(grid, constants)  # one frequency per axis, a 2-d grid
     psi0 = make_initial(grid, constants, case["initial"])
-    _check_flow(case)
+    snapshots, _ = _check_flow(case)
+    _check_memory("grid.count, t_final, dt and stride", snapshots,
+                  grid.axes[0].count)
     return constants, potential, psi0
 
 
@@ -458,6 +487,12 @@ def run_equivariance(params, out_dir=None):
 _COLLAPSE_STRIDE = 10  # time steps per stored snapshot of the collapse record
 
 
+def _check_collapse(params):
+    snapshots, _ = _flow_steps(params["t_meas"], params["dt"],
+                               _COLLAPSE_STRIDE, params["dt_ode"])
+    _check_memory("t_meas and dt", snapshots, math.prod(COLLAPSE_SHAPE))
+
+
 def run_collapse(params, out_dir=None):
     runs = []
     checks = []
@@ -494,6 +529,14 @@ def _flux_setup(case):
     surface.check_grid(grid)
     _check_flow(case)
     return constants, psi0, surface
+
+
+def _check_flux(params):
+    """The memory bound of each case, whose paths hold n members."""
+    for j, case in enumerate(params["cases"]):
+        snapshots, steps = _check_flow(case)
+        _check_memory(f"n and cases[{j}]", snapshots, case["grid"]["count"],
+                      params["n"] * (steps + 1))
 
 
 def _flux_case(case, n, seed, out_dir):
@@ -548,6 +591,11 @@ def run_flux(params, out_dir=None):
 # --- scenario: povm ------------------------------------------------------------------
 
 
+def _random_state(rng, n):
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return psi / np.linalg.norm(psi)
+
+
 def run_povm(params, out_dir=None):
     rng = np.random.default_rng(params["seed"])
     checks = []
@@ -557,8 +605,7 @@ def run_povm(params, out_dir=None):
         measure = povm_mod.povm_from_experiment(model)
         worst = 0.0
         for _ in range(params["n_states"]):
-            psi = rng.normal(size=model.n) + 1j * rng.normal(size=model.n)
-            psi /= np.linalg.norm(psi)
+            psi = _random_state(rng, model.n)
             mu = povm_mod.outcome_distribution(model, psi)
             for lab, op in measure.entries:
                 lhs = mu[lab]
@@ -594,11 +641,6 @@ def run_povm(params, out_dir=None):
             "checks": checks}
 
 
-def _random_state(rng, n):
-    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return psi / np.linalg.norm(psi)
-
-
 # --- scenario: classical-limit --------------------------------------------------------
 
 
@@ -622,7 +664,9 @@ def _classical_setup(params, hbar):
 
 
 def _check_classical_limit(params):
-    _check_flow(params)
+    snapshots, steps = _check_flow(params)
+    _check_memory("points, t_final, dt and stride", snapshots,
+                  params["points"], steps + 1)
     for hbar in params["hbars"]:
         _classical_setup(params, hbar)
 
@@ -753,7 +797,7 @@ _register(
      "t_final": Num(2.0, low=1.0),
      "dt": Num(1e-3), "stride": Int(10), "dt_ode": Num(1e-2),
      "seed": _seed(1)},
-    run_oscillator_oracle, rule=_check_flow,
+    run_oscillator_oracle, rule=_check_oracle,
 )
 
 _register(
@@ -788,9 +832,7 @@ _register(
     {"weights": Many(Num(low=0.0, high=1.0), [0.5, 0.8]),
      "n": Int(4000, low=1), "seed": _seed(7), "coupling": Num(40.0),
      "t_meas": Num(1.0), "dt": Num(1e-3), "dt_ode": Num(1e-2)},
-    run_collapse,
-    rule=lambda p: _flow_steps(p["t_meas"], p["dt"], _COLLAPSE_STRIDE,
-                               p["dt_ode"]),
+    run_collapse, rule=_check_collapse,
 )
 
 # the numeric entries of a flux case result, which asserts may name
@@ -835,7 +877,7 @@ _register(
              "dt_ode": 5e-3, "asserts": []},
         ]),
     },
-    run_flux,
+    run_flux, rule=_check_flux,
 )
 
 _register(

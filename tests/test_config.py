@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bohmsim import cli, flux
+from bohmsim import cli, flux, scenarios
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.scenarios import (SCENARIOS, ConfigError, make_initial,
                                parse_config, run_scenario, validate_config)
@@ -185,6 +185,42 @@ def test_scenario_workloads_found():
                          ids=[n for n, _ in WORKLOAD_CONFIGS])
 def test_benchmark_workload_validates(config):
     assert validate_config(config) == []
+
+
+# --- memory budget -----------------------------------------------------------------
+#
+# Each config here would store more snapshots and paths than the budget allows,
+# so none of them is ever run.
+
+OVER_BUDGET = [
+    ({"scenario": "oscillator-oracle", "points": 1024, "stride": 1},
+     "config: points, t_final, dt and stride would store 33.6 GB"),
+    (_case("equivariance", grid={"count": 1 << 16}, t_final=2.0, stride=1),
+     "cases[0]: grid.count, t_final, dt and stride would store 2.10 GB"),
+    ({"scenario": "collapse", "dt": 1e-5},
+     "config: t_meas and dt would store 7.87 GB"),
+    ({"scenario": "flux", "n": 10**6}, "config: n and cases[0] would store"),
+    ({"scenario": "flux", "n": 10**400}, "config: n and cases[0] would store"),
+    ({"scenario": "classical-limit", "points": 1 << 16, "stride": 1},
+     "config: points, t_final, dt and stride would store 12.6 GB"),
+]
+
+
+@pytest.mark.parametrize("config,message", OVER_BUDGET,
+                         ids=[c["scenario"] for c, _ in OVER_BUDGET])
+def test_over_memory_budget_is_a_config_error(config, message):
+    errors = validate_config(config)
+    assert any(e.startswith(message) for e in errors), errors
+
+
+def test_defaults_and_workloads_stay_well_inside_the_memory_budget(
+        monkeypatch):
+    monkeypatch.setattr(scenarios, "_MEMORY_BUDGET",
+                        scenarios._MEMORY_BUDGET // 4)
+    for name in SCENARIOS:
+        assert validate_config({"scenario": name}) == [], name
+    for name, config in WORKLOAD_CONFIGS:
+        assert validate_config(config) == [], name
 
 
 # --- property tests ---------------------------------------------------------------

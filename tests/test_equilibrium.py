@@ -357,9 +357,13 @@ def test_conditional_family_not_schrodinger(analytic_field_t1):
 
 # --- pointer measurement (reduced size; the acceptance suite runs it in full) ------------
 
+# the collapse scenario's defaults, apart from the ensemble size
+RUN = {"coupling": 40.0, "t_meas": 1.0, "dt": 1e-3, "snapshot_stride": 10,
+       "dt_ode": 1e-2}
+
 
 def test_collapse_degenerate_weight():
-    rep = collapse_experiment(1.0, 0.0, n_members=200, seed=2)
+    rep = collapse_experiment(1.0, 0.0, n_members=200, seed=2, **RUN)
     assert rep["frequencies"]["1"] == 1.0
     assert rep["counts"]["2"] == 0
     assert rep["effective_state_errors"]["1"] < 1e-3
@@ -368,12 +372,12 @@ def test_collapse_degenerate_weight():
 
 def test_collapse_rejects_bad_weights():
     with pytest.raises(ValueError):
-        collapse_experiment(1.0, 0.5, n_members=10, seed=0)
+        collapse_experiment(1.0, 0.5, n_members=10, seed=0, **RUN)
 
 
 def test_collapse_classification_time_reported():
     rep = collapse_experiment(math.sqrt(0.5), math.sqrt(0.5), n_members=200,
-                              seed=3)
+                              seed=3, **RUN)
     assert rep["classification_time"] is not None
     assert 0.0 < rep["classification_time"] <= 1.0
     leaks = [leak for _, leak in rep["leakage_series"]]

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from bohmsim.equilibrium import sample_density
 from bohmsim.fields import ScalarWaveFunction, density, probability_current
-from bohmsim.flux import (CrossingReport, CrossingSurface, _current_at_surface,
-                          count_crossings, crossing_report, expected_crossings,
-                          per_member_counts)
+from bohmsim.flux import (CrossingSurface, _current_at_surface,
+                          expected_crossings, per_member_counts)
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import FlowResult, Trajectory, integrate_flow
+from bohmsim.guidance import FlowResult, integrate_flow
 from bohmsim.kernels import cubic_stencil
 from bohmsim.potentials import Free, Harmonic
 from bohmsim.propagate import CRANK_NICOLSON, SPLIT_FOURIER, evolve
@@ -34,11 +33,6 @@ def test_surface_validation():
         CrossingSurface(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         CrossingSurface(0.0, 0.0, 1.0, orientation=2)
-
-
-def test_report_invariant():
-    with pytest.raises(ValueError):
-        CrossingReport(1.0, 0.5, 0.2, 0.5, 10)
 
 
 def _hand_summed_current(record, constants, surface):
@@ -97,36 +91,48 @@ def test_expected_stationary_zero():
     assert abs(total) < 1e-13 and abs(signed) < 1e-13
 
 
+def _completed_flow(times, xs):
+    """A 1-d FlowResult whose members, the columns of xs (T, B), all ran to
+    the last time."""
+    xs = np.asarray(xs, dtype=np.float64)
+    members = xs.shape[1]
+    return FlowResult(times, xs[-1, :, None], np.zeros(members, np.int8),
+                      np.full(members, len(times) - 1), xs[:, :, None])
+
+
 def test_count_simple_trajectories():
     surf = CrossingSurface(0.0, 0.0, 1.0)
-    left = Trajectory(np.linspace(0, 1, 11), -1.0 - np.linspace(0, 1, 11)[:, None],
-                      "Completed")
-    through = Trajectory(np.linspace(0, 1, 11),
-                         np.linspace(-1, 1, 11)[:, None], "Completed")
-    assert count_crossings([left], surf) == (0.0, 0.0)
-    assert count_crossings([through], surf) == (1.0, 1.0)
-    total, signed = count_crossings([left, through], surf)
-    assert total == 0.5 and signed == 0.5
+    t = np.linspace(0, 1, 11)
+    left, through = -1.0 - t, np.linspace(-1, 1, 11)
+    counts = per_member_counts(_completed_flow(t, np.stack([left, through], 1)),
+                               surf)
+    assert counts.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    assert counts.mean(axis=0).tolist() == [0.5, 0.5]
 
 
 def test_count_orientation_flip():
     surf = CrossingSurface(0.0, 0.0, 1.0, orientation=-1)
-    through = Trajectory(np.linspace(0, 1, 11),
-                         np.linspace(-1, 1, 11)[:, None], "Completed")
-    assert count_crossings([through], surf) == (1.0, -1.0)
+    t = np.linspace(0, 1, 11)
+    through = _completed_flow(t, np.linspace(-1, 1, 11)[:, None])
+    assert per_member_counts(through, surf).tolist() == [[1.0, -1.0]]
 
 
 def test_count_grazing_tie_break():
     """A touch of the surface without sign change counts zero; a sign change
     across a touching sample counts once."""
     t = np.linspace(0, 1, 5)
-    touch = Trajectory(t, np.array([[-1.0], [-0.5], [0.0], [-0.5], [-1.0]]),
-                       "Completed")
-    crossing = Trajectory(t, np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]]),
-                          "Completed")
+    touch = [-1.0, -0.5, 0.0, -0.5, -1.0]
+    crossing = [-1.0, -0.5, 0.0, 0.5, 1.0]
     surf = CrossingSurface(0.0, 0.0, 1.0)
-    assert count_crossings([touch], surf) == (0.0, 0.0)
-    assert count_crossings([crossing], surf) == (1.0, 1.0)
+    flow = _completed_flow(t, np.stack([touch, crossing], 1))
+    assert per_member_counts(flow, surf).tolist() == [[0.0, 0.0], [1.0, 1.0]]
+
+
+def test_counts_need_stored_paths():
+    flow = FlowResult(np.linspace(0, 1, 3), np.zeros((2, 1)),
+                      np.zeros(2, np.int8), np.full(2, 2))
+    with pytest.raises(ValueError, match="no stored paths"):
+        per_member_counts(flow, CrossingSurface(0.0, 0.0, 1.0))
 
 
 def _count_one(times, xs, surface):
@@ -163,13 +169,9 @@ def test_counts_match_loop_reference(seed, steps, members, orientation,
                            orientation)
     flow = FlowResult(times, xs[-1, :, None], np.zeros(members, np.int8),
                       stop, xs[:, :, None])
-    trajs = [Trajectory(times[: s + 1], xs[: s + 1, b, None], "Completed")
-             for b, s in enumerate(stop)]
     expected = np.asarray([_count_one(times[: s + 1], xs[: s + 1, b], surf)
                            for b, s in enumerate(stop)], dtype=np.float64)
     assert per_member_counts(flow, surf).tobytes() == expected.tobytes()
-    assert per_member_counts(trajs, surf).tobytes() == expected.tobytes()
-    assert count_crossings(flow, surf) == tuple(expected.mean(axis=0))
 
 
 def test_expected_interval_additivity():
@@ -197,11 +199,11 @@ def test_traversal_against_mass_bookkeeping():
 
     ens = sample_density(psi, 2000, seed=41)
     flow = integrate_flow(ens.members, rec, C1, dt_ode=5e-3, store_path=True)
-    rep = crossing_report(rec, C1, surf, flow)
     counts = per_member_counts(flow, surf)
+    emp_total, emp_signed = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / np.sqrt(len(counts))
-    assert abs(rep.empirical_total - rep.expected_total) < 4 * max(se[0], 1e-3)
-    assert abs(rep.empirical_signed - rep.expected_signed) < 4 * max(se[1], 1e-3)
+    assert abs(emp_total - total) < 4 * max(se[0], 1e-3)
+    assert abs(emp_signed - signed) < 4 * max(se[1], 1e-3)
 
 
 def test_superposition_linearity_oracle():

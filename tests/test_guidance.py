@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from bohmsim import analytic, guidance
-from bohmsim.fields import ScalarWaveFunction, SpinorWaveFunction, norm
+from bohmsim.fields import (ScalarWaveFunction, SpinorWaveFunction, density,
+                            norm)
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import (CAP_SPEED, Configuration, HitNodeError,
-                              NodePolicy, OutOfBoundsError, Trajectory,
-                              integrate_flow, integrate_trajectory,
+from bohmsim.guidance import (Configuration, HitNodeError, OutOfBoundsError,
+                              Trajectory, integrate_flow, integrate_trajectory,
                               interpolate, spinor_velocity, step_spinor_pauli,
                               velocity)
 from bohmsim.potentials import Free, Harmonic
-from bohmsim.propagate import SPLIT_FOURIER, evolve
+from bohmsim.propagate import SPLIT_FOURIER, EvolutionRecord, evolve
 
 C1 = PhysicalConstants.natural(1)
 C2 = PhysicalConstants.natural(2)
@@ -98,20 +98,30 @@ def test_velocity_closed_form_field(oscillator_record):
         assert abs(v[1] - (yp - ym) / (2 * h)) < 1e-4
 
 
-def test_velocity_node_policies():
-    g = grid1d()
-    # first excited oscillator state: node at the origin
-    psi = ScalarWaveFunction.from_callable(
-        g, lambda x: x * np.exp(-x * x / 2), normalize=True)
-    with pytest.raises(HitNodeError):
-        velocity(psi, (1e-9,), C1, NodePolicy())
-    capped = velocity(psi, (1e-9,), C1,
-                      NodePolicy(action=CAP_SPEED, v_max=3.0))
-    assert abs(capped[0]) <= 3.0
-    with pytest.raises(ValueError):
-        NodePolicy(action=CAP_SPEED)  # needs v_max
-    with pytest.raises(ValueError):
-        NodePolicy(density_threshold=-1.0)
+def _first_excited():
+    """The first excited oscillator state, whose node is at the origin."""
+    return ScalarWaveFunction.from_callable(
+        grid1d(), lambda x: x * np.exp(-x * x / 2), normalize=True)
+
+
+def test_velocity_node_threshold(monkeypatch):
+    """velocity and spinor_velocity raise HitNodeError exactly when the
+    density at q lies below NODE_FRACTION times the field's peak density,
+    with NODE_FRACTION read at call time."""
+    psi = _first_excited()
+    spinor = SpinorWaveFunction(psi.grid, psi.amplitudes,
+                                np.zeros(psi.grid.shape, dtype=complex))
+    for guide, field in ((velocity, psi), (spinor_velocity, spinor)):
+        with pytest.raises(HitNodeError):
+            guide(field, (1e-9,), C1)
+        q = (0.3,)
+        ratio = abs(interpolate(psi, q)) ** 2 / np.max(density(psi))
+        monkeypatch.setattr(guidance, "NODE_FRACTION", ratio * (1 + 1e-9))
+        with pytest.raises(HitNodeError):
+            guide(field, q, C1)
+        monkeypatch.setattr(guidance, "NODE_FRACTION", ratio * (1 - 1e-9))
+        assert abs(guide(field, q, C1)[0]) < 1e-9
+        monkeypatch.undo()
 
 
 def test_velocity_scalar_multiple_invariance():
@@ -225,7 +235,6 @@ def test_spinor_pauli_requires_periodic():
 
 
 def test_trajectory_stationary_state():
-    from bohmsim.propagate import EvolutionRecord
     g = grid1d()
     psi = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(-x * x / 2), normalize=True)
@@ -287,10 +296,25 @@ def test_trajectory_hit_node_status():
         g, lambda x: x * np.exp(-x * x / 2), normalize=True)
     rec = evolve(psi, Harmonic((1.0,)), C1, 0.5, 1e-3, SPLIT_FOURIER,
                  snapshot_stride=10)
-    flow = integrate_flow(np.array([[1e-7]]), rec, C1,
-                          policy=NodePolicy(density_threshold=1e-8),
-                          dt_ode=1e-2)
+    flow = integrate_flow(np.array([[1e-7]]), rec, C1, dt_ode=1e-2)
     assert flow.status_names()[0] == "HitNode"
+
+
+def test_flow_node_rule():
+    """A start whose density lies below NODE_FRACTION times the peak density
+    of the first snapshot stops as HitNode at step 0; one above completes."""
+    psi = _first_excited()
+    # a stationary state: the snapshots are the state itself
+    rec = EvolutionRecord(psi.grid, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.1,
+                          0.1, 1, 0.1 * np.arange(11), [psi] * 11)
+    starts = np.array([[1e-7], [1e-5]])
+    threshold = guidance.NODE_FRACTION * np.max(density(psi))
+    below, above = (abs(interpolate(psi, q)) ** 2 for q in starts)
+    assert below < threshold < above
+    flow = integrate_flow(starts, rec, C1, dt_ode=0.1)
+    assert flow.status_names() == ["HitNode", "Completed"]
+    assert flow.stop_index.tolist() == [0, 10]
+    assert flow.points[0, 0] == starts[0, 0]
 
 
 def test_no_crossing_in_one_dimension():
@@ -319,18 +343,28 @@ def _mixed_record():
 
 
 MIXED_STARTS = np.array([[-0.5], [3.0], [-3.9], [0.2], [-3.95], [2.5]])
-TAIL_POLICY = NodePolicy(density_threshold=1e-6)
+
+
+@pytest.fixture
+def mixed_record(monkeypatch):
+    """The mixed record, with the node threshold raised to density 1e-6 so
+    that the far-tail starts meet it."""
+    rec = _mixed_record()
+    monkeypatch.setattr(guidance, "NODE_FRACTION",
+                        1e-6 / np.max(density(rec.snapshots[0])))
+    return rec
 
 
 @pytest.mark.parametrize("dt_ode", [1e-3, 2e-3])
-def test_batched_flow_equals_each_member_alone(dt_ode):
-    rec = _mixed_record()
-    batch = integrate_flow(MIXED_STARTS, rec, C1, policy=TAIL_POLICY,
-                           dt_ode=dt_ode, store_path=True)
-    assert set(batch.status_names()) == {"Completed", "LeftGrid", "HitNode"}
+def test_batched_flow_equals_each_member_alone(mixed_record, dt_ode):
+    rec = mixed_record
+    batch = integrate_flow(MIXED_STARTS, rec, C1, dt_ode=dt_ode,
+                           store_path=True)
+    assert batch.status_names() == ["Completed", "LeftGrid", "HitNode",
+                                    "Completed", "HitNode", "LeftGrid"]
     for b, q0 in enumerate(MIXED_STARTS):
-        alone = integrate_flow(q0[None, :], rec, C1, policy=TAIL_POLICY,
-                               dt_ode=dt_ode, store_path=True)
+        alone = integrate_flow(q0[None, :], rec, C1, dt_ode=dt_ode,
+                               store_path=True)
         assert alone.points[0].tobytes() == batch.points[b].tobytes()
         assert alone.statuses[0] == batch.statuses[b]
         assert alone.stop_index[0] == batch.stop_index[b]
@@ -339,7 +373,8 @@ def test_batched_flow_equals_each_member_alone(dt_ode):
 
 
 @pytest.mark.parametrize("dt_ode", [1e-3, 2e-3])
-def test_flow_derives_each_snapshot_gradient_once(monkeypatch, dt_ode):
+def test_flow_derives_each_snapshot_gradient_once(monkeypatch, mixed_record,
+                                                  dt_ode):
     """dt_ode equal to and coarser than the snapshot spacing (1e-3)."""
     calls = Counter()
     by_field = guidance.gradient
@@ -355,10 +390,10 @@ def test_flow_derives_each_snapshot_gradient_once(monkeypatch, dt_ode):
 
     monkeypatch.setattr(guidance, "gradient", gradient)
     monkeypatch.setattr(guidance, "gradient_array", gradient_array)
-    rec = _mixed_record()
+    rec = mixed_record
     # 3000 members, so a flow that split them into blocks would recompute
     flow = integrate_flow(np.tile(MIXED_STARTS, (500, 1)), rec, C1,
-                          policy=TAIL_POLICY, dt_ode=dt_ode)
+                          dt_ode=dt_ode)
     assert flow.count("Completed") > 0  # so every snapshot is reached
     assert max(calls.values()) == 1
     assert set(calls) == {(id(s.amplitudes), 0) for s in rec.snapshots}

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import bohmsim
 from bohmsim import scenarios
 from bohmsim.cli import main
 from bohmsim.equilibrium import EmptyFlowError
@@ -242,3 +243,7 @@ def test_cli_unknown_generator_exit_code(tmp_path):
     res = _cli("run", str(cfg))
     assert res.returncode == 2
     assert "unknown generator" in res.stderr
+
+
+def test_package_exports_resolve():
+    assert all(hasattr(bohmsim, name) for name in bohmsim.__all__)

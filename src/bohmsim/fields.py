@@ -112,15 +112,18 @@ def density(psi):
     return np.abs(psi.amplitudes) ** 2
 
 
-def _spectral_derivative(arr, h, axis):
+def _spectral_derivative(arr, h, axis, out=None):
+    """Transform, ik product and inverse transform, all in the one array
+    returned (out when given), with ik first in the product."""
     n = arr.shape[axis]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
     if n % 2 == 0:
         k[n // 2] = 0.0  # drop the unpaired Nyquist mode
     shape = [1] * arr.ndim
     shape[axis] = n
-    ft = np.fft.fft(arr, axis=axis)
-    return np.fft.ifft(1j * k.reshape(shape) * ft, axis=axis)
+    out = np.fft.fft(arr, axis=axis, out=out)
+    np.multiply(1j * k.reshape(shape), out, out=out)
+    return np.fft.ifft(out, axis=axis, out=out)
 
 
 # One-sided 4th-order edge stencils (numerator coefficients over 12 h).
@@ -128,15 +131,16 @@ _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
 
 
-def _fd4_derivative(arr, h, axis):
+def _fd4_derivative(arr, h, axis, out=None):
     a = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(a)
-    out[2:-2] = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
-    out[0] = np.tensordot(_EDGE0, a[:5], axes=(0, 0)) / (12.0 * h)
-    out[1] = np.tensordot(_EDGE1, a[:5], axes=(0, 0)) / (12.0 * h)
-    out[-1] = -np.tensordot(_EDGE0, a[::-1][:5], axes=(0, 0)) / (12.0 * h)
-    out[-2] = -np.tensordot(_EDGE1, a[::-1][:5], axes=(0, 0)) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
+    out = np.empty_like(arr) if out is None else out
+    o = np.moveaxis(out, axis, 0)
+    o[2:-2] = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+    o[0] = np.tensordot(_EDGE0, a[:5], axes=(0, 0)) / (12.0 * h)
+    o[1] = np.tensordot(_EDGE1, a[:5], axes=(0, 0)) / (12.0 * h)
+    o[-1] = -np.tensordot(_EDGE0, a[::-1][:5], axes=(0, 0)) / (12.0 * h)
+    o[-2] = -np.tensordot(_EDGE1, a[::-1][:5], axes=(0, 0)) / (12.0 * h)
+    return out
 
 
 def gradient(psi, axis):
@@ -147,12 +151,14 @@ def gradient(psi, axis):
     return gradient_array(psi.grid, psi.amplitudes, axis)
 
 
-def gradient_array(grid, amplitudes, axis):
-    """gradient() for a bare array already living on grid."""
+def gradient_array(grid, amplitudes, axis, out=None):
+    """gradient() for a bare array already living on grid, written into the
+    complex array out (of the grid's shape) when given, else into a new one;
+    returns the array written."""
     ax = grid.axes[axis]
     if ax.periodic:
-        return _spectral_derivative(amplitudes, ax.spacing, axis)
-    return _fd4_derivative(amplitudes, ax.spacing, axis)
+        return _spectral_derivative(amplitudes, ax.spacing, axis, out)
+    return _fd4_derivative(amplitudes, ax.spacing, axis, out)
 
 
 def probability_current(psi, constants):

@@ -2,7 +2,16 @@
 (Strang-split Fourier on periodic grids, Cayley/Crank-Nicolson with
 alternating-direction tridiagonal solves on boxed grids, every line of a
 sweep factored once and then solved in one LAPACK call per step), plus the
-continuity-equation diagnostic and on-disk persistence of evolutions."""
+continuity-equation diagnostic and on-disk persistence of evolutions.
+
+A split-Fourier step allocates only the array it returns: the forward
+transform, the kinetic phase, the inverse transform and the second
+potential half-step all write into that one buffer. Each elementwise
+product names its operand order, phase first, because complex
+multiplication with fused multiply-adds is not bitwise commutative. An
+expression such as ``phase * np.fft.fftn(x)`` leaves that order to numpy,
+which evaluates it as ``fftn(x) *= phase`` once the temporary reaches its
+elision size, so the bits of a step would depend on the grid size."""
 
 import json
 import math
@@ -37,6 +46,14 @@ def _check_method(grid, method):
 
 
 class _SplitFourierStepper:
+    """Strang step exp(-i V dt/2) F^-1 exp(-i T dt) F exp(-i V dt/2), with
+    both phase arrays built once on the full grid.
+
+    ``advance`` allocates one state-sized array and runs every later pass in
+    place on it. Each product is written ``np.multiply(phase, out,
+    out=out)``, the phase array first: the order fixes the rounding of each
+    complex product, and it is the same on every grid size."""
+
     def __init__(self, grid, potential, constants, dt):
         v = potential.evaluate(grid, constants)
         self.exp_v_half = np.exp(-0.5j * dt * v / constants.hbar)
@@ -51,8 +68,11 @@ class _SplitFourierStepper:
 
     def advance(self, arr):
         out = self.exp_v_half * arr
-        out = np.fft.ifftn(self.exp_kinetic * np.fft.fftn(out))
-        return self.exp_v_half * out
+        np.fft.fftn(out, out=out)
+        np.multiply(self.exp_kinetic, out, out=out)
+        np.fft.ifftn(out, out=out)
+        np.multiply(self.exp_v_half, out, out=out)
+        return out
 
 
 def _tridiagonal_times(diag, off, lines):

@@ -53,11 +53,19 @@ _MISSING = object()
 _MAX_1D = 1 << 16
 _MAX_2D = 1024
 
-# Bytes of stored snapshots (16 B per grid point each) and stored paths (8 B
-# per coordinate per RK4 step) that a run may hold. At their defaults the
-# scenarios hold at most 0.25 GB, the oscillator oracle's 201 snapshots of
-# 256^2 points; a desk machine has a few GB.
+# Bytes of stored snapshots (16 B per grid point each), stored paths (8 B
+# per coordinate per RK4 step) and ensemble working arrays (_member_bytes per
+# member) that a run may hold. At their defaults the scenarios hold at most
+# 0.25 GB, the oscillator oracle's 201 snapshots of 256^2 points; a desk
+# machine has a few GB.
 _MEMORY_BUDGET = 2 * 10**9
+
+# Grid-point updates (time steps times grid points, summed over the
+# evolutions of a run) that a run may make. A split-Fourier step costs 40-80
+# ns per grid point on one desk core, so the budget is a few minutes of
+# stepping. At their defaults the scenarios make at most 1.3e8, the
+# oscillator oracle's 2000 steps of 256^2 points.
+_WORK_BUDGET = 2 * 10**9
 
 
 def _at(path, key):
@@ -314,10 +322,10 @@ def make_initial(grid, constants, spec):
 
 
 def _flow_steps(t_final, dt, stride, dt_ode):
-    """(snapshots stored, RK4 steps) of a run; raises ValueError where
-    evolve or integrate_flow would reject these step sizes."""
+    """(time steps, snapshots stored, RK4 steps) of a run; raises ValueError
+    where evolve or integrate_flow would reject these step sizes."""
     n_steps = step_count(t_final, dt, stride)
-    return (n_steps // stride + 1,
+    return (n_steps, n_steps // stride + 1,
             ode_step_count(n_steps * dt, dt_ode, dt * stride))
 
 
@@ -326,16 +334,48 @@ def _check_flow(params):
                        params["dt_ode"])
 
 
-def _check_memory(names, snapshots, grid_points, path_values=0):
+def _member_bytes(dimension):
+    """Bytes that each ensemble member of a flow on a grid of this dimension
+    d holds at the peak of one RK4 stage, sampling included.
+
+    A stage interpolates K = 2 (1 + d) stacked complex fields, psi and grad
+    psi at two snapshots: it gathers 4^d stencil values of each and sums
+    them through 4^(d-1) row sums and one result, with 4^d flat indices and
+    four indices and four weights per axis. RK4 holds about 12 float64
+    d-vectors per member (positions, stage points, k1..k4, velocities) and
+    sampling about 5. This gives 616 B in 1-d and 2544 B in 2-d; the traced
+    peaks of equivariance and collapse runs grow by 558 and 2504 B per
+    member."""
+    d = dimension
+    fields = 2 * (1 + d)
+    gathered = 16 * fields * (4**d + 4 ** (d - 1) + 1)
+    stencil = 8 * 4**d + 64 * d
+    vectors = 8 * d * (12 + 5)
+    return gathered + stencil + vectors
+
+
+def _check_memory(names, snapshots, grid_points, members, dimension,
+                  path_values=0):
     """Raise ValueError, naming the parameters ``names`` that set the size,
-    when a run's snapshots of grid_points each plus path_values stored path
-    coordinates exceed the memory budget."""
+    when a run's snapshots of grid_points each, the working arrays of
+    ``members`` ensemble members on a grid of that dimension and
+    path_values stored path coordinates exceed the memory budget."""
     # integers throughout: a member count may exceed the float range
-    need = 16 * snapshots * grid_points + 8 * path_values
+    need = (16 * snapshots * grid_points + members * _member_bytes(dimension)
+            + 8 * path_values)
     if need > _MEMORY_BUDGET:
         raise ValueError(f"{names} would store {Decimal(need) / 10**9:.3g} "
-                         "GB of snapshots and paths, above the budget of "
-                         f"{_MEMORY_BUDGET / 10**9:g} GB")
+                         "GB of snapshots, paths and ensemble arrays, above "
+                         f"the budget of {_MEMORY_BUDGET / 10**9:g} GB")
+
+
+def _check_work(names, updates):
+    """Raise ValueError, naming the parameters ``names`` that set the work,
+    when a run's grid-point updates exceed the work budget."""
+    if updates > _WORK_BUDGET:
+        raise ValueError(f"{names} would make {Decimal(updates):.3g} "
+                         "grid-point updates, above the budget of "
+                         f"{Decimal(_WORK_BUDGET):.3g}")
 
 
 def _check(name, value, passed, threshold=None, **extra):
@@ -374,9 +414,11 @@ _ORACLE_STARTS = [(r * math.cos(a) + 0.1, r * math.sin(a) - 0.05)
 
 
 def _check_oracle(params):
-    snapshots, steps = _check_flow(params)
+    n_steps, snapshots, steps = _check_flow(params)
     _check_memory("points, t_final, dt and stride", snapshots,
-                  params["points"] ** 2, 2 * len(_ORACLE_STARTS) * (steps + 1))
+                  params["points"] ** 2, len(_ORACLE_STARTS), 2,
+                  2 * len(_ORACLE_STARTS) * (steps + 1))
+    _check_work("points, t_final and dt", n_steps * params["points"] ** 2)
 
 
 def run_oscillator_oracle(params, out_dir=None):
@@ -432,10 +474,22 @@ def _equivariance_setup(case):
     potential = from_description(case["potential"])
     potential.evaluate(grid, constants)  # one frequency per axis, a 2-d grid
     psi0 = make_initial(grid, constants, case["initial"])
-    snapshots, _ = _check_flow(case)
-    _check_memory("grid.count, t_final, dt and stride", snapshots,
-                  grid.axes[0].count)
+    _check_flow(case)
     return constants, potential, psi0
+
+
+def _check_cases(params, store_paths):
+    """The memory bound of each 1-d case, whose flow moves n members and
+    stores their paths when store_paths, and the work bound of all cases
+    together."""
+    updates = 0
+    for j, case in enumerate(params["cases"]):
+        n_steps, snapshots, steps = _check_flow(case)
+        paths = params["n"] * (steps + 1) if store_paths else 0
+        _check_memory(f"n and cases[{j}]", snapshots, case["grid"]["count"],
+                      params["n"], 1, paths)
+        updates += n_steps * case["grid"]["count"]
+    _check_work("grid.count, t_final and dt of the cases", updates)
 
 
 def _equivariance_case(case, n, bins, seed):
@@ -488,9 +542,12 @@ _COLLAPSE_STRIDE = 10  # time steps per stored snapshot of the collapse record
 
 
 def _check_collapse(params):
-    snapshots, _ = _flow_steps(params["t_meas"], params["dt"],
-                               _COLLAPSE_STRIDE, params["dt_ode"])
-    _check_memory("t_meas and dt", snapshots, math.prod(COLLAPSE_SHAPE))
+    n_steps, snapshots, _ = _flow_steps(params["t_meas"], params["dt"],
+                                        _COLLAPSE_STRIDE, params["dt_ode"])
+    grid_points = math.prod(COLLAPSE_SHAPE)
+    _check_memory("n, t_meas and dt", snapshots, grid_points, params["n"], 2)
+    _check_work("weights, t_meas and dt",
+                len(params["weights"]) * n_steps * grid_points)
 
 
 def run_collapse(params, out_dir=None):
@@ -529,14 +586,6 @@ def _flux_setup(case):
     surface.check_grid(grid)
     _check_flow(case)
     return constants, psi0, surface
-
-
-def _check_flux(params):
-    """The memory bound of each case, whose paths hold n members."""
-    for j, case in enumerate(params["cases"]):
-        snapshots, steps = _check_flow(case)
-        _check_memory(f"n and cases[{j}]", snapshots, case["grid"]["count"],
-                      params["n"] * (steps + 1))
 
 
 def _flux_case(case, n, seed, out_dir):
@@ -664,9 +713,11 @@ def _classical_setup(params, hbar):
 
 
 def _check_classical_limit(params):
-    snapshots, steps = _check_flow(params)
+    n_steps, snapshots, steps = _check_flow(params)
     _check_memory("points, t_final, dt and stride", snapshots,
-                  params["points"], steps + 1)
+                  params["points"], 1, 1, steps + 1)
+    _check_work("hbars, points, t_final and dt",
+                len(params["hbars"]) * n_steps * params["points"])
     for hbar in params["hbars"]:
         _classical_setup(params, hbar)
 
@@ -705,6 +756,12 @@ def run_classical_limit(params, out_dir=None):
 
 
 _spin_grid = functools.partial(Grid.regular, -8.0, 8.0)
+
+
+def _check_spin(params):
+    _check_work("points, decoupled_steps and rabi_steps",
+                (params["decoupled_steps"] + params["rabi_steps"])
+                * params["points"])
 
 
 def run_spin(params, out_dir=None):
@@ -824,6 +881,7 @@ _register(
         ]),
     },
     run_equivariance,
+    rule=functools.partial(_check_cases, store_paths=False),
 )
 
 _register(
@@ -877,7 +935,7 @@ _register(
              "dt_ode": 5e-3, "asserts": []},
         ]),
     },
-    run_flux, rule=_check_flux,
+    run_flux, rule=functools.partial(_check_cases, store_paths=True),
 )
 
 _register(
@@ -908,7 +966,7 @@ _register(
      "dt": Num(1e-3, above=0.0), "decoupled_steps": Int(200, low=1),
      "b_transverse": Num(1.0, above=0.0), "rabi_steps": Int(4000, low=1),
      "seed": _seed(4)},
-    run_spin,
+    run_spin, rule=_check_spin,
 )
 
 

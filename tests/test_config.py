@@ -187,22 +187,39 @@ def test_benchmark_workload_validates(config):
     assert validate_config(config) == []
 
 
-# --- memory budget -----------------------------------------------------------------
+# --- memory and work budgets ---------------------------------------------------------
 #
-# Each config here would store more snapshots and paths than the budget allows,
-# so none of them is ever run.
+# Each config here would store more snapshots, paths and ensemble arrays than
+# the memory budget allows, or make more grid-point updates than the work
+# budget allows, so none of them is ever run.
 
 OVER_BUDGET = [
     ({"scenario": "oscillator-oracle", "points": 1024, "stride": 1},
      "config: points, t_final, dt and stride would store 33.6 GB"),
     (_case("equivariance", grid={"count": 1 << 16}, t_final=2.0, stride=1),
-     "cases[0]: grid.count, t_final, dt and stride would store 2.10 GB"),
+     "config: n and cases[0] would store 2.10 GB"),
     ({"scenario": "collapse", "dt": 1e-5},
-     "config: t_meas and dt would store 7.87 GB"),
+     "config: n, t_meas and dt would store 7.88 GB"),
     ({"scenario": "flux", "n": 10**6}, "config: n and cases[0] would store"),
     ({"scenario": "flux", "n": 10**400}, "config: n and cases[0] would store"),
     ({"scenario": "classical-limit", "points": 1 << 16, "stride": 1},
      "config: points, t_final, dt and stride would store 12.6 GB"),
+]
+
+OVER_WORK = [
+    ({"scenario": "spin", "rabi_steps": 10**12},
+     "config: points, decoupled_steps and rabi_steps would make 2.56e+14 "
+     "grid-point updates"),
+    ({"scenario": "oscillator-oracle", "dt": 1e-6, "stride": 10000},
+     "config: points, t_final and dt would make 1.31e+11"),
+    ({"scenario": "collapse", "weights": [0.5] * 50},
+     "config: weights, t_meas and dt would make 2.46e+9"),
+    ({"scenario": "flux", "cases": [{"dt": 1e-6, "stride": 5000}]},
+     "config: grid.count, t_final and dt of the cases would make 6.14e+9"),
+    (_case("equivariance", name="fine", dt=2e-7, stride=10000),
+     "config: grid.count, t_final and dt of the cases would make 5.12e+9"),
+    ({"scenario": "classical-limit", "hbars": [1.0] * 100},
+     "config: hbars, points, t_final and dt would make 2.46e+9"),
 ]
 
 
@@ -213,10 +230,37 @@ def test_over_memory_budget_is_a_config_error(config, message):
     assert any(e.startswith(message) for e in errors), errors
 
 
+@pytest.mark.parametrize("config,message", OVER_WORK,
+                         ids=[c["scenario"] for c, _ in OVER_WORK])
+def test_over_work_budget_is_a_config_error(config, message):
+    errors = validate_config(config)
+    assert any(e.startswith(message) for e in errors), errors
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"scenario": "equivariance", "n": 10**9},
+     "n and cases[0] would store 616 GB"),
+    ({"scenario": "collapse", "n": 10**9},
+     "n, t_meas and dt would store 2.54e+3 GB"),
+    ({"scenario": "spin", "rabi_steps": 10**12},
+     "points, decoupled_steps and rabi_steps would make"),
+], ids=["equivariance", "collapse", "spin"])
+def test_cli_over_budget_exits_2(config, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config: {message}"), err
+    assert "Traceback" not in err
+
+
 def test_defaults_and_workloads_stay_well_inside_the_memory_budget(
         monkeypatch):
+    """Within a quarter of the memory budget and of the work budget."""
     monkeypatch.setattr(scenarios, "_MEMORY_BUDGET",
                         scenarios._MEMORY_BUDGET // 4)
+    monkeypatch.setattr(scenarios, "_WORK_BUDGET",
+                        scenarios._WORK_BUDGET // 4)
     for name in SCENARIOS:
         assert validate_config({"scenario": name}) == [], name
     for name, config in WORKLOAD_CONFIGS:

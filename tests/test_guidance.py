@@ -8,12 +8,12 @@ import pytest
 
 from bohmsim import analytic, guidance
 from bohmsim.fields import (ScalarWaveFunction, SpinorWaveFunction, density,
-                            norm)
+                            gradient, norm)
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import (Configuration, HitNodeError, OutOfBoundsError,
-                              Trajectory, integrate_flow, integrate_trajectory,
-                              interpolate, spinor_velocity, step_spinor_pauli,
-                              velocity)
+                              RecordSampler, Trajectory, integrate_flow,
+                              integrate_trajectory, interpolate,
+                              spinor_velocity, step_spinor_pauli, velocity)
 from bohmsim.potentials import Free, Harmonic
 from bohmsim.propagate import SPLIT_FOURIER, EvolutionRecord, evolve
 
@@ -384,9 +384,9 @@ def test_flow_derives_each_snapshot_gradient_once(monkeypatch, mixed_record,
         calls[id(psi.amplitudes), axis] += 1
         return by_field(psi, axis)
 
-    def gradient_array(grid, amplitudes, axis):
+    def gradient_array(grid, amplitudes, axis, out=None):
         calls[id(amplitudes), axis] += 1
-        return by_array(grid, amplitudes, axis)
+        return by_array(grid, amplitudes, axis, out=out)
 
     monkeypatch.setattr(guidance, "gradient", gradient)
     monkeypatch.setattr(guidance, "gradient_array", gradient_array)
@@ -397,6 +397,27 @@ def test_flow_derives_each_snapshot_gradient_once(monkeypatch, mixed_record,
     assert flow.count("Completed") > 0  # so every snapshot is reached
     assert max(calls.values()) == 1
     assert set(calls) == {(id(s.amplitudes), 0) for s in rec.snapshots}
+
+
+@pytest.mark.parametrize("boundary,shape", [
+    ("periodic", (256,)), ("periodic", (32, 48)),
+    ("boxed", (257,)), ("boxed", (33, 47))], ids=str)
+def test_window_gradients_equal_gradient(boundary, shape):
+    """The derivatives written in place into the window rows are the bits
+    of gradient(), in both slots and after a slot is reused."""
+    axes = tuple(Grid.regular(-4.0, 4.0, n, boundary=boundary,
+                              dimension=1).axes[0] for n in shape)
+    g = Grid(axes=axes)
+    rng = np.random.default_rng(len(shape))
+    snaps = [ScalarWaveFunction(g, rng.normal(size=shape)
+                                + 1j * rng.normal(size=shape))
+             for _ in range(3)]
+    sampler = RecordSampler(g, snaps, 0.0, 0.1)
+    for idx in (0, 1, 2, 1):
+        rows = sampler._window[sampler._rows(idx)]
+        assert rows[0].tobytes() == snaps[idx].amplitudes.tobytes()
+        for k in range(len(shape)):
+            assert rows[1 + k].tobytes() == gradient(snaps[idx], k).tobytes()
 
 
 def test_rk4_order_on_exact_field():

@@ -3,6 +3,7 @@ reversal, the continuity diagnostic, and record persistence."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,56 @@ def test_step_coupled_oscillator_against_closed_form():
     xx, yy = g.meshgrid()
     exact = analytic.coupled_oscillator_wavefunction(xx, yy, 1.0)
     assert np.max(np.abs(rec.snapshots[-1].amplitudes - exact)) < 1e-3
+
+
+# --- one buffer per split-Fourier step ---------------------------------------------
+#
+# numpy turns ``a * temporary`` into ``temporary *= a`` once the temporary
+# reaches 256 KB, which swaps the operands of each complex product. The shapes
+# sit on both sides of that size: 32 KB, 147 KB and 786 KB of state.
+
+SF_SHAPES = [(2048,), (96, 96), (128, 384)]
+
+
+def _split_fourier_case(shape):
+    """A harmonic split-Fourier stepper on a periodic grid of the given shape,
+    and a random state on it."""
+    axes = tuple(Grid.regular(-8.0, 8.0, n, dimension=1).axes[0] for n in shape)
+    grid = Grid(axes=axes)
+    constants = PhysicalConstants.natural(len(shape))
+    stepper = prepare_stepper(grid, Harmonic((1.0,) * len(shape)), constants,
+                              1e-3, SPLIT_FOURIER)
+    rng = np.random.default_rng(len(shape))
+    return stepper, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("shape", SF_SHAPES, ids=str)
+def test_split_fourier_step_has_a_fixed_operand_order(shape):
+    """20 chained steps equal the step written out with explicit calls, the
+    kinetic phase first in its product, on every grid size."""
+    stepper, arr = _split_fourier_case(shape)
+    got = ref = arr
+    for _ in range(20):
+        got = stepper.advance(got)
+        ref = np.multiply(stepper.exp_v_half, ref)
+        ref = np.fft.fftn(ref)
+        ref = np.multiply(stepper.exp_kinetic, ref)
+        ref = np.fft.ifftn(ref)
+        ref = np.multiply(stepper.exp_v_half, ref)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", SF_SHAPES, ids=str)
+def test_split_fourier_step_allocates_one_state(shape):
+    stepper, arr = _split_fourier_case(shape)
+    stepper.advance(arr)  # any one-time setup of the transforms
+    tracemalloc.start()
+    try:
+        stepper.advance(arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * arr.nbytes
 
 
 # --- evolve ------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .fields import ScalarWaveFunction, density, norm
 from .grids import Grid, PhysicalConstants
@@ -182,6 +181,9 @@ def equivariance_check(psi0, record, constants, n, seed, bins=50, dt_ode=None):
         "left_grid": flow.left_grid,
     }
     if record.grid.dimension == 1:
+        # imported here: scipy.stats takes about a second to import, and
+        # nothing else in the package needs it
+        from scipy import stats
         fresh = sample_density(psi_t.normalize(), n, seed + 7919)
         stat = stats.ks_2samp(flow.ensemble.members[:, 0],
                               fresh.members[:, 0])

@@ -15,7 +15,16 @@ no member's arithmetic depends on which others share its batch. One
 psi and grad psi once, and each RK4 stage interpolates them in one stacked
 call. The sampler owns the snapshot clock (snapshot i is at t0 + i dt), so
 the flow needs only a record's start, spacing and snapshots. Each snapshot
-gradient is written straight into its window row by ``gradient_array``. The
+gradient is written straight into its window row by ``gradient_array``.
+
+The time blend runs on the grid, before interpolation: at a time between
+two snapshots the sampler writes (1 - theta) psi_i + theta psi_(i+1), and
+the same for grad psi, into one buffer of 1 + d fields and interpolates
+that, so each stage gathers 1 + d fields rather than 2 (1 + d). The buffer
+is kept for the next query at the same time, so RK4 stages 2 and 3, which
+both sample t0 + h/2, share one blend. The blend is made for every batch,
+however small: a size rule that blended at the points for small batches
+would make a member's bits depend on how many members share its batch. The
 flow runs on one thread: on two cores, splitting each stage's members over
 two threads ran slower than one thread.
 """
@@ -106,10 +115,16 @@ class RecordSampler:
     (slots * (1 + d),) + grid.shape holds the fields of at most two
     snapshots, one per slot: snapshot i sits in slot i % 2 as the 1 + d
     leading rows (psi, d_1 psi, ..., d_d psi), so each slot is one
-    contiguous block and the bracketing pair is the whole window. A single
-    snapshot gets a one-slot window. Within one flow the query times never
-    decrease, so each snapshot's gradients are computed once; an earlier
-    time is still answered correctly, at the cost of recomputing.
+    contiguous block. A single snapshot gets a one-slot window. Within one
+    flow the query times never decrease, so each snapshot's gradients are
+    computed once; an earlier time is still answered correctly, at the cost
+    of recomputing.
+
+    At a time strictly between snapshots i and i + 1, with blend weight
+    theta, the 1 + d fields (1 - theta) slot_i + theta slot_(i+1) are
+    written into a blend buffer on the grid, and only they are
+    interpolated. The buffer remembers its (i, theta), so queries at the
+    same time reuse it.
     """
 
     def __init__(self, grid, snapshots, t0=0.0, dt=None):
@@ -122,6 +137,11 @@ class RecordSampler:
         self._held = [None] * min(2, len(snapshots))  # snapshot in each slot
         self._window = np.empty((len(self._held) * self._width,) + grid.shape,
                                 dtype=np.complex128)
+        if len(snapshots) > 1:
+            self._blend = np.empty((self._width,) + grid.shape,
+                                   dtype=np.complex128)
+            self._scratch = np.empty(grid.shape, dtype=np.complex128)
+        self._blend_key = None  # (i, theta) of the fields in the buffer
 
     def _rows(self, idx):
         """Window rows holding snapshot idx, which is loaded if absent."""
@@ -136,6 +156,20 @@ class RecordSampler:
             self._held[slot] = idx
         return rows
 
+    def _blend_rows(self, i, theta):
+        """(1 - theta) times snapshot i's fields plus theta times snapshot
+        i + 1's, written into the blend buffer. Each product and sum has an
+        explicit output, so its operand order, and with it every bit, is the
+        same on every grid size."""
+        early = self._window[self._rows(i)]
+        late = self._window[self._rows(i + 1)]
+        out, scratch = self._blend, self._scratch
+        np.multiply(early, 1.0 - theta, out=out)
+        for k in range(self._width):
+            np.multiply(late[k], theta, out=scratch)
+            np.add(out[k], scratch, out=out[k])
+        self._blend_key = (i, theta)
+
     def bracket(self, t):
         """Indices (i, i + 1) of the snapshots around t and the blend weight
         of the later one; (0, 0, 0.0) for a single snapshot."""
@@ -149,13 +183,13 @@ class RecordSampler:
     def sample(self, pts, t):
         """psi (B,) and grad psi (d, B) at the points pts (B, d), time t."""
         i0, i1, theta = self.bracket(t)
-        r0 = self._rows(i0)
         if i1 == i0 or theta == 0.0:
-            f = _interp_any(self.grid, self._window[r0], pts)
+            fields = self._window[self._rows(i0)]
         else:
-            r1 = self._rows(i1)
-            pair = _interp_any(self.grid, self._window, pts)
-            f = (1.0 - theta) * pair[r0] + theta * pair[r1]
+            if self._blend_key != (i0, theta):
+                self._blend_rows(i0, theta)
+            fields = self._blend
+        f = _interp_any(self.grid, fields, pts)
         return f[0], f[1:]
 
 
@@ -232,10 +266,15 @@ def step_spinor_pauli(psi, b_field, potential, constants, dt, mu=1.0):
 
     k = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.spacing)
     kin = np.exp(-1j * dt * constants.hbar * k**2 / (2.0 * constants.masses[0]))
+
+    def kinetic(comp):
+        # the phase first in the product, as in the scalar split-Fourier step
+        out = np.fft.fft(comp)
+        np.multiply(kin, out, out=out)
+        return np.fft.ifft(out, out=out)
+
     up, down = local_half(psi.up, psi.down)
-    up = np.fft.ifft(kin * np.fft.fft(up))
-    down = np.fft.ifft(kin * np.fft.fft(down))
-    up, down = local_half(up, down)
+    up, down = local_half(kinetic(up), kinetic(down))
     return SpinorWaveFunction(psi.grid, up, down)
 
 

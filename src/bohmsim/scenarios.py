@@ -28,7 +28,7 @@ from .guidance import (HIT_NODE, LEFT_GRID, integrate_flow,
                        step_spinor_pauli)
 from .kernels import BACKEND
 from .potentials import KINDS, CoupledOscillator, Free, Harmonic, from_description
-from .propagate import SPLIT_FOURIER, evolve, step_count
+from .propagate import SPLIT_FOURIER, evolve, prepare_stepper, step_count
 
 
 class ConfigError(ValueError):
@@ -53,12 +53,18 @@ _MISSING = object()
 _MAX_1D = 1 << 16
 _MAX_2D = 1024
 
-# Bytes of stored snapshots (16 B per grid point each), stored paths (8 B
-# per coordinate per RK4 step) and ensemble working arrays (_member_bytes per
-# member) that a run may hold. At their defaults the scenarios hold at most
-# 0.25 GB, the oscillator oracle's 201 snapshots of 256^2 points; a desk
-# machine has a few GB.
+# Bytes of stored snapshots (16 B per grid point each), the guidance
+# sampler's grid fields (_sampler_fields), stored paths (8 B per coordinate
+# per RK4 step), ensemble working arrays (_member_bytes per member) and
+# histogram bins (_BIN_BYTES each) that a run may hold. At their defaults the
+# scenarios hold at most 0.25 GB, the oscillator oracle's 201 snapshots of
+# 256^2 points; a desk machine has a few GB.
 _MEMORY_BUDGET = 2 * 10**9
+
+# Bytes per equivariance histogram bin: its edges, expected and empirical
+# masses, and the row of its CSV file. A run's tracemalloc peak grows by
+# 159 B per bin.
+_BIN_BYTES = 192
 
 # Grid-point updates (time steps times grid points, summed over the
 # evolutions of a run) that a run may make. A split-Fourier step costs 40-80
@@ -66,6 +72,10 @@ _MEMORY_BUDGET = 2 * 10**9
 # stepping. At their defaults the scenarios make at most 1.3e8, the
 # oscillator oracle's 2000 steps of 256^2 points.
 _WORK_BUDGET = 2 * 10**9
+
+# Grid-point updates that one povm state costs: its pass over the six models
+# of the zoo takes about 0.5 ms of Python, ten thousand updates at 50 ns.
+_POVM_STATE_UPDATES = 10**4
 
 
 def _at(path, key):
@@ -334,20 +344,27 @@ def _check_flow(params):
                        params["dt_ode"])
 
 
+def _sampler_fields(dimension):
+    """Grid-sized complex fields that the guidance sampler of a flow holds:
+    a window of psi and grad psi at two snapshots, 2 (1 + d) fields, their
+    time blend, 1 + d fields, and one scratch field for the blend."""
+    return 3 * (1 + dimension) + 1
+
+
 def _member_bytes(dimension):
     """Bytes that each ensemble member of a flow on a grid of this dimension
     d holds at the peak of one RK4 stage, sampling included.
 
-    A stage interpolates K = 2 (1 + d) stacked complex fields, psi and grad
-    psi at two snapshots: it gathers 4^d stencil values of each and sums
-    them through 4^(d-1) row sums and one result, with 4^d flat indices and
-    four indices and four weights per axis. RK4 holds about 12 float64
-    d-vectors per member (positions, stage points, k1..k4, velocities) and
-    sampling about 5. This gives 616 B in 1-d and 2544 B in 2-d; the traced
-    peaks of equivariance and collapse runs grow by 558 and 2504 B per
-    member."""
+    A stage interpolates K = 1 + d stacked complex fields, psi and grad psi
+    blended in time on the grid: it gathers 4^d stencil values of each and
+    sums them through 4^(d-1) row sums and one result, with 4^d flat
+    indices and four indices and four weights per axis. RK4 holds about 12
+    float64 d-vectors per member (positions, stage points, k1..k4,
+    velocities) and sampling about 5. This gives 424 B in 1-d and 1536 B in
+    2-d; the traced peaks of equivariance and collapse runs grow by 366 and
+    1494 B per member."""
     d = dimension
-    fields = 2 * (1 + d)
+    fields = 1 + d
     gathered = 16 * fields * (4**d + 4 ** (d - 1) + 1)
     stencil = 8 * 4**d + 64 * d
     vectors = 8 * d * (12 + 5)
@@ -355,18 +372,20 @@ def _member_bytes(dimension):
 
 
 def _check_memory(names, snapshots, grid_points, members, dimension,
-                  path_values=0):
+                  path_values=0, bins=0):
     """Raise ValueError, naming the parameters ``names`` that set the size,
-    when a run's snapshots of grid_points each, the working arrays of
-    ``members`` ensemble members on a grid of that dimension and
-    path_values stored path coordinates exceed the memory budget."""
+    when a run's snapshots of grid_points each, its sampler's fields, the
+    working arrays of ``members`` ensemble members on a grid of that
+    dimension, path_values stored path coordinates and ``bins`` histogram
+    bins exceed the memory budget."""
     # integers throughout: a member count may exceed the float range
-    need = (16 * snapshots * grid_points + members * _member_bytes(dimension)
-            + 8 * path_values)
+    need = (16 * (snapshots + _sampler_fields(dimension)) * grid_points
+            + members * _member_bytes(dimension) + 8 * path_values
+            + _BIN_BYTES * bins)
     if need > _MEMORY_BUDGET:
         raise ValueError(f"{names} would store {Decimal(need) / 10**9:.3g} "
-                         "GB of snapshots, paths and ensemble arrays, above "
-                         f"the budget of {_MEMORY_BUDGET / 10**9:g} GB")
+                         "GB of snapshots, paths, ensemble arrays and bins, "
+                         f"above the budget of {_MEMORY_BUDGET / 10**9:g} GB")
 
 
 def _check_work(names, updates):
@@ -480,14 +499,17 @@ def _equivariance_setup(case):
 
 def _check_cases(params, store_paths):
     """The memory bound of each 1-d case, whose flow moves n members and
-    stores their paths when store_paths, and the work bound of all cases
-    together."""
+    stores their paths when store_paths, and whose histogram has ``bins``
+    bins when the scenario has that parameter, and the work bound of all
+    cases together."""
     updates = 0
+    bins = params.get("bins", 0)
+    counts = "n, bins" if "bins" in params else "n"
     for j, case in enumerate(params["cases"]):
         n_steps, snapshots, steps = _check_flow(case)
         paths = params["n"] * (steps + 1) if store_paths else 0
-        _check_memory(f"n and cases[{j}]", snapshots, case["grid"]["count"],
-                      params["n"], 1, paths)
+        _check_memory(f"{counts} and cases[{j}]", snapshots,
+                      case["grid"]["count"], params["n"], 1, paths, bins)
         updates += n_steps * case["grid"]["count"]
     _check_work("grid.count, t_final and dt of the cases", updates)
 
@@ -645,6 +667,10 @@ def _random_state(rng, n):
     return psi / np.linalg.norm(psi)
 
 
+def _check_povm(params):
+    _check_work("n_states", params["n_states"] * _POVM_STATE_UPDATES)
+
+
 def run_povm(params, out_dir=None):
     rng = np.random.default_rng(params["seed"])
     checks = []
@@ -765,8 +791,6 @@ def _check_spin(params):
 
 
 def run_spin(params, out_dir=None):
-    from .propagate import step as scalar_step
-
     grid = _spin_grid(params["points"])
     constants = PhysicalConstants.natural(dimension=1)
     x = grid.coordinates(0)
@@ -777,16 +801,16 @@ def run_spin(params, out_dir=None):
     # (a) zero field: components evolve as independent scalars
     spinor = SpinorWaveFunction(grid, 0.8 * packet,
                                 (0.36 + 0.48j) * packet).normalize()
-    up_ref = ScalarWaveFunction(grid, spinor.up)
-    down_ref = ScalarWaveFunction(grid, spinor.down)
+    up_ref, down_ref = spinor.up, spinor.down
     dt = params["dt"]
+    scalar = prepare_stepper(grid, Free(), constants, dt, SPLIT_FOURIER)
     cur = spinor
     for _ in range(params["decoupled_steps"]):
         cur = step_spinor_pauli(cur, (0.0, 0.0, 0.0), Free(), constants, dt)
-        up_ref = scalar_step(up_ref, Free(), constants, dt, SPLIT_FOURIER)
-        down_ref = scalar_step(down_ref, Free(), constants, dt, SPLIT_FOURIER)
-    decouple_err = float(max(np.max(np.abs(cur.up - up_ref.amplitudes)),
-                             np.max(np.abs(cur.down - down_ref.amplitudes))))
+        up_ref = scalar.advance(up_ref)
+        down_ref = scalar.advance(down_ref)
+    decouple_err = float(max(np.max(np.abs(cur.up - up_ref)),
+                             np.max(np.abs(cur.down - down_ref))))
 
     # (b) transverse field: population transfer vs the exact 2x2 rotation
     bx = params["b_transverse"]
@@ -943,7 +967,7 @@ _register(
     "statistics identity, completeness/positivity, PV classification on the zoo",
     # n_states <= 0 is legal and fails the statistics checks
     {"seed": _seed(5), "n_states": Int(100)},
-    run_povm,
+    run_povm, rule=_check_povm,
 )
 
 _register(

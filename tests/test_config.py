@@ -195,9 +195,9 @@ def test_benchmark_workload_validates(config):
 
 OVER_BUDGET = [
     ({"scenario": "oscillator-oracle", "points": 1024, "stride": 1},
-     "config: points, t_final, dt and stride would store 33.6 GB"),
+     "config: points, t_final, dt and stride would store 33.7 GB"),
     (_case("equivariance", grid={"count": 1 << 16}, t_final=2.0, stride=1),
-     "config: n and cases[0] would store 2.10 GB"),
+     "config: n, bins and cases[0] would store 2.11 GB"),
     ({"scenario": "collapse", "dt": 1e-5},
      "config: n, t_meas and dt would store 7.88 GB"),
     ({"scenario": "flux", "n": 10**6}, "config: n and cases[0] would store"),
@@ -239,9 +239,9 @@ def test_over_work_budget_is_a_config_error(config, message):
 
 @pytest.mark.parametrize("config,message", [
     ({"scenario": "equivariance", "n": 10**9},
-     "n and cases[0] would store 616 GB"),
+     "n, bins and cases[0] would store 424 GB"),
     ({"scenario": "collapse", "n": 10**9},
-     "n, t_meas and dt would store 2.54e+3 GB"),
+     "n, t_meas and dt would store 1.54e+3 GB"),
     ({"scenario": "spin", "rabi_steps": 10**12},
      "points, decoupled_steps and rabi_steps would make"),
 ], ids=["equivariance", "collapse", "spin"])
@@ -252,6 +252,22 @@ def test_cli_over_budget_exits_2(config, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config: {message}"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"scenario": "povm", "n_states": 10**12},
+     "config: n_states would make 1.00e+16 grid-point updates"),
+    ({"scenario": "equivariance", "bins": 10**12},
+     "config: n, bins and cases[0] would store 1.92e+5 GB"),
+], ids=["povm-n_states", "equivariance-bins"])
+def test_unbounded_counts_are_config_errors(config, message, tmp_path,
+                                            capsys):
+    assert any(e.startswith(message) for e in validate_config(config))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
 
 
 def test_defaults_and_workloads_stay_well_inside_the_memory_budget(

@@ -223,6 +223,26 @@ def test_spinor_pauli_rabi_period():
     assert worst < 1e-4
 
 
+def test_spinor_pauli_kinetic_product_puts_the_phase_first():
+    """On 16384 points numpy's temporary elision would evaluate
+    ``kin * fft(up)`` as ``fft(up) *= kin``, and complex products are not
+    bitwise commutative; the step pins the phase-first bits on every size."""
+    g = grid1d(16384, 8.0)
+    rng = np.random.default_rng(3)
+    up, down = (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+                for _ in range(2))
+    dt = 1e-3
+    s = step_spinor_pauli(SpinorWaveFunction(g, up, down), (0, 0, 0), Free(),
+                          C1, dt)
+    phase = np.exp(-0.5j * dt * Free().evaluate(g, C1) / C1.hbar)
+    k = 2.0 * np.pi * np.fft.fftfreq(g.axes[0].count, d=g.axes[0].spacing)
+    kin = np.exp(-1j * dt * C1.hbar * k**2 / (2.0 * C1.masses[0]))
+    for got, comp in ((s.up, up), (s.down, down)):
+        spectrum = np.fft.fft(np.multiply(phase, comp))
+        want = np.multiply(phase, np.fft.ifft(np.multiply(kin, spectrum)))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_spinor_pauli_requires_periodic():
     g = Grid.regular(-8.0, 8.0, 257, boundary="boxed", dimension=1)
     s = SpinorWaveFunction(g, np.ones(257, dtype=complex),
@@ -418,6 +438,75 @@ def test_window_gradients_equal_gradient(boundary, shape):
         assert rows[0].tobytes() == snaps[idx].amplitudes.tobytes()
         for k in range(len(shape)):
             assert rows[1 + k].tobytes() == gradient(snaps[idx], k).tobytes()
+
+
+def _sampler_case(boundary, shape):
+    """A sampler over two random snapshots 0.1 apart on a grid of this
+    boundary and shape, and 50 random points inside it."""
+    axes = tuple(Grid.regular(-4.0, 4.0, n, boundary=boundary,
+                              dimension=1).axes[0] for n in shape)
+    g = Grid(axes=axes)
+    rng = np.random.default_rng(7 * len(shape))
+    snaps = [ScalarWaveFunction(g, rng.normal(size=shape)
+                                + 1j * rng.normal(size=shape))
+             for _ in range(2)]
+    pts = np.stack([rng.uniform(ax.lower, ax.upper - 0.5 * ax.spacing, 50)
+                    for ax in axes], axis=1)
+    return RecordSampler(g, snaps, 0.0, 0.1), pts
+
+
+@pytest.mark.parametrize("boundary,shape", [
+    ("periodic", (256,)), ("periodic", (32, 48)),
+    ("boxed", (257,)), ("boxed", (33, 47))], ids=str)
+def test_sample_blends_on_the_grid(boundary, shape):
+    """Between snapshots the sampler interpolates the time blend of the
+    fields; interpolation is linear, so that equals blending the two
+    interpolated snapshots at the points, up to roundoff."""
+    sampler, pts = _sampler_case(boundary, shape)
+    theta = 0.5
+    val, grads = sampler.sample(pts, theta * sampler.dt)
+    pair = [guidance._interp_any(sampler.grid, sampler._window[
+        sampler._rows(i)], pts) for i in (0, 1)]
+    want = (1.0 - theta) * pair[0] + theta * pair[1]
+    scale = max(np.max(np.abs(sampler._window[sampler._rows(i)]))
+                for i in (0, 1))
+    got = np.concatenate([val[None], grads])
+    assert got.shape == (1 + len(shape), len(pts))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    # at a snapshot time no blend is made: the snapshot's fields themselves
+    val0, _ = sampler.sample(pts, 0.0)
+    assert val0.tobytes() == pair[0][0].tobytes()
+
+
+def test_flow_blends_once_per_step_and_interpolates_one_plus_d_fields(
+        monkeypatch):
+    """With dt_ode equal to the snapshot spacing, RK4 stages 1 and 4 fall on
+    snapshots and stages 2 and 3 share one midpoint blend; the last stage 4
+    sits at the end of the final bracket, with weight 1."""
+    g = grid1d(256, 8.0)
+    psi = ScalarWaveFunction.from_callable(
+        g, lambda x: np.exp(-x * x / 4 + 1.5j * x), normalize=True)
+    rec = evolve(psi, Harmonic((1.0,)), C1, 2.0, 0.0625, SPLIT_FOURIER)
+    blends, widths = [], []
+    blend_rows = RecordSampler._blend_rows
+    interp = guidance.interp_cubic_1d
+
+    def counting_blend(self, i, theta):
+        blends.append((i, theta))
+        blend_rows(self, i, theta)
+
+    def counting_interp(values, *args):
+        widths.append(values.shape[0])
+        return interp(values, *args)
+
+    monkeypatch.setattr(RecordSampler, "_blend_rows", counting_blend)
+    monkeypatch.setattr(guidance, "interp_cubic_1d", counting_interp)
+    starts = np.linspace(-1.0, 1.0, 7).reshape(-1, 1)
+    flow = integrate_flow(starts, rec, C1, dt_ode=0.0625)
+    steps = len(rec.snapshots) - 1
+    assert flow.count("Completed") == len(starts)
+    assert blends == [(j, 0.5) for j in range(steps)] + [(steps - 1, 1.0)]
+    assert widths == [2] * (4 * steps)
 
 
 def test_rk4_order_on_exact_field():

@@ -192,6 +192,19 @@ def _cli(*args):
                           capture_output=True, text=True)
 
 
+def test_scenarios_import_leaves_scipy_stats_out():
+    """scipy.stats takes about a second to import, and only the two-sample
+    KS test of equivariance needs it, so it is imported there."""
+    src = os.path.dirname(os.path.dirname(bohmsim.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, bohmsim.scenarios; "
+         "print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_cli_list():
     res = _cli("list")
     assert res.returncode == 0

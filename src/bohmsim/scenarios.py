@@ -69,13 +69,26 @@ _BIN_BYTES = 192
 # Grid-point updates (time steps times grid points, summed over the
 # evolutions of a run) that a run may make. A split-Fourier step costs 40-80
 # ns per grid point on one desk core, so the budget is a few minutes of
-# stepping. At their defaults the scenarios make at most 1.3e8, the
-# oscillator oracle's 2000 steps of 256^2 points.
+# stepping. A free step (the potential vanishes on the grid) costs less: one
+# k-space product per grid point, plus two transforms per snapshot interval.
+# Counting it as a full update keeps the estimate conservative. At their
+# defaults the scenarios make at most 1.3e8, the oscillator oracle's 2000
+# steps of 256^2 points.
 _WORK_BUDGET = 2 * 10**9
 
 # Grid-point updates that one povm state costs: its pass over the six models
 # of the zoo takes about 0.5 ms of Python, ten thousand updates at 50 ns.
 _POVM_STATE_UPDATES = 10**4
+
+# Grid-point updates that one spin step costs: a fixed _PAULI_STEP_UPDATES
+# plus _PAULI_POINT_UPDATES per grid point. A Pauli step with its population
+# sum takes about 150 us of Python plus 0.22-0.27 us per grid point (two
+# components, each transformed both ways, and the 2x2 rotation): 215 us at
+# 256 points and 17.7 ms at 65536. At 50 ns an update that is 4000 updates
+# plus 5 per point. A decoupled step (a Pauli step and two scalar steps)
+# costs about as much.
+_PAULI_STEP_UPDATES = 4000
+_PAULI_POINT_UPDATES = 5
 
 
 def _at(path, key):
@@ -787,7 +800,8 @@ _spin_grid = functools.partial(Grid.regular, -8.0, 8.0)
 def _check_spin(params):
     _check_work("points, decoupled_steps and rabi_steps",
                 (params["decoupled_steps"] + params["rabi_steps"])
-                * params["points"])
+                * (_PAULI_STEP_UPDATES
+                   + _PAULI_POINT_UPDATES * params["points"]))
 
 
 def run_spin(params, out_dir=None):

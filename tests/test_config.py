@@ -208,7 +208,7 @@ OVER_BUDGET = [
 
 OVER_WORK = [
     ({"scenario": "spin", "rabi_steps": 10**12},
-     "config: points, decoupled_steps and rabi_steps would make 2.56e+14 "
+     "config: points, decoupled_steps and rabi_steps would make 5.28e+15 "
      "grid-point updates"),
     ({"scenario": "oscillator-oracle", "dt": 1e-6, "stride": 10000},
      "config: points, t_final and dt would make 1.31e+11"),
@@ -244,7 +244,11 @@ def test_over_work_budget_is_a_config_error(config, message):
      "n, t_meas and dt would store 1.54e+3 GB"),
     ({"scenario": "spin", "rabi_steps": 10**12},
      "points, decoupled_steps and rabi_steps would make"),
-], ids=["equivariance", "collapse", "spin"])
+    # 1.8e9 updates, under the budget, if a step cost one update per grid
+    # point; its Pauli steps would run for about half an hour
+    ({"scenario": "spin", "rabi_steps": 7 * 10**6},
+     "points, decoupled_steps and rabi_steps would make 3.70e+10"),
+], ids=["equivariance", "collapse", "spin", "spin-rabi-steps"])
 def test_cli_over_budget_exits_2(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

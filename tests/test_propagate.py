@@ -14,7 +14,8 @@ from bohmsim.fields import (ScalarWaveFunction, density, norm,
                             read_wavefunction, write_wavefunction)
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import interpolate
-from bohmsim.potentials import CoupledOscillator, Free, Harmonic, SoftCoulomb
+from bohmsim.potentials import (CoupledOscillator, Free, Harmonic, Sampled,
+                                SoftCoulomb)
 from bohmsim.propagate import (CRANK_NICOLSON, SPLIT_FOURIER, EvolutionRecord,
                                continuity_residual, evolve, load_record,
                                prepare_stepper, save_record, step)
@@ -145,6 +146,85 @@ def test_split_fourier_step_allocates_one_state(shape):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * arr.nbytes
+
+
+# --- free evolution in k-space -----------------------------------------------------
+
+
+def _count_transforms(monkeypatch):
+    """A list that gains one entry per forward or inverse n-d transform."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _transform=transform, _name=name, **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("potential", [Free(), Sampled(np.zeros(256))],
+                         ids=["free", "sampled-zeros"])
+def test_free_evolve_makes_two_transforms_per_snapshot(monkeypatch, potential):
+    """A potential that vanishes on the grid, whatever its type, keeps each
+    snapshot interval in k-space: 4 intervals of 25 steps, 8 transforms."""
+    psi = gaussian(periodic_grid(256), k=1.0)
+    calls = _count_transforms(monkeypatch)
+    rec = evolve(psi, potential, C1, 0.1, 1e-3, SPLIT_FOURIER,
+                 snapshot_stride=25)
+    assert len(rec.snapshots) == 5
+    assert calls == ["fftn", "ifftn"] * 4
+
+
+def test_strang_evolve_makes_two_transforms_per_step(monkeypatch):
+    psi = gaussian(periodic_grid(256), k=1.0)
+    calls = _count_transforms(monkeypatch)
+    evolve(psi, Harmonic((1.0,)), C1, 0.1, 1e-3, SPLIT_FOURIER,
+           snapshot_stride=25)
+    assert calls == ["fftn", "ifftn"] * 100
+
+
+def test_free_evolve_matches_the_closed_form_gaussian():
+    """The flux traversal grid and packet (2048 points on [-12, 20), center
+    -3, unit width, momentum 4), every snapshot to t = 1.5 against the free
+    Gaussian. The wrap of the t = 0 tails is about 1e-9 of the peak."""
+    g = Grid.regular(-12.0, 20.0, 2048, dimension=1)
+    x0, width, k = -3.0, 1.0, 4.0
+
+    def exact(x, t):
+        a = 1.0 + 0.5j * t / width**2
+        return ((2.0 * np.pi * width**2) ** -0.25 / np.sqrt(a)
+                * np.exp(-(x - x0 - k * t) ** 2 / (4.0 * width**2 * a)
+                         + 1j * k * x - 0.5j * k * k * t))
+
+    psi = ScalarWaveFunction.from_callable(g, lambda x: exact(x, 0.0),
+                                           normalize=True)
+    rec = evolve(psi, Free(), C1, 1.5, 1e-3, SPLIT_FOURIER, snapshot_stride=5)
+    x = g.coordinates(0)
+    gaps = [np.max(np.abs(s.amplitudes - exact(x, t)))
+            for s, t in zip(rec.snapshots, rec.times)]
+    assert len(gaps) == 301 and max(gaps) < 1e-9
+
+
+@pytest.mark.parametrize("method", [SPLIT_FOURIER, CRANK_NICOLSON])
+def test_evolve_equals_single_steps(method):
+    """Advancing a whole snapshot interval in one call keeps the bits of
+    advancing one step at a time, when the potential does not vanish: a 1-d
+    harmonic split-Fourier run and a 2-d Crank-Nicolson run."""
+    if method == SPLIT_FOURIER:
+        psi, pot, c = gaussian(periodic_grid(256), k=1.0), Harmonic((1.0,)), C1
+    else:
+        psi, pot, c = _cn_case(2, 33)
+    rec = evolve(psi, pot, c, 0.06, 1e-3, method, snapshot_stride=20)
+    stepper = prepare_stepper(psi.grid, pot, c, 1e-3, method)
+    arr = psi.amplitudes
+    for j in range(60):
+        arr = stepper.advance(arr)
+        if (j + 1) % 20 == 0:
+            assert rec.snapshots[(j + 1) // 20].amplitudes.tobytes() \
+                == arr.tobytes()
 
 
 # --- evolve ------------------------------------------------------------------------

@@ -27,6 +27,17 @@ however small: a size rule that blended at the points for small batches
 would make a member's bits depend on how many members share its batch. The
 flow runs on one thread: on two cores, splitting each stage's members over
 two threads ran slower than one thread.
+
+The flow compacts only on a step where a member stops. Typical
+trajectories never reach a node, so on most steps every member that starts
+a step finishes it. The flow keeps the positions of the moving members in
+one compact array and adds each RK4 update to it in place; only on a step
+where a member met a node, left the grid or landed outside does it write
+statuses and final positions and drop that member from the array.
+``_velocity_batch`` likewise guards the division by psi only when a member
+is at a node. Each member's arithmetic is elementwise, so whether its
+update was gathered before or after the sum, and whether another member
+stopped beside it, changes none of its bits.
 """
 
 import math
@@ -199,10 +210,14 @@ def _velocity_batch(sampler, pts, t, constants):
     val, grads = sampler.sample(pts, t)
     dens = np.abs(val) ** 2
     node = dens < sampler.node_threshold
-    safe = np.where(node, 1.0, val)
+    at_node = node.any()
+    # dividing by 1 at a node only keeps the quotient finite; every other
+    # member divides by its own psi either way
+    safe = np.where(node, 1.0, val) if at_node else val
     scale = constants.hbar / np.asarray(constants.masses)
     v = (scale[:, None] * np.imag(grads / safe)).T
-    v[node] = 0.0
+    if at_node:
+        v[node] = 0.0
     return v, node
 
 
@@ -362,6 +377,12 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     The domain of a periodic axis is one period, [lower, upper]: a member
     that crosses the period boundary stops as LeftGrid rather than wrapping
     around, so its windings never enter crossing statistics.
+
+    Members are gathered, masked and written back only on a step where one
+    of them stops; on every other step the RK4 update is added in place to
+    the compact array of moving positions. The update is the same
+    elementwise sum either way, so no member's bits depend on whether, or
+    when, another member stopped.
     """
     constants.check_dimension(record.grid)
     dt_ode = dt_ode if dt_ode is not None else record.dt
@@ -373,7 +394,6 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     b, d = q.shape
     statuses = np.full(b, COMPLETED_CODE, dtype=np.int8)
     stop = np.full(b, len(times) - 1, dtype=np.int64)
-    active = np.ones(b, dtype=bool)
     paths = np.empty((len(times), b, d)) if store_path else None
     if store_path:
         paths[0] = q
@@ -382,36 +402,44 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
         v, node = _velocity_batch(sampler, pts, t, constants)
         return v, node, ~sampler.grid.contains(pts)
 
+    # q holds each stopped member's final position; the members still
+    # moving, in order, are ``moving`` and their positions ``qa``
+    moving = np.arange(b)
+    qa = q.copy()
     for j in range(len(times) - 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            if store_path:
-                paths[j + 1] = q
-            continue
-        t0, t1 = times[j], times[j + 1]
-        h = t1 - t0
-        qa = q[idx]
-        k1, n1, o1 = eval_v(qa, t0)
-        k2, n2, o2 = eval_v(qa + 0.5 * h * k1, t0 + 0.5 * h)
-        k3, n3, o3 = eval_v(qa + 0.5 * h * k2, t0 + 0.5 * h)
-        k4, n4, o4 = eval_v(qa + h * k3, t1)
-        node = n1 | n2 | n3 | n4
-        oob = (o1 | o2 | o3 | o4) & ~node
-        dead = node | oob
-        statuses[idx[node]] = HIT_NODE_CODE
-        statuses[idx[oob]] = LEFT_GRID_CODE
-        stop[idx[dead]] = j
-        live = idx[~dead]
-        qn = qa[~dead] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)[~dead]
-        # landing outside the domain is a grid exit as well
-        landed_in = sampler.grid.contains(qn)
-        q[live] = qn
-        statuses[live[~landed_in]] = LEFT_GRID_CODE
-        stop[live[~landed_in]] = j + 1
-        active[idx[dead]] = False
-        active[live[~landed_in]] = False
+        if moving.size:
+            t0, t1 = times[j], times[j + 1]
+            h = t1 - t0
+            k1, n1, o1 = eval_v(qa, t0)
+            k2, n2, o2 = eval_v(qa + 0.5 * h * k1, t0 + 0.5 * h)
+            k3, n3, o3 = eval_v(qa + 0.5 * h * k2, t0 + 0.5 * h)
+            k4, n4, o4 = eval_v(qa + h * k3, t1)
+            dq = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            node = n1 | n2 | n3 | n4
+            dead = node | o1 | o2 | o3 | o4
+            if dead.any():
+                statuses[moving[node]] = HIT_NODE_CODE
+                statuses[moving[dead & ~node]] = LEFT_GRID_CODE
+                stop[moving[dead]] = j
+                q[moving[dead]] = qa[dead]
+                keep = ~dead
+                moving, qa, dq = moving[keep], qa[keep], dq[keep]
+            np.add(qa, dq, out=qa)
+            # landing outside the domain is a grid exit as well
+            landed_in = sampler.grid.contains(qa)
+            if not landed_in.all():
+                out = ~landed_in
+                statuses[moving[out]] = LEFT_GRID_CODE
+                stop[moving[out]] = j + 1
+                q[moving[out]] = qa[out]
+                moving, qa = moving[landed_in], qa[landed_in]
         if store_path:
-            paths[j + 1] = q
+            if moving.size == b:
+                paths[j + 1] = qa
+            else:
+                paths[j + 1] = q
+                paths[j + 1, moving] = qa
+    q[moving] = qa
     return FlowResult(times, q, statuses, stop, paths)
 
 

@@ -120,12 +120,15 @@ def _tridiagonal_times(diag, off, lines):
 
 class _CayleyAxis:
     """Exactly unitary Cayley half of the Hamiltonian along one axis:
-    (1 + i tau H/2hbar)^(-1) (1 - i tau H/2hbar), solved line by line.
+    A^(-1) B with A = 1 + i tau H/2hbar and B = 1 - i tau H/2hbar, solved
+    line by line.
 
-    The left-hand matrix never changes, so it is LU-factored once here and
-    every step only back-substitutes. Each solve is still checked against
-    the unfactored matrix. The kinetic coupling is one scalar, the same for
-    all neighbours: ``off`` on the left-hand side, -``off`` on the right."""
+    A never changes, so it is LU-factored once here and every step only
+    back-substitutes. Since B = 2 - A, the step needs no product with B:
+    A^(-1) B l = 2 A^(-1) l - l. ``apply`` solves A y = l, checks the
+    solve against the unfactored A (max |A y - l| at most SOLVE_TOL times
+    max |l|) and returns 2 y - l. The kinetic coupling of A is one scalar,
+    ``off``, the same for all neighbours."""
 
     def __init__(self, grid, axis, v_share, constants, tau):
         ax = grid.axes[axis]
@@ -134,7 +137,6 @@ class _CayleyAxis:
         hop = -constants.hbar**2 / (2.0 * constants.masses[axis] * ax.spacing**2)
         diag_h = -2.0 * hop + np.moveaxis(v_share, axis, -1).reshape(-1, ax.count)
         self.a_d = 1.0 + 1j * lam * diag_h
-        self.b_d = 1.0 - 1j * lam * diag_h
         self.off = 1j * lam * hop
         off = np.broadcast_to(self.off, self.a_d.shape)
         self.lu = factor_tridiagonal(off, self.a_d, off)
@@ -143,12 +145,14 @@ class _CayleyAxis:
         moved = np.moveaxis(arr, self.axis, -1)
         shape = moved.shape
         lines = moved.reshape(-1, shape[-1])
-        rhs = _tridiagonal_times(self.b_d, -self.off, lines)
-        sol = thomas_solve(self.lu, rhs)
+        sol = thomas_solve(self.lu, lines)
         res = _tridiagonal_times(self.a_d, self.off, sol)
-        scale = np.max(np.abs(rhs))
-        if scale > 0 and np.max(np.abs(res - rhs)) > SOLVE_TOL * scale:
+        scale = np.max(np.abs(lines))
+        if scale > 0 and np.max(np.abs(res - lines)) > SOLVE_TOL * scale:
             raise RuntimeError("tridiagonal solve residual above tolerance")
+        # sol is the solver's own array, never the state: 2 y - l in place
+        np.multiply(sol, 2.0, out=sol)
+        np.subtract(sol, lines, out=sol)
         return np.moveaxis(sol.reshape(shape), -1, self.axis)
 
 

@@ -362,7 +362,13 @@ def _mixed_record():
                   snapshot_stride=10)
 
 
-MIXED_STARTS = np.array([[-0.5], [3.0], [-3.9], [0.2], [-3.95], [2.5]])
+MIXED_STARTS = np.array([[-0.5], [3.0], [-3.9], [0.2], [-3.95], [2.5],
+                         [3.05], [3.12057], [3.37133]])
+# Member 7 lands just outside at the end of a step at dt_ode 1e-3, and
+# member 8 at 2e-3; with the other step each leaves during the stages.
+MIXED_STOPS = {1e-3: [50, 15, 0, 50, 0, 23, 15, 14, 10],
+               2e-3: [25, 7, 0, 25, 0, 11, 7, 6, 5]}
+MIXED_LANDED = {1e-3: 7, 2e-3: 8}
 
 
 @pytest.fixture
@@ -381,7 +387,21 @@ def test_batched_flow_equals_each_member_alone(mixed_record, dt_ode):
     batch = integrate_flow(MIXED_STARTS, rec, C1, dt_ode=dt_ode,
                            store_path=True)
     assert batch.status_names() == ["Completed", "LeftGrid", "HitNode",
-                                    "Completed", "HitNode", "LeftGrid"]
+                                    "Completed", "HitNode", "LeftGrid",
+                                    "LeftGrid", "LeftGrid", "LeftGrid"]
+    # Two members stop together at step 0, two more at one later step, and
+    # the steps between stop nobody. A member that meets a node or leaves
+    # during the stages of step j stops at j, at the step's start, inside;
+    # one that lands outside at the end of step j stops at j + 1, outside.
+    assert batch.stop_index.tolist() == MIXED_STOPS[dt_ode]
+    landed = MIXED_LANDED[dt_ode]
+    inside = rec.grid.contains(batch.points)
+    assert inside.tolist() == [b != landed for b in range(len(MIXED_STARTS))]
+    assert rec.grid.contains(batch.paths[batch.stop_index[landed] - 1,
+                                         landed])
+    # every member rests from its stop index on, at its final point
+    for b, stop in enumerate(batch.stop_index):
+        assert np.all(batch.paths[stop:, b] == batch.points[b])
     for b, q0 in enumerate(MIXED_STARTS):
         alone = integrate_flow(q0[None, :], rec, C1, dt_ode=dt_ode,
                                store_path=True)
@@ -390,6 +410,22 @@ def test_batched_flow_equals_each_member_alone(mixed_record, dt_ode):
         assert alone.stop_index[0] == batch.stop_index[b]
         assert (alone.paths[:, 0].tobytes()
                 == np.ascontiguousarray(batch.paths[:, b]).tobytes())
+
+
+@pytest.mark.parametrize("t", [0.0, 5e-4])
+def test_node_member_leaves_the_others_bits(mixed_record, t):
+    """A member at a node gets velocity exactly 0; the others get the bits
+    they get in the same batch without it."""
+    rec = mixed_record
+    sampler = RecordSampler(rec.grid, rec.snapshots, rec.t_initial, rec.dt)
+    with_node = np.array([[-0.5], [-3.9], [0.2], [2.5]])
+    v, node = guidance._velocity_batch(sampler, with_node, t, C1)
+    assert node.tolist() == [False, True, False, False]
+    assert v[1].tolist() == [0.0]
+    v_free, node_free = guidance._velocity_batch(sampler, with_node[~node],
+                                                 t, C1)
+    assert not node_free.any()
+    assert v[~node].tobytes() == v_free.tobytes()
 
 
 @pytest.mark.parametrize("dt_ode", [1e-3, 2e-3])

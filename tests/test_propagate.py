@@ -363,6 +363,57 @@ def test_cayley_residual_guard_catches_corrupt_factors():
         stepper.advance(psi.amplitudes)
 
 
+@pytest.mark.parametrize("factor", [0, 1], ids=["x", "y"])
+def test_cayley_residual_guard_catches_corrupt_2d_factors(factor):
+    """The x factor is shared by both half sweeps of an ADI step."""
+    psi, pot, c = _cn_case(2, 33)
+    stepper = prepare_stepper(psi.grid, pot, c, 1e-3, CRANK_NICOLSON)
+    stepper.advance(psi.amplitudes)
+    stepper.factors[factor].lu[1][:] *= 1.0 + 1e-6  # the diagonal of U
+    with pytest.raises(RuntimeError, match="residual"):
+        stepper.advance(psi.amplitudes)
+
+
+def _dense_hamiltonian_line(v_line, spacing, mass):
+    """The boxed second-difference Hamiltonian on one line, as a matrix."""
+    n = v_line.size
+    hop = -1.0 / (2.0 * mass * spacing**2)
+    return (np.diag(-2.0 * hop + v_line) + hop * np.eye(n, k=1)
+            + hop * np.eye(n, k=-1))
+
+
+@pytest.mark.parametrize("shape,axis",
+                         [((17,), 0), ((9, 11), 0), ((9, 11), 1)])
+def test_cayley_axis_matches_dense_solve(shape, axis):
+    """apply(l) = A^-1 B l on every line along the axis, with A and B built
+    densely from H, to 1e-13; the input state is left as it was."""
+    g = Grid.regular(-2.0, 2.0, shape[0], boundary="boxed",
+                     dimension=len(shape))
+    if len(shape) == 2:
+        g = Grid((g.axes[0], Grid.regular(-1.5, 1.5, shape[1],
+                                          boundary="boxed").axes[0]))
+    c = PhysicalConstants(hbar=1.0, masses=(1.0, 2.0)[:len(shape)])
+    rng = np.random.default_rng(7)
+    v = rng.uniform(0.0, 3.0, shape)
+    state = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    before = state.copy()
+    tau = 0.05
+    got = propagate._CayleyAxis(g, axis, v, c, tau).apply(state)
+    assert state.tobytes() == before.tobytes()
+    lam = tau / 2.0
+    ax = g.axes[axis]
+    lines = np.moveaxis(state, axis, -1).reshape(-1, ax.count)
+    pots = np.moveaxis(v, axis, -1).reshape(-1, ax.count)
+    want = np.empty_like(lines)
+    eye = np.eye(ax.count)
+    for r, (line, pot) in enumerate(zip(lines, pots)):
+        h = _dense_hamiltonian_line(pot, ax.spacing, c.masses[axis])
+        want[r] = np.linalg.solve(eye + 1j * lam * h,
+                                  (eye - 1j * lam * h) @ line)
+    got_lines = np.moveaxis(got, axis, -1).reshape(-1, ax.count)
+    assert np.max(np.abs(got_lines - want)) < 1e-13
+
+
 @pytest.mark.parametrize("steps", [1, 7, 40])
 @pytest.mark.parametrize("dimension,factorizations", [(1, 1), (2, 2)])
 def test_each_cayley_axis_factored_once(monkeypatch, steps, dimension,

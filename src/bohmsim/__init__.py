@@ -14,8 +14,7 @@ from .fields import (CurrentField, ScalarWaveFunction, SpinorWaveFunction,
                      density, gradient, norm, probability_current)
 from .grids import Axis, Grid, PhysicalConstants
 from .guidance import (Configuration, Trajectory, interpolate,
-                       integrate_trajectory, spinor_velocity,
-                       step_spinor_pauli, velocity)
+                       integrate_trajectory, spinor_velocity, velocity)
 from .kernels import BACKEND as kernel_backend
 from .propagate import (CRANK_NICOLSON, SPLIT_FOURIER, EvolutionRecord,
                         continuity_residual, evolve, step)
@@ -29,7 +28,7 @@ __all__ = [
     "SPLIT_FOURIER", "CRANK_NICOLSON", "EvolutionRecord",
     "step", "evolve", "continuity_residual",
     "Configuration", "Trajectory",
-    "interpolate", "velocity", "spinor_velocity", "step_spinor_pauli",
+    "interpolate", "velocity", "spinor_velocity",
     "integrate_trajectory",
     "ab_coefficients", "coupled_oscillator_wavefunction",
     "coupled_oscillator_trajectory", "conditional_oracle",

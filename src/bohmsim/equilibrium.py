@@ -340,6 +340,20 @@ def aligned_l2_error(psi_a, psi_b):
 COLLAPSE_SHAPE = (128, 384)  # grid points of the system and pointer axes
 
 
+def collapse_hamiltonian(coupling):
+    """Grid, constants and pointer coupling V = g s(x) y, s = sign(x), of
+    ``collapse_experiment``: the system on the first axis, the pointer on the
+    second."""
+    gx = Grid.regular(-6.0, 6.0, COLLAPSE_SHAPE[0], dimension=1)
+    gy = Grid.regular(-6.0, 6.0, COLLAPSE_SHAPE[1], dimension=1)
+    grid = Grid(axes=(gx.axes[0], gy.axes[0]))
+    # heavy system: its packets barely move
+    constants = PhysicalConstants(hbar=1.0, masses=(4000.0, 10.0))
+    x, y = grid.coordinates(0), grid.coordinates(1)
+    v = coupling * np.sign(x)[:, None] * y[None, :]
+    return grid, constants, Sampled(v)
+
+
 def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
                         snapshot_stride, dt_ode, leakage_threshold=1e-6):
     """Two-outcome von Neumann measurement on a 2-d grid; returns the report.
@@ -356,11 +370,8 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
     if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-9:
         raise ValueError("|c1|^2 + |c2|^2 must equal 1")
     sep, width_x, width_y = 3.0, 0.5, 0.2
-    mass_x, mass_y = 4000.0, 10.0  # heavy system: its packets barely move
-    gx = Grid.regular(-6.0, 6.0, COLLAPSE_SHAPE[0], dimension=1)
-    gy = Grid.regular(-6.0, 6.0, COLLAPSE_SHAPE[1], dimension=1)
-    grid = Grid(axes=(gx.axes[0], gy.axes[0]))
-    constants = PhysicalConstants(hbar=1.0, masses=(mass_x, mass_y))
+    grid, constants, potential = collapse_hamiltonian(coupling)
+    gx, gy = (Grid(axes=(ax,)) for ax in grid.axes)
     x = gx.coordinates(0)
     y = gy.coordinates(0)
     phi1 = ScalarWaveFunction(gx, _gaussian(x, +sep, width_x)).normalize()
@@ -372,8 +383,7 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
     pointer0 = _gaussian(y, 0.0, width_y)
     pointer0 /= np.sqrt(np.sum(gy.quadrature_weights() * pointer0**2))
     psi0 = ScalarWaveFunction(grid, np.outer(sys0, pointer0)).normalize()
-    v = coupling * np.sign(x)[:, None] * y[None, :]
-    record = evolve(psi0, Sampled(v), constants, t_meas, dt, SPLIT_FOURIER,
+    record = evolve(psi0, potential, constants, t_meas, dt, SPLIT_FOURIER,
                     snapshot_stride=snapshot_stride)
 
     # cross-branch mass: pointer amplitude on the wrong side of y=0

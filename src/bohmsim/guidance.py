@@ -1,6 +1,7 @@
 """The guidance law: velocity fields derived from wave functions (scalar and
 spinor), node detection, and trajectory integration dQ/dt = v(Q, t) by
-fixed-step RK4 on time-interpolated evolution records.
+fixed-step RK4 on time-interpolated evolution records. Wave functions,
+spinors included, are evolved in ``propagate``.
 
 Bohmian trajectories almost surely never reach a node of psi, so meeting one
 only signals discretisation error. The rule is fixed: a configuration whose
@@ -47,8 +48,7 @@ import numpy as np
 
 # gradient stays importable here beside gradient_array, which alone fills
 # the window: the benchmark's per-layer trace wraps both names here
-from .fields import (SpinorWaveFunction, density, gradient,  # noqa: F401
-                     gradient_array)
+from .fields import density, gradient, gradient_array  # noqa: F401
 from .kernels import interp_cubic_1d, interp_cubic_2d
 
 COMPLETED = "Completed"
@@ -243,6 +243,7 @@ def spinor_velocity(psi, q, constants):
     HitNodeError when the spinor density at q falls below the node
     threshold."""
     pts = _point(psi.grid, q)
+    constants.check_dimension(psi.grid)
     fields = np.stack([psi.up, psi.down, gradient_array(psi.grid, psi.up, 0),
                        gradient_array(psi.grid, psi.down, 0)])
     up, down, dup, ddown = _interp_any(psi.grid, fields, pts)[:, 0]
@@ -253,44 +254,6 @@ def spinor_velocity(psi, q, constants):
     num = (np.conj(up) * dup + np.conj(down) * ddown).imag
     v = constants.hbar / constants.masses[0] * num / den
     return [float(v)]
-
-
-def step_spinor_pauli(psi, b_field, potential, constants, dt, mu=1.0):
-    """One Strang step of the two-component evolution with a uniform magnetic
-    coupling: local factor = potential phase times the exact 2x2 rotation
-    exp(-i mu dt B.sigma / hbar), kinetic factor per component via FFT.
-    Requires a periodic 1-d grid."""
-    ax = psi.grid.axes[0]
-    if not ax.periodic:
-        raise ValueError("spinor stepping uses the periodic Fourier kinetic term")
-    v = potential.evaluate(psi.grid, constants)
-    bx, by, bz = (float(c) for c in b_field)
-    bmag = np.sqrt(bx * bx + by * by + bz * bz)
-
-    def local_half(up, down):
-        phase = np.exp(-0.5j * dt * v / constants.hbar)
-        up, down = phase * up, phase * down
-        if bmag == 0.0:
-            return up, down
-        theta = 0.5 * mu * dt * bmag / constants.hbar
-        c, s = np.cos(theta), np.sin(theta)
-        nx, ny, nz = bx / bmag, by / bmag, bz / bmag
-        u2 = (c - 1j * s * nz) * up + (-1j * s * (nx - 1j * ny)) * down
-        d2 = (-1j * s * (nx + 1j * ny)) * up + (c + 1j * s * nz) * down
-        return u2, d2
-
-    k = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.spacing)
-    kin = np.exp(-1j * dt * constants.hbar * k**2 / (2.0 * constants.masses[0]))
-
-    def kinetic(comp):
-        # the phase first in the product, as in the scalar split-Fourier step
-        out = np.fft.fft(comp)
-        np.multiply(kin, out, out=out)
-        return np.fft.ifft(out, out=out)
-
-    up, down = local_half(psi.up, psi.down)
-    up, down = local_half(kinetic(up), kinetic(down))
-    return SpinorWaveFunction(psi.grid, up, down)
 
 
 # --- trajectory integration ----------------------------------------------------

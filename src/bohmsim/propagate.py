@@ -23,7 +23,16 @@ product names its operand order, phase first, because complex
 multiplication with fused multiply-adds is not bitwise commutative. An
 expression such as ``phase * np.fft.fftn(x)`` leaves that order to numpy,
 which evaluates it as ``fftn(x) *= phase`` once the temporary reaches its
-elision size, so the bits of a step would depend on the grid size."""
+elision size, so the bits of a step would depend on the grid size.
+
+A two-component field in a uniform magnetic field B (the magnetic moment
+absorbed into B) evolves by H = H0 (x) 1 + B.sigma. B.sigma acts on the
+spin index alone and does not depend on x, so the two terms commute, and
+exp(-i H dt/hbar) is exactly the rotation R(dt) = exp(-i dt B.sigma/hbar)
+times the scalar evolution of each component. ``PauliStepper`` wraps the
+prepared split-Fourier step S(dt) in closed-form half rotations,
+R(dt/2) S(dt) R(dt/2): one full rotation on one side would be as exact, and
+the halves keep the step symmetric in time like the Strang step inside it."""
 
 import json
 import math
@@ -34,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potentials as potentials_mod
-from .fields import (ScalarWaveFunction, divergence, norm,
+from .fields import (ScalarWaveFunction, _require_finite, divergence, norm,
                      probability_current, read_wavefunction,
                      write_wavefunction)
 from .grids import Grid, PhysicalConstants
@@ -64,7 +73,9 @@ class _SplitFourierStepper:
     ``free`` records whether the evaluated potential is zero on every grid
     point, a property of the data whatever the potential's type. Then a
     step is exactly exp(-i T dt), and ``advance`` stays in k-space between
-    the steps of one call.
+    the steps of one call. A phase that is not finite (V or dt T beyond the
+    float range) raises a ValueError here rather than turning the state
+    into NaN.
 
     ``advance`` allocates one state-sized array per step (one per call when
     free) and runs every later pass in place on it. Each product is written
@@ -75,7 +86,6 @@ class _SplitFourierStepper:
     def __init__(self, grid, potential, constants, dt):
         v = potential.evaluate(grid, constants)
         self.free = not np.any(v)
-        self.exp_v_half = np.exp(-0.5j * dt * v / constants.hbar)
         phase = np.zeros(grid.shape)
         for axis, ax in enumerate(grid.axes):
             k = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.spacing)
@@ -83,7 +93,13 @@ class _SplitFourierStepper:
             shape[axis] = ax.count
             phase = phase + (constants.hbar * k.reshape(shape) ** 2
                              / (2.0 * constants.masses[axis]))
-        self.exp_kinetic = np.exp(-1j * dt * phase)
+        # a phase beyond the float range raises below rather than warns here
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.exp_v_half = np.exp(-0.5j * dt * v / constants.hbar)
+            self.exp_kinetic = np.exp(-1j * dt * phase)
+        for name, factor in (("potential", self.exp_v_half),
+                             ("kinetic", self.exp_kinetic)):
+            _require_finite(factor, f"the {name} phase of a {dt:g} step")
 
     def advance(self, arr, steps=1):
         """The state ``steps`` steps after ``arr``, in a new array.
@@ -196,6 +212,39 @@ def prepare_stepper(grid, potential, constants, dt, method):
     if method == SPLIT_FOURIER:
         return _SplitFourierStepper(grid, potential, constants, dt)
     return _CrankNicolsonStepper(grid, potential, constants, dt)
+
+
+class PauliStepper:
+    """R(dt/2) S(dt) R(dt/2) on a two-component field: S is the split-Fourier
+    step of ``potential`` on each component, R the rotation in the uniform
+    field B = ``b_field``, its coefficients computed once; B = 0 skips it."""
+
+    def __init__(self, grid, potential, constants, dt, b_field):
+        self.scalar = prepare_stepper(grid, potential, constants, dt,
+                                      SPLIT_FOURIER)
+        bx, by, bz = (float(c) for c in b_field)
+        bmag = math.hypot(bx, by, bz)
+        self.rotation = None  # ((a, b), (c, d)) of R(dt/2)
+        if bmag > 0.0:
+            theta = 0.5 * dt * bmag / constants.hbar
+            if not math.isfinite(theta):
+                raise ValueError(f"the rotation angle of a {dt:g} step in a "
+                                 f"field of magnitude {bmag:g} is not finite")
+            c, s = np.cos(theta), np.sin(theta)
+            nx, ny, nz = bx / bmag, by / bmag, bz / bmag
+            self.rotation = ((c - 1j * s * nz, -1j * s * (nx - 1j * ny)),
+                             (-1j * s * (nx + 1j * ny), c + 1j * s * nz))
+
+    def _rotate(self, up, down):
+        if self.rotation is None:
+            return up, down
+        (a, b), (c, d) = self.rotation
+        return a * up + b * down, c * up + d * down
+
+    def advance(self, up, down):
+        """The components one step after (up, down), in new arrays."""
+        up, down = self._rotate(up, down)
+        return self._rotate(self.scalar.advance(up), self.scalar.advance(down))
 
 
 def step(psi, potential, constants, dt, method):

@@ -17,18 +17,18 @@ import numpy as np
 
 from . import analytic, povm as povm_mod
 from .equilibrium import (COLLAPSE_SHAPE, EmptyFlowError,
-                          collapse_experiment, equivariance_check,
-                          sample_density)
+                          collapse_experiment, collapse_hamiltonian,
+                          equivariance_check, sample_density)
 from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
 from .flux import (CrossingSurface, _current_at_surface, expected_crossings,
                    per_member_counts)
 from .grids import Grid, PhysicalConstants
-from .guidance import (HIT_NODE, LEFT_GRID, integrate_flow,
-                       integrate_trajectory, ode_step_count,
-                       step_spinor_pauli)
+from .guidance import (COMPLETED, HIT_NODE, LEFT_GRID, integrate_flow,
+                       integrate_trajectory, ode_step_count, spinor_velocity)
 from .kernels import BACKEND
 from .potentials import KINDS, CoupledOscillator, Free, Harmonic, from_description
-from .propagate import SPLIT_FOURIER, evolve, prepare_stepper, step_count
+from .propagate import (SPLIT_FOURIER, PauliStepper, evolve, prepare_stepper,
+                        step_count)
 
 
 class ConfigError(ValueError):
@@ -81,14 +81,15 @@ _WORK_BUDGET = 2 * 10**9
 _POVM_STATE_UPDATES = 10**4
 
 # Grid-point updates that one spin step costs: a fixed _PAULI_STEP_UPDATES
-# plus _PAULI_POINT_UPDATES per grid point. A Pauli step with its population
-# sum takes about 150 us of Python plus 0.22-0.27 us per grid point (two
-# components, each transformed both ways, and the 2x2 rotation): 215 us at
-# 256 points and 17.7 ms at 65536. At 50 ns an update that is 4000 updates
-# plus 5 per point. A decoupled step (a Pauli step and two scalar steps)
-# costs about as much.
-_PAULI_STEP_UPDATES = 4000
-_PAULI_POINT_UPDATES = 5
+# plus _PAULI_POINT_UPDATES per grid point. The dearer of the two kinds of
+# step is the decoupled one, a Pauli step at B = 0 plus the two reference
+# scalar steps, four free steps in all: about 160 us at 256 points, 0.7 ms
+# at 4096 and 21.9 ms at 65536 on one desk core. A Rabi step, the prepared
+# Pauli step with its two half rotations and its population sum, takes
+# about 110 us, 0.5 ms and 14.8 ms. At 50 ns an update, 2000 updates plus 7
+# per point (100 us plus 0.35 us per point) covers both.
+_PAULI_STEP_UPDATES = 2000
+_PAULI_POINT_UPDATES = 7
 
 
 def _at(path, key):
@@ -447,10 +448,20 @@ _ORACLE_STARTS = [(r * math.cos(a) + 0.1, r * math.sin(a) - 0.05)
 
 def _check_oracle(params):
     n_steps, snapshots, steps = _check_flow(params)
+    try:
+        step_count(1.0, params["dt"], params["stride"])
+    except ValueError:
+        raise ValueError("the field check needs a snapshot at t = 1: 1 must "
+                         "be a whole number of snapshot spacings dt * stride"
+                         ) from None
     _check_memory("points, t_final, dt and stride", snapshots,
                   params["points"] ** 2, len(_ORACLE_STARTS), 2,
                   2 * len(_ORACLE_STARTS) * (steps + 1))
     _check_work("points, t_final and dt", n_steps * params["points"] ** 2)
+    prepare_stepper(_oracle_grid(params["points"]),
+                    CoupledOscillator(analytic.COUPLING),
+                    PhysicalConstants.natural(dimension=2), params["dt"],
+                    SPLIT_FOURIER)
 
 
 def run_oscillator_oracle(params, out_dir=None):
@@ -472,6 +483,7 @@ def run_oscillator_oracle(params, out_dir=None):
                           dt_ode=params["dt_ode"], store_path=True)
     traj_err = 0.0
     first_rows = []
+    completed = flow.count(COMPLETED)
     for idx, q0 in enumerate(_ORACLE_STARTS):
         traj = flow.trajectory(idx)
         xe, ye = analytic.coupled_oscillator_trajectory(q0[0], q0[1],
@@ -491,6 +503,9 @@ def run_oscillator_oracle(params, out_dir=None):
                traj_err < 1e-3, threshold=1e-3,
                n_starts=len(_ORACLE_STARTS)),
         _check("norm drift at t_final", drift, drift < 1e-9, threshold=1e-9),
+        _check("all oracle trajectories completed", completed,
+               completed == len(_ORACLE_STARTS),
+               n_starts=len(_ORACLE_STARTS)),
     ]
     return {"checks": checks, "n_trajectories": len(_ORACLE_STARTS)}
 
@@ -504,7 +519,9 @@ def _equivariance_setup(case):
     grid = _grid_1d(case["grid"])
     constants = PhysicalConstants.natural(dimension=1)
     potential = from_description(case["potential"])
-    potential.evaluate(grid, constants)  # one frequency per axis, a 2-d grid
+    # evaluates the potential (one frequency per axis, a 2-d grid) and its
+    # phases over one step
+    prepare_stepper(grid, potential, constants, case["dt"], SPLIT_FOURIER)
     psi0 = make_initial(grid, constants, case["initial"])
     _check_flow(case)
     return constants, potential, psi0
@@ -583,6 +600,8 @@ def _check_collapse(params):
     _check_memory("n, t_meas and dt", snapshots, grid_points, params["n"], 2)
     _check_work("weights, t_meas and dt",
                 len(params["weights"]) * n_steps * grid_points)
+    grid, constants, potential = collapse_hamiltonian(params["coupling"])
+    prepare_stepper(grid, potential, constants, params["dt"], SPLIT_FOURIER)
 
 
 def run_collapse(params, out_dir=None):
@@ -616,6 +635,7 @@ def _flux_setup(case):
     where the run would reject the case."""
     grid = _grid_1d(case["grid"])
     constants = PhysicalConstants.natural(dimension=1)
+    prepare_stepper(grid, Free(), constants, case["dt"], SPLIT_FOURIER)
     psi0 = make_initial(grid, constants, case["initial"])
     surface = CrossingSurface(case["surface"], 0.0, case["t_final"])
     surface.check_grid(grid)
@@ -758,7 +778,9 @@ def _check_classical_limit(params):
     _check_work("hbars, points, t_final and dt",
                 len(params["hbars"]) * n_steps * params["points"])
     for hbar in params["hbars"]:
-        _classical_setup(params, hbar)
+        constants, psi0, _, _ = _classical_setup(params, hbar)
+        prepare_stepper(psi0.grid, Harmonic((params["omega"],)), constants,
+                        params["dt"], SPLIT_FOURIER)
 
 
 def run_classical_limit(params, out_dir=None):
@@ -797,16 +819,31 @@ def run_classical_limit(params, out_dir=None):
 _spin_grid = functools.partial(Grid.regular, -8.0, 8.0)
 
 
+def _spin_setup(params):
+    """Grid, constants, Rabi period and the Pauli steppers of the decoupling
+    (B = 0) and Rabi (transverse B) loops; raises ValueError where the run
+    would fail."""
+    grid = _spin_grid(params["points"])
+    constants = PhysicalConstants.natural(dimension=1)
+    bx = params["b_transverse"]
+    period = 2.0 * np.pi * constants.hbar / (2.0 * bx)
+    decoupled = PauliStepper(grid, Free(), constants, params["dt"],
+                             (0.0, 0.0, 0.0))
+    rabi = PauliStepper(grid, Free(), constants, period / params["rabi_steps"],
+                        (bx, 0.0, 0.0))
+    return grid, constants, period, decoupled, rabi
+
+
 def _check_spin(params):
     _check_work("points, decoupled_steps and rabi_steps",
                 (params["decoupled_steps"] + params["rabi_steps"])
                 * (_PAULI_STEP_UPDATES
                    + _PAULI_POINT_UPDATES * params["points"]))
+    _spin_setup(params)
 
 
 def run_spin(params, out_dir=None):
-    grid = _spin_grid(params["points"])
-    constants = PhysicalConstants.natural(dimension=1)
+    grid, constants, period, decoupled, rabi = _spin_setup(params)
     x = grid.coordinates(0)
     packet = np.exp(-0.25 * x * x)
     wq = grid.quadrature_weights()
@@ -815,36 +852,31 @@ def run_spin(params, out_dir=None):
     # (a) zero field: components evolve as independent scalars
     spinor = SpinorWaveFunction(grid, 0.8 * packet,
                                 (0.36 + 0.48j) * packet).normalize()
-    up_ref, down_ref = spinor.up, spinor.down
-    dt = params["dt"]
-    scalar = prepare_stepper(grid, Free(), constants, dt, SPLIT_FOURIER)
-    cur = spinor
+    up, down = up_ref, down_ref = spinor.up, spinor.down
+    scalar = prepare_stepper(grid, Free(), constants, params["dt"],
+                             SPLIT_FOURIER)
     for _ in range(params["decoupled_steps"]):
-        cur = step_spinor_pauli(cur, (0.0, 0.0, 0.0), Free(), constants, dt)
+        up, down = decoupled.advance(up, down)
         up_ref = scalar.advance(up_ref)
         down_ref = scalar.advance(down_ref)
-    decouple_err = float(max(np.max(np.abs(cur.up - up_ref)),
-                             np.max(np.abs(cur.down - down_ref))))
+    decouple_err = float(max(np.max(np.abs(up - up_ref)),
+                             np.max(np.abs(down - down_ref))))
 
     # (b) transverse field: population transfer vs the exact 2x2 rotation
     bx = params["b_transverse"]
-    period = 2.0 * np.pi * constants.hbar / (2.0 * bx)
-    n_steps = params["rabi_steps"]
-    dt_rabi = period / n_steps
-    cur = SpinorWaveFunction(grid, packet.astype(np.complex128),
-                             np.zeros_like(packet, dtype=np.complex128))
+    dt_rabi = period / params["rabi_steps"]
+    up = packet.astype(np.complex128)
+    down = np.zeros_like(up)
     worst_pop = 0.0
-    for j in range(n_steps):
-        cur = step_spinor_pauli(cur, (bx, 0.0, 0.0), Free(), constants,
-                                dt_rabi)
+    for j in range(params["rabi_steps"]):
+        up, down = rabi.advance(up, down)
         t = (j + 1) * dt_rabi
-        p_up = float(np.sum(wq * np.abs(cur.up) ** 2))
+        p_up = float(np.sum(wq * np.abs(up) ** 2))
         exact = math.cos(bx * t / constants.hbar) ** 2
         worst_pop = max(worst_pop, abs(p_up - exact))
-    end_pop = float(np.sum(wq * np.abs(cur.up) ** 2))
+    end_pop = float(np.sum(wq * np.abs(up) ** 2))
 
     # (c) real spinor guides nowhere
-    from .guidance import spinor_velocity
     real_spinor = SpinorWaveFunction(grid, packet * 0.8, packet * 0.6)
     v0 = spinor_velocity(real_spinor, (0.31,), constants)[0]
 

@@ -75,6 +75,19 @@ PROBES = [
      "cases[0]: cannot normalize a zero field"),
     ({"scenario": "povm", "seed": -1}, "seed: must be >= 0"),
     ({"scenario": "povm", "out_dir": 5}, "out_dir: expected a string"),
+    # every start would leave the grid at step 0, and t = 1 is no snapshot
+    ({"scenario": "oscillator-oracle", "points": 32, "t_final": 1e306,
+      "dt": 1e306, "stride": 1, "dt_ode": 1e306},
+     "config: the field check needs a snapshot at t = 1"),
+    ({"scenario": "spin", "dt": 1e306},
+     "config: the kinetic phase of a 1e+306 step contains NaN or Inf"),
+    ({"scenario": "classical-limit", "t_final": 1e306, "dt": 1e306,
+      "stride": 1, "dt_ode": 1e306},
+     "config: the kinetic phase of a 1e+306 step contains NaN or Inf"),
+    ({"scenario": "collapse", "coupling": 1e308},
+     "config: the potential phase of a 0.001 step contains NaN or Inf"),
+    (_case("flux", t_final=1e306, dt=1e306, stride=1, dt_ode=1e306),
+     "cases[0]: the kinetic phase of a 1e+306 step contains NaN or Inf"),
 ]
 
 
@@ -100,6 +113,28 @@ def test_run_without_checks_fails(config):
     assert validate_config(config) == []
     code, report = run_scenario(config)
     assert code == 1 and report["checks"] == [] and not report["passed"]
+
+
+def test_oracle_fails_when_a_start_stops_early(monkeypatch):
+    """A start deep in the tail is at a node of the density and stops at
+    step 0. Its one-point path matches the closed form at t = 0, so the
+    other checks pass, and the completion check fails the run."""
+    monkeypatch.setattr(scenarios, "_ORACLE_STARTS",
+                        scenarios._ORACLE_STARTS[:2] + [(7.0, 7.0)])
+    code, report = run_scenario({
+        "scenario": "oscillator-oracle", "points": 64, "t_final": 1.0,
+        "dt": 1e-2, "stride": 1, "dt_ode": 1e-2})
+    checks = {c["name"]: c for c in report["checks"]}
+    done = checks.pop("all oracle trajectories completed")
+    assert code == 1 and (done["value"], done["passed"]) == (2, False)
+    assert all(c["passed"] for c in checks.values())
+
+
+def test_spin_in_a_field_of_1e200_runs():
+    """|B| is taken without squaring B, so the rotation stays finite."""
+    code, report = run_scenario({"scenario": "spin", "b_transverse": 1e200,
+                                 "decoupled_steps": 1, "rabi_steps": 100})
+    assert code == 0, report["checks"]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -208,7 +243,7 @@ OVER_BUDGET = [
 
 OVER_WORK = [
     ({"scenario": "spin", "rabi_steps": 10**12},
-     "config: points, decoupled_steps and rabi_steps would make 5.28e+15 "
+     "config: points, decoupled_steps and rabi_steps would make 3.79e+15 "
      "grid-point updates"),
     ({"scenario": "oscillator-oracle", "dt": 1e-6, "stride": 10000},
      "config: points, t_final and dt would make 1.31e+11"),
@@ -245,9 +280,9 @@ def test_over_work_budget_is_a_config_error(config, message):
     ({"scenario": "spin", "rabi_steps": 10**12},
      "points, decoupled_steps and rabi_steps would make"),
     # 1.8e9 updates, under the budget, if a step cost one update per grid
-    # point; its Pauli steps would run for about half an hour
+    # point; its Pauli steps would run for about a quarter of an hour
     ({"scenario": "spin", "rabi_steps": 7 * 10**6},
-     "points, decoupled_steps and rabi_steps would make 3.70e+10"),
+     "points, decoupled_steps and rabi_steps would make 2.65e+10"),
 ], ids=["equivariance", "collapse", "spin", "spin-rabi-steps"])
 def test_cli_over_budget_exits_2(config, message, tmp_path, capsys):
     path = tmp_path / "config.json"

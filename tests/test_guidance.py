@@ -13,9 +13,10 @@ from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import (Configuration, HitNodeError, OutOfBoundsError,
                               RecordSampler, Trajectory, integrate_flow,
                               integrate_trajectory, interpolate,
-                              spinor_velocity, step_spinor_pauli, velocity)
+                              spinor_velocity, velocity)
 from bohmsim.potentials import Free, Harmonic
-from bohmsim.propagate import SPLIT_FOURIER, EvolutionRecord, evolve
+from bohmsim.propagate import (SPLIT_FOURIER, EvolutionRecord, PauliStepper,
+                               evolve)
 
 C1 = PhysicalConstants.natural(1)
 C2 = PhysicalConstants.natural(2)
@@ -167,21 +168,34 @@ def test_spinor_velocity_cases():
     assert abs(spinor_velocity(s, (0.5,), C1)[0]) < 1e-9
 
 
+def test_spinor_velocity_checks_the_mass_count():
+    """Two masses on a 1-d grid are rejected, as ``velocity`` rejects them."""
+    g = grid1d()
+    x = g.coordinates(0)
+    k = 2 * np.pi * 10 / g.axes[0].length
+    s = SpinorWaveFunction(g, np.exp(1j * k * x), np.zeros_like(x, dtype=complex))
+    with pytest.raises(ValueError, match="2 masses for a 1-d grid"):
+        spinor_velocity(s, (0.5,), C2)
+    with pytest.raises(ValueError, match="2 masses for a 1-d grid"):
+        velocity(ScalarWaveFunction(g, s.up), (0.5,), C2)
+
+
 def test_spinor_pauli_zero_field_decouples():
     from bohmsim.propagate import step as scalar_step
     g = grid1d(256, 8.0)
     x = g.coordinates(0)
     packet = np.exp(-x * x / 4) / np.sqrt(np.sum(
         g.quadrature_weights() * np.exp(-x * x / 2)))
-    s = SpinorWaveFunction(g, 0.6 * packet, 0.8j * packet)
-    up = ScalarWaveFunction(g, s.up)
-    down = ScalarWaveFunction(g, s.down)
+    s_up, s_down = 0.6 * packet, 0.8j * packet
+    up = ScalarWaveFunction(g, s_up)
+    down = ScalarWaveFunction(g, s_down)
+    pauli = PauliStepper(g, Harmonic((1.0,)), C1, 1e-3, (0, 0, 0))
     for _ in range(50):
-        s = step_spinor_pauli(s, (0, 0, 0), Harmonic((1.0,)), C1, 1e-3)
+        s_up, s_down = pauli.advance(s_up, s_down)
         up = scalar_step(up, Harmonic((1.0,)), C1, 1e-3, SPLIT_FOURIER)
         down = scalar_step(down, Harmonic((1.0,)), C1, 1e-3, SPLIT_FOURIER)
-    assert np.max(np.abs(s.up - up.amplitudes)) < 1e-12
-    assert np.max(np.abs(s.down - down.amplitudes)) < 1e-12
+    assert np.max(np.abs(s_up - up.amplitudes)) < 1e-12
+    assert np.max(np.abs(s_down - down.amplitudes)) < 1e-12
 
 
 def test_spinor_pauli_longitudinal_phases():
@@ -190,17 +204,16 @@ def test_spinor_pauli_longitudinal_phases():
     packet = np.exp(-x * x / 4).astype(complex)
     s0 = SpinorWaveFunction(g, packet / np.sqrt(2), packet / np.sqrt(2)).normalize()
     bz, dt = 0.7, 1e-3
-    s1 = step_spinor_pauli(s0, (0, 0, bz), Free(), C1, dt)
-    free_up = step_spinor_pauli(
-        SpinorWaveFunction(g, s0.up, np.zeros_like(packet)),
-        (0, 0, 0), Free(), C1, dt).up
-    np.testing.assert_allclose(s1.up, np.exp(-1j * bz * dt) * free_up,
+    e_up, e_down = PauliStepper(g, Free(), C1, dt, (0, 0, bz)).advance(
+        s0.up, s0.down)
+    free = PauliStepper(g, Free(), C1, dt, (0, 0, 0))
+    free_up, _ = free.advance(s0.up, np.zeros_like(packet))
+    np.testing.assert_allclose(e_up, np.exp(-1j * bz * dt) * free_up,
                                atol=1e-12)
     # the rotation leaves the total density exactly as the free step made it
-    free = step_spinor_pauli(s0, (0, 0, 0), Free(), C1, dt)
-    e1, e2 = s1.densities()
-    f1, f2 = free.densities()
-    assert np.max(np.abs((e1 + e2) - (f1 + f2))) < 1e-14
+    f_up, f_down = free.advance(s0.up, s0.down)
+    assert np.max(np.abs((np.abs(e_up) ** 2 + np.abs(e_down) ** 2)
+                         - (np.abs(f_up) ** 2 + np.abs(f_down) ** 2))) < 1e-14
 
 
 def test_spinor_pauli_rabi_period():
@@ -209,16 +222,18 @@ def test_spinor_pauli_rabi_period():
     x = g.coordinates(0)
     packet = np.exp(-x * x / 4).astype(complex)
     s = SpinorWaveFunction(g, packet, np.zeros_like(packet)).normalize()
+    up, down = s.up, s.down
     w = g.quadrature_weights()
     bx = 1.0
     period = 2 * np.pi / (2 * bx)
     n = 500
     dt = period / n
+    pauli = PauliStepper(g, Free(), C1, dt, (bx, 0, 0))
     worst = 0.0
     for j in range(n):
-        s = step_spinor_pauli(s, (bx, 0, 0), Free(), C1, dt)
+        up, down = pauli.advance(up, down)
         t = (j + 1) * dt
-        p_up = float(np.sum(w * np.abs(s.up) ** 2))
+        p_up = float(np.sum(w * np.abs(up) ** 2))
         worst = max(worst, abs(p_up - np.cos(bx * t) ** 2))
     assert worst < 1e-4
 
@@ -226,29 +241,37 @@ def test_spinor_pauli_rabi_period():
 def test_spinor_pauli_kinetic_product_puts_the_phase_first():
     """On 16384 points numpy's temporary elision would evaluate
     ``kin * fft(up)`` as ``fft(up) *= kin``, and complex products are not
-    bitwise commutative; the step pins the phase-first bits on every size."""
+    bitwise commutative; the step pins the phase-first bits on every size,
+    with and without a potential."""
     g = grid1d(16384, 8.0)
     rng = np.random.default_rng(3)
     up, down = (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
                 for _ in range(2))
     dt = 1e-3
-    s = step_spinor_pauli(SpinorWaveFunction(g, up, down), (0, 0, 0), Free(),
-                          C1, dt)
-    phase = np.exp(-0.5j * dt * Free().evaluate(g, C1) / C1.hbar)
-    k = 2.0 * np.pi * np.fft.fftfreq(g.axes[0].count, d=g.axes[0].spacing)
-    kin = np.exp(-1j * dt * C1.hbar * k**2 / (2.0 * C1.masses[0]))
-    for got, comp in ((s.up, up), (s.down, down)):
-        spectrum = np.fft.fft(np.multiply(phase, comp))
-        want = np.multiply(phase, np.fft.ifft(np.multiply(kin, spectrum)))
-        assert got.tobytes() == want.tobytes()
+    for potential in (Free(), Harmonic((1.0,))):
+        pauli = PauliStepper(g, potential, C1, dt, (0.3, -0.4, 0.5))
+        got = pauli.advance(up, down)
+        (a, b), (c, d) = pauli.rotation
+        phase = np.exp(-0.5j * dt * potential.evaluate(g, C1) / C1.hbar)
+        k = 2.0 * np.pi * np.fft.fftfreq(g.axes[0].count, d=g.axes[0].spacing)
+        kin = np.exp(-1j * dt * C1.hbar * k**2 / (2.0 * C1.masses[0]))
+        rotated = (np.multiply(a, up) + np.multiply(b, down),
+                   np.multiply(c, up) + np.multiply(d, down))
+        stepped = []
+        for comp in rotated:
+            spectrum = np.fft.fft(np.multiply(phase, comp))
+            stepped.append(np.multiply(
+                phase, np.fft.ifft(np.multiply(kin, spectrum))))
+        want = (np.multiply(a, stepped[0]) + np.multiply(b, stepped[1]),
+                np.multiply(c, stepped[0]) + np.multiply(d, stepped[1]))
+        for got_comp, want_comp in zip(got, want):
+            assert got_comp.tobytes() == want_comp.tobytes()
 
 
 def test_spinor_pauli_requires_periodic():
     g = Grid.regular(-8.0, 8.0, 257, boundary="boxed", dimension=1)
-    s = SpinorWaveFunction(g, np.ones(257, dtype=complex),
-                           np.zeros(257, dtype=complex))
-    with pytest.raises(ValueError):
-        step_spinor_pauli(s, (0, 0, 0), Free(), C1, 1e-3)
+    with pytest.raises(ValueError, match="periodic"):
+        PauliStepper(g, Free(), C1, 1e-3, (0, 0, 0))
 
 
 # --- trajectories --------------------------------------------------------------------

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import expm, lapack
 
 from bohmsim import analytic, propagate
 from bohmsim.fields import (ScalarWaveFunction, density, norm,
@@ -84,6 +84,20 @@ def test_method_boundary_mismatch():
         step(gaussian(periodic_grid()), Free(), C1, 1e-3, "leapfrog")
     with pytest.raises(ValueError):
         step(gaussian(periodic_grid()), Free(), C1, -1e-3, SPLIT_FOURIER)
+
+
+def test_split_fourier_phases_must_be_finite():
+    """A phase beyond the float range is rejected when the stepper is built,
+    before any state turns into NaN."""
+    g = periodic_grid(256)
+    with pytest.raises(ValueError, match="kinetic phase of a 1e\\+306 step"):
+        prepare_stepper(g, Free(), C1, 1e306, SPLIT_FOURIER)
+    v = np.zeros(256)
+    v[3] = np.inf
+    with pytest.raises(ValueError, match="potential phase of a 0.001 step"):
+        prepare_stepper(g, Sampled(v), C1, 1e-3, SPLIT_FOURIER)
+    with pytest.raises(ValueError, match="rotation angle"):
+        propagate.PauliStepper(g, Free(), C1, 1e300, (1e10, 0.0, 0.0))
 
 
 def test_step_coupled_oscillator_against_closed_form():
@@ -225,6 +239,69 @@ def test_evolve_equals_single_steps(method):
         if (j + 1) % 20 == 0:
             assert rec.snapshots[(j + 1) // 20].amplitudes.tobytes() \
                 == arr.tobytes()
+
+
+# --- the Pauli step ----------------------------------------------------------------
+
+_SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]]),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+@pytest.mark.parametrize("b_field,dt", [
+    ((0.0, 0.0, 0.0), 1e-3), ((1.0, 0.0, 0.0), 1e-3),
+    ((0.3, -0.4, 0.5), 0.2), ((0.0, 0.0, -2.0), 0.7),
+    ((1e200, -2e200, 0.5e200), 2e-200)],
+    ids=["zero", "transverse", "oblique", "longitudinal", "1e200"])
+def test_pauli_half_rotation_matches_expm(b_field, dt):
+    """The stepper's half rotation is exp(-i (dt/2) B.sigma / hbar), with
+    |B| = 1e200 taken without overflow, and none at B = 0."""
+    c = PhysicalConstants(hbar=0.7, masses=(1.0,))
+    pauli = propagate.PauliStepper(periodic_grid(64), Free(), c, dt, b_field)
+    b_sigma = sum(b * s for b, s in zip(b_field, _SIGMA))
+    want = expm(-1j * (0.5 * dt) * b_sigma / c.hbar)
+    got = np.eye(2) if pauli.rotation is None else np.array(pauli.rotation)
+    assert (pauli.rotation is None) == (not any(b_field))
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+class _CountingPotential:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def evaluate(self, grid, constants):
+        self.calls += 1
+        return self.inner.evaluate(grid, constants)
+
+
+def _logged(log, name, fn):
+    """fn, appending name to log on every call."""
+    def logged(*args, **kwargs):
+        log.append(name)
+        return fn(*args, **kwargs)
+    return logged
+
+
+@pytest.mark.parametrize("steps", [1, 40])
+def test_pauli_stepper_builds_its_phases_once(monkeypatch, steps):
+    """The potential is evaluated and every phase and rotation coefficient
+    computed when the stepper is built, never in a step."""
+    g = periodic_grid(256)
+    potential = _CountingPotential(Harmonic((1.0,)))
+    pauli = propagate.PauliStepper(g, potential, C1, 1e-3, (0.3, 0.0, 0.4))
+    up = gaussian(g, k=1.0).amplitudes
+    down = np.zeros_like(up)
+    built = []
+    for module, name in ((np, "exp"), (np, "cos"), (np, "sin"),
+                         (np.fft, "fftfreq")):
+        monkeypatch.setattr(module, name,
+                            _logged(built, name, getattr(module, name)))
+    for _ in range(steps):
+        up, down = pauli.advance(up, down)
+    assert potential.calls == 1 and built == []
+    assert abs(np.sum(g.quadrature_weights()
+                      * (np.abs(up) ** 2 + np.abs(down) ** 2)) - 1.0) < 1e-12
 
 
 # --- evolve ------------------------------------------------------------------------

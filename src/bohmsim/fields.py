@@ -83,9 +83,6 @@ class SpinorWaveFunction:
         return SpinorWaveFunction(self.grid, self.up / n, self.down / n,
                                   normalized=True)
 
-    def densities(self):
-        return np.abs(self.up) ** 2, np.abs(self.down) ** 2
-
 
 @dataclass(frozen=True)
 class CurrentField:

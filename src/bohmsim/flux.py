@@ -37,6 +37,7 @@ def _current_at_surface(record, constants, surface):
     cubic interpolation at x=c, integrated over the transverse axis in 2-d."""
     grid = record.grid
     ax = grid.axes[0]
+    record.check_constants(constants)
     surface.check_grid(grid)
     if not record.spans(surface.t0, surface.t1):
         raise ValueError("surface time window outside the record span")

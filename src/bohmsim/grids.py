@@ -87,10 +87,6 @@ class Grid:
     def shape(self):
         return tuple(ax.count for ax in self.axes)
 
-    @property
-    def total_points(self):
-        return int(np.prod(self.shape))
-
     def coordinates(self, axis):
         return self.axes[axis].points()
 

@@ -3,6 +3,11 @@ spinor), node detection, and trajectory integration dQ/dt = v(Q, t) by
 fixed-step RK4 on time-interpolated evolution records. Wave functions,
 spinors included, are evolved in ``propagate``.
 
+``integrate_flow`` returns one ``FlowResult`` for every batch, a single
+trajectory or a |psi|^2 ensemble: end points, status codes and optional
+paths. ``FlowResult.completed`` hands out the end points of the members
+that completed and raises ``EmptyFlowError`` when none did.
+
 Bohmian trajectories almost surely never reach a node of psi, so meeting one
 only signals discretisation error. The rule is fixed: a configuration whose
 density lies below NODE_FRACTION times the peak density of the first field
@@ -68,6 +73,18 @@ class OutOfBoundsError(Exception):
 
 class HitNodeError(Exception):
     pass
+
+
+class EmptyFlowError(ValueError):
+    """Every member of a flow stopped before its end, so there is no
+    transported ensemble; the counts say how they stopped."""
+
+    def __init__(self, n_input, hit_node, left_grid):
+        super().__init__(f"no member completed the flow: of {n_input}, "
+                         f"{hit_node} hit a node, {left_grid} left the grid")
+        self.n_input = n_input
+        self.hit_node = hit_node
+        self.left_grid = left_grid
 
 
 @dataclass(frozen=True)
@@ -273,10 +290,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "points", p)
 
-    @property
-    def final(self):
-        return self.points[-1]
-
     def to_csv(self, path):
         d = self.points.shape[1]
         header = "t,q1" if d == 1 else "t,q1,q2"
@@ -288,7 +301,8 @@ class Trajectory:
 
 
 class FlowResult:
-    """Batched integration output: endpoints, status codes, optional paths."""
+    """Batched integration output: endpoints, status codes, optional paths.
+    The one result of every flow, single trajectories and ensembles alike."""
 
     def __init__(self, times, points, statuses, stop_index, paths=None):
         self.times = times
@@ -310,6 +324,15 @@ class FlowResult:
 
     def count(self, name):
         return int(np.sum(self.statuses == _STATUS_NAMES.index(name)))
+
+    def completed(self):
+        """(k, d) end points of the k members that completed, in input
+        order; raises EmptyFlowError when none did."""
+        ok = self.statuses == COMPLETED_CODE
+        if not ok.any():
+            raise EmptyFlowError(len(self.statuses), self.count(HIT_NODE),
+                                 self.count(LEFT_GRID))
+        return self.points[ok]
 
 
 def ode_step_count(span, dt_ode, snapshot_dt):
@@ -348,6 +371,7 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     when, another member stopped.
     """
     constants.check_dimension(record.grid)
+    record.check_constants(constants)
     dt_ode = dt_ode if dt_ode is not None else record.dt
     n = ode_step_count(record.t_final - record.t_initial, dt_ode, record.dt)
     times = record.t_initial + dt_ode * np.arange(n + 1)

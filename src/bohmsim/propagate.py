@@ -303,6 +303,13 @@ class EvolutionRecord:
     def t_final(self):
         return float(self.times[-1])
 
+    def check_constants(self, constants):
+        """Raise ValueError unless ``constants`` are the ones the record was
+        evolved with: the flow and the current read them off its fields."""
+        if constants != self.constants:
+            raise ValueError(f"constants {constants.describe()} differ from "
+                             f"the record's {self.constants.describe()}")
+
     def spans(self, t0, t1):
         eps = 1e-9 * max(1.0, abs(self.t_final))
         return self.t_initial - eps <= t0 and t1 <= self.t_final + eps
@@ -351,6 +358,7 @@ def evolve(psi0, potential, constants, t_final, dt, method, snapshot_stride=1):
 def continuity_residual(record, constants):
     """max |d rho / dt + div J| over interior snapshot times, with centered
     time differences and the module's derivative stencils in space."""
+    record.check_constants(constants)
     if len(record.snapshots) < 3:
         raise ValueError("continuity residual needs at least 3 snapshots")
     worst = 0.0

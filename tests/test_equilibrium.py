@@ -12,11 +12,12 @@ from bohmsim.equilibrium import (Ensemble, MacroPartition, ZeroSliceError,
                                  aligned_l2_error, collapse_experiment,
                                  conditional_wavefunction,
                                  effective_decomposition,
-                                 equivariance_distance, evolve_ensemble,
+                                 equivariance_distance,
                                  multi_time_equivariance, sample_density)
 from bohmsim.fields import ScalarWaveFunction, gradient_array, norm
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import OutOfBoundsError
+from bohmsim.guidance import (HIT_NODE, LEFT_GRID, OutOfBoundsError,
+                              integrate_flow)
 from bohmsim.kernels import cubic_stencil
 from bohmsim.potentials import CoupledOscillator, Free, Harmonic
 from bohmsim.propagate import SPLIT_FOURIER, evolve
@@ -89,7 +90,7 @@ def test_sample_deterministic_and_validated():
 
 def test_ensemble_requires_members():
     with pytest.raises(ValueError):
-        Ensemble(np.zeros((0, 1)), time=0.0, seed=0)
+        Ensemble(np.zeros((0, 1)))
 
 
 # --- ensemble transport --------------------------------------------------------------
@@ -103,9 +104,9 @@ def test_evolve_ensemble_stationary():
     rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.05, 0.05,
                           1, 0.05 * np.arange(11), [psi] * 11)
     ens = sample_density(psi, 300, seed=3)
-    res = evolve_ensemble(ens, rec, C1, dt_ode=5e-2)
-    assert res.hit_node == 0 and res.left_grid == 0
-    np.testing.assert_allclose(res.ensemble.members, ens.members, atol=1e-9)
+    res = integrate_flow(ens.members, rec, C1, dt_ode=5e-2)
+    assert res.count(HIT_NODE) == 0 and res.count(LEFT_GRID) == 0
+    np.testing.assert_allclose(res.completed(), ens.members, atol=1e-9)
 
 
 def test_evolve_ensemble_diagonal_scaling():
@@ -115,10 +116,9 @@ def test_evolve_ensemble_diagonal_scaling():
     rec = evolve(psi0, CoupledOscillator(analytic.COUPLING), C2, 1.0, 1e-3,
                  SPLIT_FOURIER, snapshot_stride=10)
     diag = np.array([[0.2, 0.2], [0.5, 0.5], [-0.4, -0.4]])
-    ens = Ensemble(diag, time=0.0, seed=0)
-    res = evolve_ensemble(ens, rec, C2, dt_ode=1e-2)
+    res = integrate_flow(diag, rec, C2, dt_ode=1e-2)
     factor = math.sqrt(2.0)
-    np.testing.assert_allclose(res.ensemble.members, diag * factor, atol=1e-4)
+    np.testing.assert_allclose(res.completed(), diag * factor, atol=1e-4)
 
 
 def test_evolve_ensemble_free_spreading_no_nodes():
@@ -126,18 +126,9 @@ def test_evolve_ensemble_free_spreading_no_nodes():
     psi = unit_gaussian(g)
     rec = evolve(psi, Free(), C1, 1.0, 1e-3, SPLIT_FOURIER, snapshot_stride=2)
     ens = sample_density(psi, 2000, seed=21)
-    res = evolve_ensemble(ens, rec, C1, dt_ode=2e-3)
-    assert res.hit_node == 0
-    assert res.hit_node_fraction == 0.0
-
-
-def test_evolve_ensemble_time_mismatch():
-    g = grid1d()
-    psi = unit_gaussian(g)
-    rec = evolve(psi, Free(), C1, 0.1, 1e-3, SPLIT_FOURIER, snapshot_stride=10)
-    bad = Ensemble(np.zeros((4, 1)), time=0.5, seed=0)
-    with pytest.raises(ValueError):
-        evolve_ensemble(bad, rec, C1, dt_ode=1e-2)
+    res = integrate_flow(ens.members, rec, C1, dt_ode=2e-3)
+    assert res.count(HIT_NODE) == 0
+    assert res.completed().shape == (2000, 1)
 
 
 # --- equivariance distances ------------------------------------------------------------
@@ -171,7 +162,7 @@ def test_distance_shifted_gaussian_large():
 def test_distance_single_member():
     g = grid1d(256)
     psi = unit_gaussian(g)
-    ens = Ensemble(np.array([[0.05]]), time=0.0, seed=0)
+    ens = Ensemble(np.array([[0.05]]))
     rep = equivariance_distance(ens, psi, bins=20)
     from bohmsim.equilibrium import _bin_masses
     _, masses = _bin_masses(psi, 20)

@@ -10,10 +10,10 @@ from bohmsim import analytic, guidance
 from bohmsim.fields import (ScalarWaveFunction, SpinorWaveFunction, density,
                             gradient, norm)
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import (Configuration, HitNodeError, OutOfBoundsError,
-                              RecordSampler, Trajectory, integrate_flow,
-                              integrate_trajectory, interpolate,
-                              spinor_velocity, velocity)
+from bohmsim.guidance import (Configuration, EmptyFlowError, HitNodeError,
+                              OutOfBoundsError, RecordSampler, Trajectory,
+                              integrate_flow, integrate_trajectory,
+                              interpolate, spinor_velocity, velocity)
 from bohmsim.potentials import Free, Harmonic
 from bohmsim.propagate import (SPLIT_FOURIER, EvolutionRecord, PauliStepper,
                                evolve)
@@ -358,6 +358,24 @@ def test_flow_node_rule():
     assert flow.status_names() == ["HitNode", "Completed"]
     assert flow.stop_index.tolist() == [0, 10]
     assert flow.points[0, 0] == starts[0, 0]
+
+
+def test_flow_completed_members():
+    """completed() hands out the end points of the members that completed,
+    in input order; when none did it raises EmptyFlowError with the counts
+    of how they stopped."""
+    psi = _first_excited()
+    rec = EvolutionRecord(psi.grid, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.1,
+                          0.1, 1, 0.1 * np.arange(11), [psi] * 11)
+    flow = integrate_flow(np.array([[0.5], [1e-7], [-0.5]]), rec, C1,
+                          dt_ode=0.1)
+    assert flow.status_names() == ["Completed", "HitNode", "Completed"]
+    np.testing.assert_array_equal(flow.completed(), flow.points[[0, 2]])
+    with pytest.raises(EmptyFlowError) as info:
+        integrate_flow(np.array([[1e-7], [-1e-7]]), rec, C1,
+                       dt_ode=0.1).completed()
+    assert (info.value.n_input, info.value.hit_node,
+            info.value.left_grid) == (2, 2, 0)
 
 
 def test_no_crossing_in_one_dimension():

@@ -616,6 +616,26 @@ def test_continuity_needs_three_snapshots():
         continuity_residual(rec, C1)
 
 
+def test_record_rejects_other_constants():
+    """The flow, the surface current and the continuity residual read the
+    record's fields with the constants they were evolved with; any other
+    constants are an error that names both."""
+    from bohmsim.flux import CrossingSurface, expected_crossings
+    from bohmsim.guidance import integrate_flow
+    rec = evolve(gaussian(periodic_grid(128), k=0.5), Free(), C1, 0.1, 1e-2,
+                 SPLIT_FOURIER)
+    heavy = PhysicalConstants(masses=(7.0,))
+    surface = CrossingSurface(0.0, 0.0, 0.1)
+    calls = [lambda c: integrate_flow([[0.3]], rec, c),
+             lambda c: expected_crossings(rec, c, surface),
+             lambda c: continuity_residual(rec, c)]
+    for call in calls:
+        call(C1)
+        with pytest.raises(ValueError, match=r"constants .*7\.0.* differ "
+                           r"from the record's .*1\.0"):
+            call(heavy)
+
+
 # --- persistence --------------------------------------------------------------------
 
 

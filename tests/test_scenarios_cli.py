@@ -126,6 +126,33 @@ def test_collapse_where_no_member_completes_fails(monkeypatch):
     assert [c["passed"] for c in report["checks"]] == [False, False]
 
 
+def test_spin_decoupling_check_fails_when_the_components_mix(monkeypatch):
+    """The decoupling check can fail: a stepper with a 1e-6 transverse field
+    in place of B = 0 mixes the components, so they stop being multiples of
+    each other."""
+    pauli = scenarios.PauliStepper
+
+    def mixing(grid, potential, constants, dt, b_field):
+        if not any(b_field):
+            b_field = (1e-6, 0.0, 0.0)
+        return pauli(grid, potential, constants, dt, b_field)
+
+    monkeypatch.setattr(scenarios, "PauliStepper", mixing)
+    code, report = run_scenario({"scenario": "spin", "points": 128})
+    checks = {c["name"]: c for c in report["checks"]}
+    check = checks["zero-field spinor evolution matches scalar evolution"]
+    assert code == 1 and not check["passed"]
+    assert check["value"] > 1e-9
+
+
+def test_oracle_trajectory_check_names_its_final_time():
+    _, report = run_scenario({"scenario": "oscillator-oracle", "points": 64,
+                              "t_final": 1.0})
+    names = [c["name"] for c in report["checks"]]
+    assert "trajectories match closed form to t=1" in names
+    assert not any("to t=2" in name for name in names)
+
+
 def test_cli_collapse_losing_half_its_members_fails(tmp_path, capsys):
     """Half of these members leave the grid and the pointer packets meet
     again after classification: the lost-fraction and the leakage-series

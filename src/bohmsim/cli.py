@@ -35,7 +35,10 @@ def main(argv=None):
     run_p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect, "
                             "every run uses one thread")
-    run_p.add_argument("--seed-override", type=int, default=None)
+    run_p.add_argument("--seed-override", type=int, default=None,
+                       help="replaces the config's seed; scenarios without "
+                            "a seed parameter draw no random numbers and "
+                            "ignore it")
 
     sub.add_parser("list", help="list the named scenarios")
 

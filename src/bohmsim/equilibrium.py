@@ -124,11 +124,13 @@ def equivariance_distance(ens, psi, bins=50):
     return DistanceReport(l1=l1)
 
 
-def equivariance_check(psi0, record, constants, n, seed, bins=50, dt_ode=None):
-    """Transport an equilibrium sample and compare it at the final time both
-    to |psi_t|^2 and, by a two-sample KS test, to a fresh equilibrium sample."""
-    ens0 = sample_density(psi0, n, seed)
-    flow = integrate_flow(ens0.members, record, constants, dt_ode=dt_ode)
+def equivariance_check(record, n, seed, bins=50, dt_ode=None):
+    """Transport an equilibrium sample of the record's first snapshot and
+    compare it at the final time both to |psi_t|^2 and, by a two-sample KS
+    test, to a fresh equilibrium sample."""
+    ens0 = sample_density(record.snapshots[0], n, seed)
+    flow = integrate_flow(ens0.members, record, record.constants,
+                          dt_ode=dt_ode)
     moved = Ensemble(flow.completed())
     psi_t = record.snapshots[-1]
     dist = equivariance_distance(moved, psi_t, bins=bins)
@@ -159,10 +161,8 @@ def multi_time_equivariance(psi0, potential, constants, times, dt, method,
     for j, t in enumerate(times):
         rec = evolve(psi0, potential, constants, t, dt, method,
                      snapshot_stride=stride)
-        ens = sample_density(psi0, n_each, seed + 1009 * j)
-        flow = integrate_flow(ens.members, rec, constants, dt_ode=dt_ode)
-        l1s.append(equivariance_distance(Ensemble(flow.completed()),
-                                         rec.snapshots[-1], bins=bins).l1)
+        l1s.append(equivariance_check(rec, n_each, seed + 1009 * j, bins=bins,
+                                      dt_ode=dt_ode)["l1"])
     return {"per_time_l1": l1s, "mean_l1": float(np.mean(l1s))}
 
 
@@ -188,9 +188,9 @@ def conditional_wavefunction(psi2d, y_value):
 
 @dataclass(frozen=True)
 class MacroPartition:
-    """Disjoint labeled intervals of the environment coordinate."""
+    """Disjoint labeled intervals of the environment coordinate, the second
+    axis of the field."""
 
-    axis: int
     cells: tuple  # ((lower, upper, label), ...)
 
     def __post_init__(self):
@@ -214,6 +214,9 @@ class MacroPartition:
         return None
 
 
+RESIDUAL_TOL = 1e-3  # the largest relative residual of a product fit
+
+
 @dataclass(frozen=True)
 class EffectiveDecomposition:
     """Psi = system x environment + remainder, with the environment factor
@@ -228,13 +231,11 @@ class EffectiveDecomposition:
     cell_label: str
 
 
-def effective_decomposition(psi2d, partition, y_value, residual_tol=1e-3):
+def effective_decomposition(psi2d, partition, y_value):
     """Best rank-one (product) fit of Psi restricted to the cell containing
     Y. Returns None when no product structure exists within the cell
-    (relative fit residual above residual_tol)."""
+    (relative fit residual above RESIDUAL_TOL)."""
     grid = psi2d.grid
-    if partition.axis != 1:
-        raise ValueError("environment coordinate must be the second axis")
     cell = partition.cell_of(y_value)
     if cell is None:
         raise ValueError(f"Y={y_value} lies in no partition cell")
@@ -253,7 +254,7 @@ def effective_decomposition(psi2d, partition, y_value, residual_tol=1e-3):
     if total <= 0:
         raise ZeroSliceError("no amplitude in the selected cell")
     residual = math.sqrt(max(0.0, 1.0 - s[0] ** 2 / total))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         return None
     phi_cell = np.conj(vh[0]) / s1
     sys_amp = s[0] * u[:, 0] / s0
@@ -297,6 +298,8 @@ def aligned_l2_error(psi_a, psi_b):
 
 
 COLLAPSE_SHAPE = (128, 384)  # grid points of the system and pointer axes
+# pointer mass on the wrong side of y = 0 below which the cells are disjoint
+LEAKAGE_THRESHOLD = 1e-6
 
 
 def collapse_hamiltonian(coupling):
@@ -317,7 +320,7 @@ def collapse_hamiltonian(coupling):
 
 
 def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
-                        snapshot_stride, dt_ode, leakage_threshold=1e-6):
+                        snapshot_stride, dt_ode):
     """Two-outcome von Neumann measurement on a 2-d grid; returns the report.
 
     The system is a superposition c1 phi1 + c2 phi2 of two well-separated
@@ -358,7 +361,7 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
         leak = float(np.sum(rho[xpos & ypos]) + np.sum(rho[~xpos & ~ypos]))
         leakage_series.append([float(t), leak])
     classification_time = next(
-        (t for t, leak in leakage_series if leak < leakage_threshold), None)
+        (t for t, leak in leakage_series if leak < LEAKAGE_THRESHOLD), None)
     final_leakage = leakage_series[-1][1]
     # the largest leakage from classification on, over every snapshot; over
     # the whole run when it is never classified
@@ -379,7 +382,7 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
         sigma = math.sqrt(max(p * (1.0 - p), 0.0) / n_members)
         bands[k] = [p - 4.0 * sigma, p + 4.0 * sigma]
 
-    partition = MacroPartition(axis=1, cells=((-6.0, 0.0, "1"), (0.0, 6.0, "2")))
+    partition = MacroPartition(cells=((-6.0, 0.0, "1"), (0.0, 6.0, "2")))
     packets = {"1": phi1, "2": phi2}
     eff_errors = {}
     for k in ("1", "2"):
@@ -406,13 +409,13 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
                        "value": err, "threshold": 1e-3,
                        "passed": err is not None and err < 1e-3})
     checks.append({"name": "pointer cells macroscopically disjoint",
-                   "value": final_leakage, "threshold": leakage_threshold,
-                   "passed": final_leakage < leakage_threshold})
+                   "value": final_leakage, "threshold": LEAKAGE_THRESHOLD,
+                   "passed": final_leakage < LEAKAGE_THRESHOLD})
     checks.append({"name": "pointer cells stay disjoint from classification "
                    "to t_meas", "value": peak_leakage,
-                   "threshold": leakage_threshold,
+                   "threshold": LEAKAGE_THRESHOLD,
                    "passed": (classification_time is not None
-                              and peak_leakage < leakage_threshold)})
+                              and peak_leakage < LEAKAGE_THRESHOLD)})
     lost = (hit_node + left_grid) / n_members
     checks.append({"name": "lost fraction (node hits and grid exits) <= 0.01",
                    "value": lost, "threshold": 0.01, "passed": lost <= 0.01})
@@ -427,7 +430,7 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
             "dt_ode": dt_ode,
             "packet_separation": 2 * sep,
             "packet_overlap": float(packet_overlap),
-            "leakage_threshold": leakage_threshold,
+            "leakage_threshold": LEAKAGE_THRESHOLD,
         },
         "seed": seed,
         "counts": {**counts, "hit_node": hit_node, "left_grid": left_grid},

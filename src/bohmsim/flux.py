@@ -8,6 +8,7 @@ import numpy as np
 
 from .fields import probability_current
 from .kernels import interp_cubic_1d
+from .propagate import time_tol
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,11 @@ class CrossingSurface:
             raise ValueError("surface location outside the grid")
 
 
-def _current_at_surface(record, constants, surface):
+def _current_at_surface(record, surface):
     """Normal current at the surface for every snapshot time in [t0, t1]:
     cubic interpolation at x=c, integrated over the transverse axis in 2-d."""
     grid = record.grid
     ax = grid.axes[0]
-    record.check_constants(constants)
     surface.check_grid(grid)
     if not record.spans(surface.t0, surface.t1):
         raise ValueError("surface time window outside the record span")
@@ -47,7 +47,7 @@ def _current_at_surface(record, constants, surface):
                                _in_window(record.times, surface)):
         if not inside:
             continue
-        j = probability_current(snap, constants).components[0]
+        j = probability_current(snap, record.constants).components[0]
         line = interp_cubic_1d(j.T, ax.lower, ax.spacing, ax.periodic,
                                at)[..., 0].real
         if grid.dimension == 2:
@@ -57,10 +57,10 @@ def _current_at_surface(record, constants, surface):
     return np.asarray(times), np.asarray(vals)
 
 
-def expected_crossings(record, constants, surface):
+def expected_crossings(record, surface):
     """(total, signed) = (integral of |j.n|, integral of j.n) over the
     surface, by trapezoid in time over the record snapshots."""
-    times, vals = _current_at_surface(record, constants, surface)
+    times, vals = _current_at_surface(record, surface)
     if len(times) < 2:
         raise ValueError("surface window contains fewer than two snapshots")
     total = float(np.trapezoid(np.abs(vals), times))
@@ -99,4 +99,5 @@ def per_member_counts(flow, surface):
 
 
 def _in_window(times, surface):
-    return (times >= surface.t0 - 1e-12) & (times <= surface.t1 + 1e-12)
+    return ((times >= surface.t0 - time_tol(surface.t0))
+            & (times <= surface.t1 + time_tol(surface.t1)))

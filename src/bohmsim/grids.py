@@ -154,8 +154,9 @@ class PhysicalConstants:
             raise ValueError("hbar and masses must be positive")
 
     @classmethod
-    def natural(cls, dimension=1, hbar=1.0, mass=1.0):
-        return cls(hbar=hbar, masses=(mass,) * dimension)
+    def natural(cls, dimension=1):
+        """hbar = 1 and unit masses."""
+        return cls(masses=(1.0,) * dimension)
 
     def check_dimension(self, grid):
         if len(self.masses) != grid.dimension:

@@ -19,9 +19,9 @@ the same field, so all of them advance together, one RK4 step at a time, and
 no member's arithmetic depends on which others share its batch. One
 ``RecordSampler`` window serves the whole batch: it derives each snapshot's
 psi and grad psi once, and each RK4 stage interpolates them in one stacked
-call. The sampler owns the snapshot clock (snapshot i is at t0 + i dt), so
-the flow needs only a record's start, spacing and snapshots. Each snapshot
-gradient is written straight into its window row by ``gradient_array``.
+call. The sampler owns the snapshot clock (snapshot i is at i dt), so the
+flow needs only a record's spacing and snapshots. Each snapshot gradient is
+written straight into its window row by ``gradient_array``.
 
 The time blend runs on the grid, before interpolation: at a time between
 two snapshots the sampler writes (1 - theta) psi_i + theta psi_(i+1), and
@@ -55,6 +55,7 @@ import numpy as np
 # the window: the benchmark's per-layer trace wraps both names here
 from .fields import density, gradient, gradient_array  # noqa: F401
 from .kernels import interp_cubic_1d, interp_cubic_2d
+from .propagate import TIME_RTOL, time_tol
 
 COMPLETED = "Completed"
 HIT_NODE = "HitNode"
@@ -90,7 +91,6 @@ class EmptyFlowError(ValueError):
 @dataclass(frozen=True)
 class Configuration:
     coordinates: tuple
-    time: float = 0.0
 
     def __post_init__(self):
         coords = tuple(float(c) for c in np.atleast_1d(self.coordinates))
@@ -138,9 +138,9 @@ def interpolate(psi, q):
 class RecordSampler:
     """psi and grad psi of a run of snapshots, linearly interpolated in time.
 
-    Snapshot i is the field at time t0 + i dt; t0 and dt matter only when
-    there is more than one snapshot. A sliding window of shape
-    (slots * (1 + d),) + grid.shape holds the fields of at most two
+    Snapshot i is the field at time i dt: a record starts at t = 0. dt
+    matters only when there is more than one snapshot. A sliding window of
+    shape (slots * (1 + d),) + grid.shape holds the fields of at most two
     snapshots, one per slot: snapshot i sits in slot i % 2 as the 1 + d
     leading rows (psi, d_1 psi, ..., d_d psi), so each slot is one
     contiguous block. A single snapshot gets a one-slot window. Within one
@@ -155,10 +155,9 @@ class RecordSampler:
     same time reuse it.
     """
 
-    def __init__(self, grid, snapshots, t0=0.0, dt=None):
+    def __init__(self, grid, snapshots, dt=None):
         self.grid = grid
         self.snapshots = snapshots
-        self.t0 = t0
         self.dt = dt
         self.node_threshold = _node_threshold(density(snapshots[0]))
         self._width = 1 + grid.dimension
@@ -203,7 +202,7 @@ class RecordSampler:
         of the later one; (0, 0, 0.0) for a single snapshot."""
         if len(self.snapshots) == 1:
             return 0, 0, 0.0
-        s = (t - self.t0) / self.dt
+        s = t / self.dt
         i = min(max(math.floor(s), 0), len(self.snapshots) - 2)
         theta = float(min(max(s - i, 0.0), 1.0))
         return i, i + 1, theta
@@ -337,14 +336,15 @@ class FlowResult:
 
 def ode_step_count(span, dt_ode, snapshot_dt):
     """Number of RK4 steps of dt_ode over a record span. dt_ode must divide
-    the span and may not be below the snapshot spacing snapshot_dt."""
+    the span and may not be below the snapshot spacing snapshot_dt, both to
+    a relative TIME_RTOL."""
     if dt_ode <= 0:
         raise ValueError("dt_ode must be positive")
-    if snapshot_dt > dt_ode + 1e-12:
+    if snapshot_dt > dt_ode * (1.0 + TIME_RTOL):
         raise ValueError("snapshot spacing exceeds dt_ode; densify snapshots")
     ratio = span / dt_ode
     n = int(round(ratio)) if math.isfinite(ratio) else 0
-    if n <= 0 or abs(n * dt_ode - span) > 1e-9 * max(1.0, span):
+    if n <= 0 or abs(n * dt_ode - span) > time_tol(span):
         raise ValueError("dt_ode must evenly divide the record span")
     return n
 
@@ -373,10 +373,9 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     constants.check_dimension(record.grid)
     record.check_constants(constants)
     dt_ode = dt_ode if dt_ode is not None else record.dt
-    n = ode_step_count(record.t_final - record.t_initial, dt_ode, record.dt)
-    times = record.t_initial + dt_ode * np.arange(n + 1)
-    sampler = RecordSampler(record.grid, record.snapshots, record.t_initial,
-                            record.dt)
+    n = ode_step_count(record.t_final, dt_ode, record.dt)
+    times = dt_ode * np.arange(n + 1)
+    sampler = RecordSampler(record.grid, record.snapshots, record.dt)
     q = np.array(points, dtype=np.float64, ndmin=2)
     b, d = q.shape
     statuses = np.full(b, COMPLETED_CODE, dtype=np.int8)
@@ -430,10 +429,10 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     return FlowResult(times, q, statuses, stop, paths)
 
 
-def integrate_trajectory(q0, record, constants, dt_ode=None):
+def integrate_trajectory(q0, record, dt_ode=None):
     """Classical RK4 on the time-dependent guidance field, with the wave
     function linearly interpolated between snapshots. Returns the path and a
     status explaining any early stop (node hit or grid exit): the one-member
     case of ``integrate_flow``."""
-    return integrate_flow(_point(record.grid, q0), record, constants,
+    return integrate_flow(_point(record.grid, q0), record, record.constants,
                           dt_ode=dt_ode, store_path=True).trajectory(0)

@@ -198,8 +198,8 @@ def outcome_distribution_composite(model, psi, composite_labels):
 # --- named generators and the bundled zoo ---------------------------------------
 
 
-def _controlled_flip(n=2, m=2):
-    u = np.eye(n * m, dtype=np.complex128)
+def _controlled_flip():
+    u = np.eye(4, dtype=np.complex128)
     # flip the apparatus bit when the system occupies basis state 1
     u[[2, 3], :] = u[[3, 2], :]
     return u

@@ -53,6 +53,14 @@ SPLIT_FOURIER = "split-fourier"
 CRANK_NICOLSON = "crank-nicolson"
 
 SOLVE_TOL = 1e-12  # relative residual allowed on each tridiagonal solve
+TIME_RTOL = 1e-9  # relative tolerance of every comparison of two times
+
+
+def time_tol(t):
+    """How far an instant may lie from t and still count as t:
+    TIME_RTOL max(1, |t|). Step counts, record spans and surface windows
+    all compare instants within it."""
+    return TIME_RTOL * max(1.0, abs(t))
 
 
 def _check_method(grid, method):
@@ -255,7 +263,8 @@ def step(psi, potential, constants, dt, method):
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Equally spaced snapshots of one evolution, kept for the guidance flow."""
+    """Equally spaced snapshots of one evolution, kept for the guidance flow.
+    A record starts at t = 0: snapshot i is the field at time i dt."""
 
     grid: Grid
     constants: PhysicalConstants
@@ -278,16 +287,19 @@ class EvolutionRecord:
         if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
             raise ValueError(f"stride: must be a positive integer, found "
                              f"{self.stride!r}")
-        if not abs(self.dt - self.step_dt * self.stride) <= 1e-9 * abs(self.dt):
+        if not abs(self.dt - self.step_dt * self.stride) <= TIME_RTOL * self.dt:
             raise ValueError(f"dt: snapshot spacing {self.dt!r} is not step_dt "
                              f"{self.step_dt!r} times stride {self.stride}")
         times = np.asarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
         if len(times) != len(self.snapshots) or len(times) == 0:
             raise ValueError("one snapshot per time required")
+        if times[0] != 0.0:
+            raise ValueError(f"times: a record starts at t = 0, found "
+                             f"{times[0]!r}")
         if len(times) > 1:
             gaps = np.diff(times)
-            if np.any(np.abs(gaps - self.dt) > 1e-9 * max(1.0, abs(self.dt))):
+            if np.any(np.abs(gaps - self.dt) > time_tol(self.dt)):
                 raise ValueError("snapshot times must be equally spaced by dt")
         for s in self.snapshots:
             if s.grid != self.grid:
@@ -296,23 +308,20 @@ class EvolutionRecord:
                 raise ValueError("snapshot not normalized within 1e-8")
 
     @property
-    def t_initial(self):
-        return float(self.times[0])
-
-    @property
     def t_final(self):
         return float(self.times[-1])
 
     def check_constants(self, constants):
         """Raise ValueError unless ``constants`` are the ones the record was
-        evolved with: the flow and the current read them off its fields."""
+        evolved with: ``integrate_flow``, which still takes constants, reads
+        velocities off the record's fields with them."""
         if constants != self.constants:
             raise ValueError(f"constants {constants.describe()} differ from "
                              f"the record's {self.constants.describe()}")
 
     def spans(self, t0, t1):
-        eps = 1e-9 * max(1.0, abs(self.t_final))
-        return self.t_initial - eps <= t0 and t1 <= self.t_final + eps
+        eps = time_tol(self.t_final)
+        return -eps <= t0 and t1 <= self.t_final + eps
 
 
 def step_count(t_final, dt, snapshot_stride=1):
@@ -326,7 +335,7 @@ def step_count(t_final, dt, snapshot_stride=1):
         raise ValueError("snapshot_stride must be positive")
     ratio = t_final / dt
     if not (math.isfinite(ratio)
-            and abs(round(ratio) * dt - t_final) <= 1e-9 * max(1.0, t_final)):
+            and abs(round(ratio) * dt - t_final) <= time_tol(t_final)):
         raise ValueError("t_final must be an integer number of dt steps")
     n_steps = int(round(ratio))
     if n_steps % snapshot_stride != 0:
@@ -355,17 +364,17 @@ def evolve(psi0, potential, constants, t_final, dt, method, snapshot_stride=1):
                            np.asarray(times), snaps)
 
 
-def continuity_residual(record, constants):
+def continuity_residual(record):
     """max |d rho / dt + div J| over interior snapshot times, with centered
     time differences and the module's derivative stencils in space."""
-    record.check_constants(constants)
     if len(record.snapshots) < 3:
         raise ValueError("continuity residual needs at least 3 snapshots")
     worst = 0.0
     rhos = [np.abs(s.amplitudes) ** 2 for s in record.snapshots]
     for j in range(1, len(record.snapshots) - 1):
         drho = (rhos[j + 1] - rhos[j - 1]) / (2.0 * record.dt)
-        div = divergence(probability_current(record.snapshots[j], constants))
+        div = divergence(probability_current(record.snapshots[j],
+                                             record.constants))
         worst = max(worst, float(np.max(np.abs(drho + div))))
     return worst
 

@@ -66,7 +66,7 @@ def test_criterion_3_continuity_and_unitarity():
     residuals = []
     for dt in (2e-3, 1e-3, 5e-4):
         rec = evolve(psi, Free(), C1, 0.2, dt, SPLIT_FOURIER)
-        residuals.append(continuity_residual(rec, C1))
+        residuals.append(continuity_residual(rec))
     r1 = residuals[0] / residuals[1]
     r2 = residuals[1] / residuals[2]
     second_order = 3.4 < r1 < 4.6 and 3.4 < r2 < 4.6

@@ -88,6 +88,13 @@ PROBES = [
      "config: the potential phase of a 0.001 step contains NaN or Inf"),
     (_case("flux", t_final=1e306, dt=1e306, stride=1, dt_ode=1e306),
      "cases[0]: the kinetic phase of a 1e+306 step contains NaN or Inf"),
+    # a packet whose density underflows to 0 on every grid point, and a
+    # momentum whose phase overflows: neither lets numpy warn first
+    (_case("flux", grid={"lower": -16.0, "upper": 26.0, "count": 2048},
+           initial={"generator": "two-packet", "centers": [-55, 17.5]}),
+     "cases[0]: two-packet: the packet at -55 has no weight on the grid"),
+    (_case("flux", initial={"generator": "gaussian", "momentum": 1e308}),
+     "cases[0]: wave function contains NaN or Inf"),
 ]
 
 
@@ -174,6 +181,22 @@ def test_equivariance_with_harmonic_first_case():
                                  "cases": [case]})
     assert report["parameters"]["cases"][0]["potential"] == case["potential"]
     assert code == 0, report["checks"]
+
+
+@pytest.mark.parametrize("dt_ode", [16385.100000000002, 16385.1],
+                         ids=["dt_ode-spacing", "dt_ode-t_final"])
+def test_instants_within_the_time_tolerance_run(dt_ode, tmp_path):
+    """163851 steps of 0.1 end at 16385.100000000002, a relative 2e-16 past
+    t_final 16385.1: the surface window holds that last snapshot, and
+    dt_ode 16385.1 is not below the snapshot spacing. Both configs
+    validate and run to a verdict."""
+    config = {"scenario": "flux", "n": 4, "cases": [{
+        "grid": {"lower": -12.0, "upper": 20.0, "count": 64},
+        "t_final": 16385.1, "dt": 0.1, "stride": 163851, "dt_ode": dt_ode}]}
+    assert validate_config(config) == []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) in (0, 1)
 
 
 def test_flux_derives_each_surface_current_once(monkeypatch):
@@ -381,6 +404,49 @@ SMALL_FLUX = {
         "surface": 0.0, "t_final": 0.5, "dt": 1e-3, "stride": 5,
         "dt_ode": 5e-3, "asserts": [["empirical_total", 0.5, 1.0]]}],
 }
+
+
+class _ReadKeys(dict):
+    """A parameter dict that records every key read from it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# a config of each scenario that runs in about a second
+SMALL = {
+    "oscillator-oracle": {"points": 32, "t_final": 1.0, "dt": 1e-2,
+                          "stride": 1, "dt_ode": 1e-2},
+    "equivariance": {"n": 50, "bins": 8, "cases": [{
+        "name": "small", "grid": {"lower": -12.0, "upper": 12.0,
+                                  "count": 128}, "t_final": 0.1}]},
+    "collapse": {"weights": [0.5], "n": 50, "t_meas": 0.1, "dt": 1e-2,
+                 "dt_ode": 0.1},
+    "flux": SMALL_FLUX,
+    "povm": {"n_states": 2},
+    "classical-limit": {"hbars": [1.0, 0.3], "points": 256, "t_final": 0.1},
+    "spin": {"points": 64, "decoupled_steps": 2, "rabi_steps": 10},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_runner_reads_every_parameter(name):
+    """A parameter the runner never reads would be echoed into the report
+    without acting on the run. A seed override reaches only the scenarios
+    that have a seed."""
+    _, params = parse_config({**SMALL[name], "scenario": name})
+    recorded = _ReadKeys(params)
+    SCENARIOS[name].runner(recorded)
+    assert recorded.read == set(params)
+    _, overridden = parse_config({**SMALL[name], "scenario": name},
+                                 seed_override=5)
+    assert overridden == ({**params, "seed": 5} if "seed" in params
+                          else params)
 
 
 def _nearby(value):

@@ -260,7 +260,7 @@ def test_effective_product_state():
     xs = g.coordinates(0)
     psi = ScalarWaveFunction(
         g, np.outer(_packet(xs, 0.0, 1.0), _packet(xs, -4.0))).normalize()
-    part = MacroPartition(axis=1, cells=((-8.0, 0.0, "lo"), (0.0, 8.0, "hi")))
+    part = MacroPartition(cells=((-8.0, 0.0, "lo"), (0.0, 8.0, "hi")))
     dec = effective_decomposition(psi, part, -4.0)
     assert dec is not None
     assert dec.cell_label == "lo"
@@ -279,7 +279,7 @@ def test_effective_two_branches():
     phi2 = _packet(xs, 4.0)
     amps = 0.8 * np.outer(psi1, phi1) + 0.6 * np.outer(psi2, phi2)
     psi = ScalarWaveFunction(g, amps).normalize()
-    part = MacroPartition(axis=1, cells=((-8.0, 0.0, "L"), (0.0, 8.0, "R")))
+    part = MacroPartition(cells=((-8.0, 0.0, "L"), (0.0, 8.0, "R")))
     dec = effective_decomposition(psi, part, -4.2)
     ref = ScalarWaveFunction(Grid(axes=(g.axes[0],)), psi1)
     assert aligned_l2_error(dec.system, ref) < 1e-6
@@ -288,11 +288,11 @@ def test_effective_two_branches():
     assert abs(norm(dec.remainder) - 0.6) < 1e-6
     with pytest.raises(ValueError):
         effective_decomposition(psi, MacroPartition(
-            axis=1, cells=((-8.0, -1.0, "L"),)), 0.5)
+            cells=((-8.0, -1.0, "L"),)), 0.5)
 
 
 def test_effective_entangled_returns_none(analytic_field_t1):
-    part = MacroPartition(axis=1, cells=((-8.0, 0.0, "L"), (0.0, 8.0, "R")))
+    part = MacroPartition(cells=((-8.0, 0.0, "L"), (0.0, 8.0, "R")))
     assert effective_decomposition(analytic_field_t1, part, 0.7) is None
 
 
@@ -302,7 +302,7 @@ def test_effective_agrees_with_conditional():
     amps = (0.8 * np.outer(_packet(xs, 1.5), _packet(xs, -4.0))
             + 0.6 * np.outer(_packet(xs, -1.5), _packet(xs, 4.0)))
     psi = ScalarWaveFunction(g, amps).normalize()
-    part = MacroPartition(axis=1, cells=((-8.0, 0.0, "L"), (0.0, 8.0, "R")))
+    part = MacroPartition(cells=((-8.0, 0.0, "L"), (0.0, 8.0, "R")))
     y = -3.6
     dec = effective_decomposition(psi, part, y)
     cond = conditional_wavefunction(psi, y)
@@ -311,11 +311,11 @@ def test_effective_agrees_with_conditional():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        MacroPartition(axis=1, cells=((0.0, 2.0, "a"), (1.0, 3.0, "b")))
+        MacroPartition(cells=((0.0, 2.0, "a"), (1.0, 3.0, "b")))
     with pytest.raises(ValueError):
-        MacroPartition(axis=1, cells=((0.0, 1.0, "a"), (1.0, 2.0, "a")))
+        MacroPartition(cells=((0.0, 1.0, "a"), (1.0, 2.0, "a")))
     with pytest.raises(ValueError):
-        MacroPartition(axis=1, cells=((2.0, 1.0, "a"),))
+        MacroPartition(cells=((2.0, 1.0, "a"),))
 
 
 def test_conditional_family_not_schrodinger(analytic_field_t1):

@@ -72,7 +72,7 @@ def test_surface_current_matches_four_term_sum(dimension, boundary, method):
     for location in (0.37, -1.0, ax.lower, ax.upper):
         for orientation in (1, -1):
             surface = CrossingSurface(location, 0.02, 0.1, orientation)
-            times, vals = _current_at_surface(rec, constants, surface)
+            times, vals = _current_at_surface(rec, surface)
             ref_times, ref_vals = _hand_summed_current(rec, constants, surface)
             assert len(times) == 9
             assert times.tobytes() == ref_times.tobytes()
@@ -87,7 +87,7 @@ def test_expected_stationary_zero():
     # real stationary state: the current vanishes identically
     rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.05, 0.05,
                           1, 0.05 * np.arange(5), [psi] * 5)
-    total, signed = expected_crossings(rec, C1, CrossingSurface(0.5, 0.0, 0.2))
+    total, signed = expected_crossings(rec, CrossingSurface(0.5, 0.0, 0.2))
     assert abs(total) < 1e-13 and abs(signed) < 1e-13
 
 
@@ -176,9 +176,9 @@ def test_counts_match_loop_reference(seed, steps, members, orientation,
 
 def test_expected_interval_additivity():
     _, rec = moving_gaussian_record(-3.0, 4.0, 16.0, 1024, 2.0)
-    whole = expected_crossings(rec, C1, CrossingSurface(0.0, 0.0, 2.0))
-    first = expected_crossings(rec, C1, CrossingSurface(0.0, 0.0, 1.0))
-    second = expected_crossings(rec, C1, CrossingSurface(0.0, 1.0, 2.0))
+    whole = expected_crossings(rec, CrossingSurface(0.0, 0.0, 2.0))
+    first = expected_crossings(rec, CrossingSurface(0.0, 0.0, 1.0))
+    second = expected_crossings(rec, CrossingSurface(0.0, 1.0, 2.0))
     assert abs(whole[0] - (first[0] + second[0])) < 1e-12
     assert abs(whole[1] - (first[1] + second[1])) < 1e-12
 
@@ -188,7 +188,7 @@ def test_traversal_against_mass_bookkeeping():
     probability mass transported across the surface."""
     psi, rec = moving_gaussian_record(-3.0, 4.0, 16.0, 1024, 2.0)
     surf = CrossingSurface(0.0, 0.0, 2.0)
-    total, signed = expected_crossings(rec, C1, surf)
+    total, signed = expected_crossings(rec, surf)
     g = rec.grid
     w = g.quadrature_weights()
     right = g.coordinates(0) > 0.0
@@ -227,7 +227,7 @@ def test_superposition_linearity_oracle():
         psi = ScalarWaveFunction(g, amps)
         rec = evolve(psi, Free(), C1, 5.0, 1e-3, SPLIT_FOURIER,
                      snapshot_stride=5)
-        return expected_crossings(rec, C1, surf)
+        return expected_crossings(rec, surf)
 
     ta, sa = flux_of(a)
     tb, sb = flux_of(b)
@@ -240,9 +240,9 @@ def test_superposition_linearity_oracle():
 def test_surface_window_and_location_validated():
     _, rec = moving_gaussian_record(-3.0, 4.0, 16.0, 512, 1.0)
     with pytest.raises(ValueError):
-        expected_crossings(rec, C1, CrossingSurface(0.0, 0.0, 2.0))
+        expected_crossings(rec, CrossingSurface(0.0, 0.0, 2.0))
     with pytest.raises(ValueError):
-        expected_crossings(rec, C1, CrossingSurface(99.0, 0.0, 1.0))
+        expected_crossings(rec, CrossingSurface(99.0, 0.0, 1.0))
 
 
 def test_expected_crossings_2d_surface():
@@ -252,7 +252,7 @@ def test_expected_crossings_2d_surface():
         g, lambda x, y: np.exp(-(x * x + y * y) / 2), normalize=True)
     rec = evolve(psi, Harmonic((1.0, 1.0)), c2, 0.1, 1e-3, SPLIT_FOURIER,
                  snapshot_stride=10)
-    total, signed = expected_crossings(rec, c2, CrossingSurface(0.3, 0.0, 0.1))
+    total, signed = expected_crossings(rec, CrossingSurface(0.3, 0.0, 0.1))
     assert abs(total) < 1e-9 and abs(signed) < 1e-9
 
 

@@ -285,7 +285,7 @@ def test_trajectory_stationary_state():
     # field ignores: the record snapshots are the state itself
     rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.1, 0.1, 1,
                           0.1 * np.arange(11), [psi] * 11)
-    traj = integrate_trajectory((0.7,), rec, C1, dt_ode=0.1)
+    traj = integrate_trajectory((0.7,), rec, dt_ode=0.1)
     assert traj.status == "Completed"
     assert np.max(np.abs(traj.points - 0.7)) < 1e-9
 
@@ -296,7 +296,7 @@ def test_trajectory_numerically_evolved_stationary_state():
         g, lambda x: np.exp(-x * x / 2), normalize=True)
     rec = evolve(psi, Harmonic((1.0,)), C1, 1.0, 1e-3, SPLIT_FOURIER,
                  snapshot_stride=10)
-    traj = integrate_trajectory((0.7,), rec, C1, dt_ode=1e-2)
+    traj = integrate_trajectory((0.7,), rec, dt_ode=1e-2)
     assert traj.status == "Completed"
     # drift bounded by the integrated phase-gradient error of the propagator
     assert np.max(np.abs(traj.points - 0.7)) < 1e-6
@@ -308,13 +308,13 @@ def test_trajectory_plane_wave_drift():
     psi = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(-x * x / 36 + 1j * k * x), normalize=True)
     rec = evolve(psi, Free(), C1, 0.5, 1e-3, SPLIT_FOURIER, snapshot_stride=5)
-    traj = integrate_trajectory((0.0,), rec, C1, dt_ode=5e-3)
+    traj = integrate_trajectory((0.0,), rec, dt_ode=5e-3)
     assert abs(traj.points[-1, 0] - k * 0.5) < 0.02 * max(1.0, k * 0.5)
 
 
 def test_trajectory_closed_form(oscillator_record):
     rec = oscillator_record
-    traj = integrate_trajectory((0.3, -0.2), rec, C2, dt_ode=1e-2)
+    traj = integrate_trajectory((0.3, -0.2), rec, dt_ode=1e-2)
     assert traj.status == "Completed"
     xe, ye = analytic.coupled_oscillator_trajectory(0.3, -0.2, traj.times)
     assert np.max(np.abs(traj.points[:, 0] - xe)) < 1e-3
@@ -328,7 +328,7 @@ def test_trajectory_left_grid():
         g, lambda x: np.exp(-x * x / 2 + 1j * k * x), normalize=True)
     rec = evolve(psi, Free(), C1, 0.05, 1e-4, SPLIT_FOURIER,
                  snapshot_stride=10)
-    traj = integrate_trajectory((3.0,), rec, C1, dt_ode=1e-3)
+    traj = integrate_trajectory((3.0,), rec, dt_ode=1e-3)
     assert traj.status == "LeftGrid"
     assert traj.times[-1] < 0.05
 
@@ -458,7 +458,7 @@ def test_node_member_leaves_the_others_bits(mixed_record, t):
     """A member at a node gets velocity exactly 0; the others get the bits
     they get in the same batch without it."""
     rec = mixed_record
-    sampler = RecordSampler(rec.grid, rec.snapshots, rec.t_initial, rec.dt)
+    sampler = RecordSampler(rec.grid, rec.snapshots, rec.dt)
     with_node = np.array([[-0.5], [-3.9], [0.2], [2.5]])
     v, node = guidance._velocity_batch(sampler, with_node, t, C1)
     assert node.tolist() == [False, True, False, False]
@@ -509,7 +509,7 @@ def test_window_gradients_equal_gradient(boundary, shape):
     snaps = [ScalarWaveFunction(g, rng.normal(size=shape)
                                 + 1j * rng.normal(size=shape))
              for _ in range(3)]
-    sampler = RecordSampler(g, snaps, 0.0, 0.1)
+    sampler = RecordSampler(g, snaps, 0.1)
     for idx in (0, 1, 2, 1):
         rows = sampler._window[sampler._rows(idx)]
         assert rows[0].tobytes() == snaps[idx].amplitudes.tobytes()
@@ -529,7 +529,7 @@ def _sampler_case(boundary, shape):
              for _ in range(2)]
     pts = np.stack([rng.uniform(ax.lower, ax.upper - 0.5 * ax.spacing, 50)
                     for ax in axes], axis=1)
-    return RecordSampler(g, snaps, 0.0, 0.1), pts
+    return RecordSampler(g, snaps, 0.1), pts
 
 
 @pytest.mark.parametrize("boundary,shape", [
@@ -652,9 +652,9 @@ def test_dt_ode_coarser_than_snapshots_rejected():
         g, lambda x: np.exp(-x * x / 2), normalize=True)
     rec = evolve(psi, Free(), C1, 0.1, 1e-3, SPLIT_FOURIER, snapshot_stride=10)
     with pytest.raises(ValueError):
-        integrate_trajectory((0.0,), rec, C1, dt_ode=5e-3)
+        integrate_trajectory((0.0,), rec, dt_ode=5e-3)
 
 
 def test_integrate_rejects_outside_start(oscillator_record):
     with pytest.raises(OutOfBoundsError):
-        integrate_trajectory((9.0, 0.0), oscillator_record, C2, dt_ode=1e-2)
+        integrate_trajectory((9.0, 0.0), oscillator_record, dt_ode=1e-2)

@@ -596,7 +596,7 @@ def test_continuity_stationary_state():
     psi = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(-x * x / 2), normalize=True)
     rec = evolve(psi, Harmonic((1.0,)), C1, 0.02, 1e-3, CRANK_NICOLSON)
-    assert continuity_residual(rec, C1) < 1e-6
+    assert continuity_residual(rec) < 1e-6
 
 
 def test_continuity_second_order_in_dt():
@@ -605,7 +605,7 @@ def test_continuity_second_order_in_dt():
     res = []
     for dt in (2e-3, 1e-3):
         rec = evolve(psi, Free(), C1, 0.2, dt, SPLIT_FOURIER)
-        res.append(continuity_residual(rec, C1))
+        res.append(continuity_residual(rec))
     assert 3.4 < res[0] / res[1] < 4.6
 
 
@@ -613,27 +613,21 @@ def test_continuity_needs_three_snapshots():
     psi = gaussian(periodic_grid())
     rec = evolve(psi, Free(), C1, 0.0, 1e-3, SPLIT_FOURIER)
     with pytest.raises(ValueError):
-        continuity_residual(rec, C1)
+        continuity_residual(rec)
 
 
 def test_record_rejects_other_constants():
-    """The flow, the surface current and the continuity residual read the
-    record's fields with the constants they were evolved with; any other
-    constants are an error that names both."""
-    from bohmsim.flux import CrossingSurface, expected_crossings
+    """The flow reads the record's fields with the constants they were
+    evolved with; any other constants are an error that names both. (The
+    surface current and the continuity residual take no constants: they
+    read the record's.)"""
     from bohmsim.guidance import integrate_flow
     rec = evolve(gaussian(periodic_grid(128), k=0.5), Free(), C1, 0.1, 1e-2,
                  SPLIT_FOURIER)
-    heavy = PhysicalConstants(masses=(7.0,))
-    surface = CrossingSurface(0.0, 0.0, 0.1)
-    calls = [lambda c: integrate_flow([[0.3]], rec, c),
-             lambda c: expected_crossings(rec, c, surface),
-             lambda c: continuity_residual(rec, c)]
-    for call in calls:
-        call(C1)
-        with pytest.raises(ValueError, match=r"constants .*7\.0.* differ "
-                           r"from the record's .*1\.0"):
-            call(heavy)
+    integrate_flow([[0.3]], rec, C1)
+    with pytest.raises(ValueError, match=r"constants .*7\.0.* differ "
+                       r"from the record's .*1\.0"):
+        integrate_flow([[0.3]], rec, PhysicalConstants(masses=(7.0,)))
 
 
 # --- persistence --------------------------------------------------------------------
@@ -690,9 +684,11 @@ def _rewrite_snapshot_hbar(manifest, directory):
     (_drop_nested("grid", "axes"), "field 'grid'"),
     (_drop_nested("constants", "hbar"), "field 'constants'"),
     (_set("step_dt", "0.01"), "^step_dt: must be positive and finite"),
+    # a record's clock starts at 0, so no manifest can shift it
+    (_set("times", [1.0, 1.02, 1.04]), "^times: a record starts at t = 0"),
 ], ids=["no-step_dt", "no-times", "method-bogus", "method-boxed-only",
         "step_dt-negative", "stride-3", "stride-0", "dt-0.03", "snapshot-hbar",
-        "grid-no-axes", "constants-no-hbar", "step_dt-string"])
+        "grid-no-axes", "constants-no-hbar", "step_dt-string", "times-shifted"])
 def test_corrupt_manifest_raises_naming_field(tmp_path, mutate, field):
     """A saved record (dt 0.02 = step_dt 0.01 x stride 2) with one field
     made inconsistent."""

@@ -182,7 +182,11 @@ class _CayleyAxis:
 
 class _CrankNicolsonStepper:
     """1-d: plain Cayley step. 2-d: Strang-composed alternating directions
-    C_x(dt/2) C_y(dt) C_x(dt/2), every factor exactly unitary."""
+    C_x(dt/2) C_y(dt) C_x(dt/2), every factor exactly unitary.
+
+    The first of these a process prepares binds LAPACK: its factorization
+    imports ``scipy.linalg``, about 0.3 s and 20-30 MB, which split-Fourier
+    runs never pay (see ``kernels``)."""
 
     def __init__(self, grid, potential, constants, dt):
         v = potential.evaluate(grid, constants)

@@ -291,9 +291,13 @@ def _coherent(grid, constants, displacement, omega):
 
 def _plane_wave(grid, constants, k):
     ax = grid.axes[0]
-    # the nearest wave number the period carries; rint keeps a huge k finite
-    k = 2.0 * np.pi * np.rint(k * ax.length / (2.0 * np.pi)) / ax.length
-    return lambda x: np.exp(1j * k * x)
+    # the nearest wave number the period carries; it is inf when k * length
+    # overflows, and a finite one can still overflow the phase k x
+    carried = 2.0 * np.pi * np.rint(k * ax.length / (2.0 * np.pi)) / ax.length
+    if not math.isfinite(carried * max(abs(ax.lower), abs(ax.upper))):
+        raise ValueError(f"plane-wave: k = {k:g} overflows the phase k x on "
+                         "this grid")
+    return lambda x: np.exp(1j * carried * x)
 
 
 def _two_packet(grid, constants, centers, width, momenta, weights):
@@ -301,16 +305,22 @@ def _two_packet(grid, constants, centers, width, momenta, weights):
         raise ValueError("two-packet needs one momentum and one weight per "
                          "center")
 
+    def l2(f):
+        return np.sqrt(np.sum(grid.quadrature_weights() * np.abs(f) ** 2))
+
     def fn(x):
         out = np.zeros_like(x, dtype=np.complex128)
         for c, k, p in zip(centers, momenta, weights):
             packet = np.exp(-((x - c) ** 2) / (4.0 * width * width) + 1j * k * x)
-            pnorm = np.sqrt(np.sum(
-                grid.quadrature_weights() * np.abs(packet) ** 2))
+            pnorm = l2(packet)
             if pnorm == 0.0:
                 raise ValueError(f"two-packet: the packet at {c:g} has no "
                                  "weight on the grid")
             out += math.sqrt(p) * packet / pnorm
+        # normalizing by an infinite norm would zero the field
+        if not np.isfinite(l2(out)):
+            raise ValueError("two-packet: the weights overflow the norm of "
+                             "the field")
         return out
     return fn
 

@@ -27,80 +27,128 @@ def _case(scenario, **case):
 
 
 # Configs of the right JSON types that the run would reject, one row per
-# rule: each is a config error that names its path.
+# rule: each is a config error that names its path. Each row names itself,
+# so a row inserted anywhere renames no other. The first rows' names are the
+# message paths and list positions they were once derived from, kept as they
+# are so that every record of those tests still matches.
 PROBES = [
-    (_case("equivariance", potential={"kind": "harmonic"}),
+    ("cases[0].potential.omegas-0",
+     _case("equivariance", potential={"kind": "harmonic"}),
      "cases[0].potential.omegas: missing"),
-    (_case("equivariance", potential={"kind": "coupled-oscillator"}),
+    ("cases[0].potential.kappa-1",
+     _case("equivariance", potential={"kind": "coupled-oscillator"}),
      "cases[0].potential.kappa: missing"),
-    (_case("equivariance", potential={"kind": "coupled-oscillator",
+    ("cases[0]-2",
+     _case("equivariance", potential={"kind": "coupled-oscillator",
                                       "kappa": 1.0}),
      "cases[0]: coupled oscillator requires a 2-d grid"),
-    (_case("equivariance", initial={"generator": "product-gaussian-2d"}),
+    ("cases[0].initial.generator-3",
+     _case("equivariance", initial={"generator": "product-gaussian-2d"}),
      "cases[0].initial.generator: unknown generator 'product-gaussian-2d'"),
-    (_case("equivariance", dt=0), "cases[0]: dt must be positive"),
-    (_case("equivariance", stride=3),
+    ("cases[0]-4",
+     _case("equivariance", dt=0), "cases[0]: dt must be positive"),
+    ("cases[0]-5",
+     _case("equivariance", stride=3),
      "cases[0]: snapshot_stride must divide the step count"),
-    (_case("equivariance", dt_ode=1e-3),
+    ("cases[0]-6",
+     _case("equivariance", dt_ode=1e-3),
      "cases[0]: snapshot spacing exceeds dt_ode"),
-    ({"scenario": "equivariance", "bins": 0}, "bins: must be >= 1"),
-    (_case("equivariance", grid={"lower": 12.0, "upper": -12.0}),
+    ("bins-7",
+     {"scenario": "equivariance", "bins": 0}, "bins: must be >= 1"),
+    ("cases[0].grid-8",
+     _case("equivariance", grid={"lower": 12.0, "upper": -12.0}),
      "cases[0].grid: axis spacing must be positive"),
-    ({"scenario": "flux", "n": 0}, "n: must be >= 2"),
-    (_case("flux", surface=1e9), "cases[0]: surface location outside the grid"),
-    (_case("flux", asserts=[["bogus", 1, 1]]),
+    ("n-9",
+     {"scenario": "flux", "n": 0}, "n: must be >= 2"),
+    ("cases[0]-10",
+     _case("flux", surface=1e9), "cases[0]: surface location outside the grid"),
+    ("cases[0].asserts[0][0]-11",
+     _case("flux", asserts=[["bogus", 1, 1]]),
      "cases[0].asserts[0][0]: expected a match of expected_total|"),
-    ({"scenario": "collapse", "weights": [1.5]}, "weights[0]: must be <= 1"),
-    ({"scenario": "oscillator-oracle", "points": 7},
+    ("weights[0]-12",
+     {"scenario": "collapse", "weights": [1.5]}, "weights[0]: must be <= 1"),
+    ("points-13",
+     {"scenario": "oscillator-oracle", "points": 7},
      "points: axis needs at least 8 points"),
-    ({"scenario": "oscillator-oracle", "t_final": 0.5}, "t_final: must be >= 1"),
-    ({"scenario": "spin", "rabi_steps": 0}, "rabi_steps: must be >= 1"),
-    ({"scenario": "spin", "b_transverse": 0}, "b_transverse: must be > 0"),
-    ({"scenario": []}, "scenario: unknown scenario []"),
-    ({"scenario": "spin", "dt": math.nan}, "dt: expected a finite number"),
-    (_case("flux", grid={"count": 0}),
+    ("t_final-14",
+     {"scenario": "oscillator-oracle", "t_final": 0.5}, "t_final: must be >= 1"),
+    ("rabi_steps-15",
+     {"scenario": "spin", "rabi_steps": 0}, "rabi_steps: must be >= 1"),
+    ("b_transverse-16",
+     {"scenario": "spin", "b_transverse": 0}, "b_transverse: must be > 0"),
+    ("scenario-17",
+     {"scenario": []}, "scenario: unknown scenario []"),
+    ("dt-18",
+     {"scenario": "spin", "dt": math.nan}, "dt: expected a finite number"),
+    ("cases[0].grid-19",
+     _case("flux", grid={"count": 0}),
      "cases[0].grid: axis needs at least 8 points"),
-    (_case("equivariance", stride=0),
+    ("cases[0]-20",
+     _case("equivariance", stride=0),
      "cases[0]: snapshot_stride must be positive"),
-    (_case("flux", dt_ode=0), "cases[0]: dt_ode must be positive"),
-    ({"scenario": "collapse", "dt": 0}, "config: dt must be positive"),
-    ({"scenario": "classical-limit", "hbars": [0.3, 0.0]},
+    ("cases[0]-21",
+     _case("flux", dt_ode=0), "cases[0]: dt_ode must be positive"),
+    ("config-22",
+     {"scenario": "collapse", "dt": 0}, "config: dt must be positive"),
+    ("hbars[1]-23",
+     {"scenario": "classical-limit", "hbars": [0.3, 0.0]},
      "hbars[1]: hbar and masses must be positive"),
-    ({"scenario": "classical-limit", "displacement": 9.0},
+    ("config-24",
+     {"scenario": "classical-limit", "displacement": 9.0},
      "config: start 9.7"),
-    (_case("flux", name="a/b"), "cases[0].name: expected a match"),
-    (_case("flux", initial={"generator": "two-packet", "centers": [1.0]}),
+    ("cases[0].name-25",
+     _case("flux", name="a/b"), "cases[0].name: expected a match"),
+    ("cases[0]-26",
+     _case("flux", initial={"generator": "two-packet", "centers": [1.0]}),
      "cases[0]: two-packet needs one momentum and one weight per center"),
-    (_case("flux", initial={"generator": "gaussian", "center": 1e6}),
+    ("cases[0]-27",
+     _case("flux", initial={"generator": "gaussian", "center": 1e6}),
      "cases[0]: cannot normalize a zero field"),
-    ({"scenario": "povm", "seed": -1}, "seed: must be >= 0"),
-    ({"scenario": "povm", "out_dir": 5}, "out_dir: expected a string"),
+    ("seed-28",
+     {"scenario": "povm", "seed": -1}, "seed: must be >= 0"),
+    ("out_dir-29",
+     {"scenario": "povm", "out_dir": 5}, "out_dir: expected a string"),
     # every start would leave the grid at step 0, and t = 1 is no snapshot
-    ({"scenario": "oscillator-oracle", "points": 32, "t_final": 1e306,
+    ("config-30",
+     {"scenario": "oscillator-oracle", "points": 32, "t_final": 1e306,
       "dt": 1e306, "stride": 1, "dt_ode": 1e306},
      "config: the field check needs a snapshot at t = 1"),
-    ({"scenario": "spin", "dt": 1e306},
+    ("config-31",
+     {"scenario": "spin", "dt": 1e306},
      "config: the kinetic phase of a 1e+306 step contains NaN or Inf"),
-    ({"scenario": "classical-limit", "t_final": 1e306, "dt": 1e306,
+    ("config-32",
+     {"scenario": "classical-limit", "t_final": 1e306, "dt": 1e306,
       "stride": 1, "dt_ode": 1e306},
      "config: the kinetic phase of a 1e+306 step contains NaN or Inf"),
-    ({"scenario": "collapse", "coupling": 1e308},
+    ("config-33",
+     {"scenario": "collapse", "coupling": 1e308},
      "config: the potential phase of a 0.001 step contains NaN or Inf"),
-    (_case("flux", t_final=1e306, dt=1e306, stride=1, dt_ode=1e306),
+    ("cases[0]-34",
+     _case("flux", t_final=1e306, dt=1e306, stride=1, dt_ode=1e306),
      "cases[0]: the kinetic phase of a 1e+306 step contains NaN or Inf"),
     # a packet whose density underflows to 0 on every grid point, and a
     # momentum whose phase overflows: neither lets numpy warn first
-    (_case("flux", grid={"lower": -16.0, "upper": 26.0, "count": 2048},
+    ("cases[0]-35",
+     _case("flux", grid={"lower": -16.0, "upper": 26.0, "count": 2048},
            initial={"generator": "two-packet", "centers": [-55, 17.5]}),
      "cases[0]: two-packet: the packet at -55 has no weight on the grid"),
-    (_case("flux", initial={"generator": "gaussian", "momentum": 1e308}),
+    ("cases[0]-36",
+     _case("flux", initial={"generator": "gaussian", "momentum": 1e308}),
      "cases[0]: wave function contains NaN or Inf"),
+    # weights whose norm, and a wave number whose phase, leave the float
+    # range
+    ("two-packet-weights-overflow",
+     _case("flux", initial={"generator": "two-packet",
+                            "weights": [1e308, 1e308]}),
+     "cases[0]: two-packet: the weights overflow the norm of the field"),
+    ("plane-wave-k-overflow",
+     _case("flux", initial={"generator": "plane-wave", "k": 1e308}),
+     "cases[0]: plane-wave: k = 1e+308 overflows the phase k x"),
 ]
 
 
-@pytest.mark.parametrize("config,message", PROBES,
-                         ids=[m.split(":")[0] + f"-{i}"
-                              for i, (_, m) in enumerate(PROBES)])
+@pytest.mark.parametrize("config,message", [row[1:] for row in PROBES],
+                         ids=[row[0] for row in PROBES])
 def test_probe_is_a_config_error(config, message, tmp_path, capsys):
     errors = validate_config(config)
     assert any(e.startswith(message) for e in errors), errors
@@ -109,6 +157,11 @@ def test_probe_is_a_config_error(config, message, tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {message}" in err and "Traceback" not in err
+
+
+def test_probe_names_are_unique():
+    names = [name for name, _, _ in PROBES]
+    assert len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("config", [

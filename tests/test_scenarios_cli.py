@@ -232,6 +232,50 @@ def test_scenarios_import_leaves_scipy_stats_out():
     assert res.stdout.strip() == "False"
 
 
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that imports this
+    checkout's bohmsim."""
+    src = os.path.dirname(os.path.dirname(bohmsim.__file__))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+def test_package_import_leaves_scipy_linalg_out():
+    """scipy.linalg takes about 0.3 s and 20 MB to import, and only the
+    Crank-Nicolson factorization needs it, so it is imported there."""
+    assert _fresh_python(
+        "import sys, bohmsim, bohmsim.scenarios, bohmsim.cli; "
+        "print('scipy.linalg' in sys.modules)") == "False"
+
+
+def test_spin_run_leaves_scipy_linalg_out():
+    assert _fresh_python(
+        "import sys; from bohmsim.scenarios import run_scenario; "
+        "code, _ = run_scenario({'scenario': 'spin'}); "
+        "print(code, 'scipy.linalg' in sys.modules)") == "0 False"
+
+
+def test_crank_nicolson_runs_in_a_fresh_process():
+    """The first factorization binds LAPACK, and the evolution it starts
+    keeps the norm."""
+    out = _fresh_python(
+        "from bohmsim import Grid, PhysicalConstants, ScalarWaveFunction, "
+        "CRANK_NICOLSON, evolve, norm\n"
+        "from bohmsim.potentials import Harmonic\n"
+        "import sys, numpy as np\n"
+        "g = Grid.regular(-10.0, 10.0, 513, boundary='boxed')\n"
+        "psi = ScalarWaveFunction.from_callable(\n"
+        "    g, lambda x: np.exp(-x * x / 4 + 1.5j * x), normalize=True)\n"
+        "rec = evolve(psi, Harmonic((1.0,)), PhysicalConstants.natural(1),\n"
+        "             0.1, 1e-3, CRANK_NICOLSON, snapshot_stride=50)\n"
+        "print('scipy.linalg' in sys.modules, len(rec.snapshots), "
+        "max(abs(norm(s) - 1.0) for s in rec.snapshots))")
+    bound, count, drift = out.split()
+    assert (bound, count) == ("True", "3") and float(drift) < 1e-10
+
+
 def test_cli_list():
     res = _cli("list")
     assert res.returncode == 0

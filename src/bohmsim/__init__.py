@@ -7,17 +7,14 @@ wave functions, experiment models and their operator measures) is verified
 against closed forms and independent oracles.
 """
 
-from .analytic import (ab_coefficients, conditional_oracle,
-                       coupled_oscillator_trajectory,
+from .analytic import (ab_coefficients, coupled_oscillator_trajectory,
                        coupled_oscillator_wavefunction)
 from .fields import (CurrentField, ScalarWaveFunction, SpinorWaveFunction,
                      density, gradient, norm, probability_current)
 from .grids import Axis, Grid, PhysicalConstants
-from .guidance import (Configuration, Trajectory, interpolate,
-                       integrate_trajectory, spinor_velocity, velocity)
+from .guidance import Trajectory, integrate_trajectory, spinor_velocity
 from .kernels import BACKEND as kernel_backend
-from .propagate import (CRANK_NICOLSON, SPLIT_FOURIER, EvolutionRecord,
-                        continuity_residual, evolve, step)
+from .propagate import CRANK_NICOLSON, SPLIT_FOURIER, EvolutionRecord, evolve
 
 __version__ = "0.1.0"
 
@@ -26,12 +23,9 @@ __all__ = [
     "ScalarWaveFunction", "SpinorWaveFunction", "CurrentField",
     "norm", "density", "gradient", "probability_current",
     "SPLIT_FOURIER", "CRANK_NICOLSON", "EvolutionRecord",
-    "step", "evolve", "continuity_residual",
-    "Configuration", "Trajectory",
-    "interpolate", "velocity", "spinor_velocity",
-    "integrate_trajectory",
+    "evolve", "Trajectory", "spinor_velocity", "integrate_trajectory",
     "ab_coefficients", "coupled_oscillator_wavefunction",
-    "coupled_oscillator_trajectory", "conditional_oracle",
+    "coupled_oscillator_trajectory",
     "kernel_backend",
     "__version__",
 ]

@@ -153,19 +153,6 @@ def equivariance_check(record, n, seed, bins=50, dt_ode=None):
     return out
 
 
-def multi_time_equivariance(psi0, potential, constants, times, dt, method,
-                            n_each, seed, bins=50, stride=10, dt_ode=None):
-    """Union of equal-time subsamples from independent seeded runs, each
-    compared to the evolved density at its own time; returns the mean L1."""
-    l1s = []
-    for j, t in enumerate(times):
-        rec = evolve(psi0, potential, constants, t, dt, method,
-                     snapshot_stride=stride)
-        l1s.append(equivariance_check(rec, n_each, seed + 1009 * j, bins=bins,
-                                      dt_ode=dt_ode)["l1"])
-    return {"per_time_l1": l1s, "mean_l1": float(np.mean(l1s))}
-
-
 # --- conditional and effective wave functions -----------------------------------
 
 

@@ -1,8 +1,7 @@
 """Complex wave-function fields on a grid: norms, densities, derivatives,
-probability currents, and the binary/CSV serialization of fields."""
+probability currents, and the binary serialization of fields."""
 
 import contextlib
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -46,9 +45,6 @@ class ScalarWaveFunction:
         if n <= 0:
             raise ValueError("cannot normalize a zero field")
         return ScalarWaveFunction(self.grid, self.amplitudes / n, normalized=True)
-
-    def with_amplitudes(self, amps, normalized=False):
-        return ScalarWaveFunction(self.grid, amps, normalized=normalized)
 
 
 @dataclass(frozen=True)
@@ -267,19 +263,3 @@ def read_wavefunction(path_or_stream):
         amps = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
         psi = ScalarWaveFunction(grid, amps, normalized=bool(normalized))
         return psi, PhysicalConstants(hbar=hbar, masses=masses)
-
-
-def wavefunction_to_csv(psi, path):
-    """Plot-ready CSV: x[,y], re, im — one row per grid point (C order)."""
-    coords = psi.grid.meshgrid()
-    cols = [c.ravel() for c in coords]
-    cols += [psi.amplitudes.real.ravel(), psi.amplitudes.imag.ravel()]
-    header = ("x,re,im" if psi.grid.dimension == 1 else "x,y,re,im")
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def roundtrip_bytes(psi, constants):
-    buf = io.BytesIO()
-    write_wavefunction(psi, constants, buf)
-    return buf.getvalue()

@@ -14,18 +14,15 @@ from .propagate import time_tol
 @dataclass(frozen=True)
 class CrossingSurface:
     """The hyperplane {first coordinate = location} between t0 and t1,
-    oriented along +x (orientation -1 flips the normal)."""
+    with its normal along +x."""
 
     location: float
     t0: float
     t1: float
-    orientation: int = 1
 
     def __post_init__(self):
         if self.t1 <= self.t0:
             raise ValueError("surface needs t0 < t1")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
 
     def check_grid(self, grid):
         """Raise ValueError unless the location lies on the first axis."""
@@ -53,7 +50,7 @@ def _current_at_surface(record, surface):
         if grid.dimension == 2:
             line = float(np.sum(grid.axes[1].quadrature_weights() * line))
         times.append(t)
-        vals.append(float(line) * surface.orientation)
+        vals.append(float(line))
     return np.asarray(times), np.asarray(vals)
 
 
@@ -75,10 +72,11 @@ def per_member_counts(flow, surface):
     Only samples inside the surface's time window and up to each member's
     stop index count. Tie-break: one crossing per sign change of
     x - location between consecutive nonzero samples, so a touch of the
-    surface without a sign change counts zero. The signed count follows
-    the surface orientation. Members are counted together, one time row at
-    a time. On a periodic axis a member stops as LeftGrid at the period
-    boundary (see ``integrate_flow``), so windings are not counted.
+    surface without a sign change counts zero. The signed count adds +1
+    for a crossing along +x and -1 for one against it. Members are counted
+    together, one time row at a time. On a periodic axis a member stops as
+    LeftGrid at the period boundary (see ``integrate_flow``), so windings
+    are not counted.
     """
     if flow.paths is None:
         raise ValueError("flow result has no stored paths")
@@ -93,7 +91,7 @@ def per_member_counts(flow, surface):
         sign = np.where(ok, np.sign(x - surface.location), 0.0)
         flip = sign * last < 0
         total += flip
-        signed += np.where(flip, surface.orientation * sign, 0.0)
+        signed += np.where(flip, sign, 0.0)
         last = np.where(sign != 0.0, sign, last)
     return np.stack([total, signed], axis=1)
 

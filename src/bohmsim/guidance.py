@@ -11,8 +11,8 @@ that completed and raises ``EmptyFlowError`` when none did.
 Bohmian trajectories almost surely never reach a node of psi, so meeting one
 only signals discretisation error. The rule is fixed: a configuration whose
 density lies below NODE_FRACTION times the peak density of the first field
-sampled is at a node. ``velocity`` and ``spinor_velocity`` then raise
-HitNodeError, and ``integrate_flow`` stops the member with status HitNode.
+sampled is at a node. ``spinor_velocity`` then raises HitNodeError, and
+``integrate_flow`` stops the member with status HitNode.
 
 Integration is time-major. Every member of a batch moves independently under
 the same field, so all of them advance together, one RK4 step at a time, and
@@ -88,17 +88,6 @@ class EmptyFlowError(ValueError):
         self.left_grid = left_grid
 
 
-@dataclass(frozen=True)
-class Configuration:
-    coordinates: tuple
-
-    def __post_init__(self):
-        coords = tuple(float(c) for c in np.atleast_1d(self.coordinates))
-        if not all(np.isfinite(coords)):
-            raise ValueError("configuration coordinates must be finite")
-        object.__setattr__(self, "coordinates", coords)
-
-
 def _node_threshold(dens):
     """The density below which a configuration is at a node: NODE_FRACTION
     times the peak of the gridded density dens."""
@@ -106,9 +95,8 @@ def _node_threshold(dens):
 
 
 def _point(grid, q):
-    """Configuration or coordinates q as a (1, d) array of a point on grid."""
-    coords = q.coordinates if isinstance(q, Configuration) else np.atleast_1d(q)
-    pts = np.asarray(coords, dtype=np.float64).reshape(1, -1)
+    """Coordinates q as a (1, d) array of a point on grid."""
+    pts = np.asarray(q, dtype=np.float64).reshape(1, -1)
     if not grid.contains(pts)[0]:
         raise OutOfBoundsError(f"configuration {pts[0].tolist()} off the grid")
     return pts
@@ -128,25 +116,17 @@ def _interp_any(grid, values, pts):
                            np.ascontiguousarray(pts[:, 1]))
 
 
-def interpolate(psi, q):
-    """Off-grid evaluation of the field by separable cubic interpolation.
-    Exact at grid points."""
-    return complex(_interp_any(psi.grid, psi.amplitudes,
-                               _point(psi.grid, q))[0])
-
-
 class RecordSampler:
     """psi and grad psi of a run of snapshots, linearly interpolated in time.
 
-    Snapshot i is the field at time i dt: a record starts at t = 0. dt
-    matters only when there is more than one snapshot. A sliding window of
-    shape (slots * (1 + d),) + grid.shape holds the fields of at most two
-    snapshots, one per slot: snapshot i sits in slot i % 2 as the 1 + d
-    leading rows (psi, d_1 psi, ..., d_d psi), so each slot is one
-    contiguous block. A single snapshot gets a one-slot window. Within one
-    flow the query times never decrease, so each snapshot's gradients are
-    computed once; an earlier time is still answered correctly, at the cost
-    of recomputing.
+    Snapshot i is the field at time i dt: a record starts at t = 0, and a
+    flow's record holds at least two snapshots. A sliding window of shape
+    (2 (1 + d),) + grid.shape holds the fields of two snapshots, one per
+    slot: snapshot i sits in slot i % 2 as the 1 + d leading rows
+    (psi, d_1 psi, ..., d_d psi), so each slot is one contiguous block.
+    Within one flow the query times never decrease, so each snapshot's
+    gradients are computed once; an earlier time is still answered
+    correctly, at the cost of recomputing.
 
     At a time strictly between snapshots i and i + 1, with blend weight
     theta, the 1 + d fields (1 - theta) slot_i + theta slot_(i+1) are
@@ -155,24 +135,23 @@ class RecordSampler:
     same time reuse it.
     """
 
-    def __init__(self, grid, snapshots, dt=None):
+    def __init__(self, grid, snapshots, dt):
         self.grid = grid
         self.snapshots = snapshots
         self.dt = dt
         self.node_threshold = _node_threshold(density(snapshots[0]))
         self._width = 1 + grid.dimension
-        self._held = [None] * min(2, len(snapshots))  # snapshot in each slot
-        self._window = np.empty((len(self._held) * self._width,) + grid.shape,
+        self._held = [None, None]  # snapshot in each slot
+        self._window = np.empty((2 * self._width,) + grid.shape,
                                 dtype=np.complex128)
-        if len(snapshots) > 1:
-            self._blend = np.empty((self._width,) + grid.shape,
-                                   dtype=np.complex128)
-            self._scratch = np.empty(grid.shape, dtype=np.complex128)
+        self._blend = np.empty((self._width,) + grid.shape,
+                               dtype=np.complex128)
+        self._scratch = np.empty(grid.shape, dtype=np.complex128)
         self._blend_key = None  # (i, theta) of the fields in the buffer
 
     def _rows(self, idx):
         """Window rows holding snapshot idx, which is loaded if absent."""
-        slot = idx % len(self._held)
+        slot = idx % 2
         rows = slice(slot * self._width, (slot + 1) * self._width)
         if self._held[slot] != idx:
             snap = self.snapshots[idx]
@@ -198,23 +177,20 @@ class RecordSampler:
         self._blend_key = (i, theta)
 
     def bracket(self, t):
-        """Indices (i, i + 1) of the snapshots around t and the blend weight
-        of the later one; (0, 0, 0.0) for a single snapshot."""
-        if len(self.snapshots) == 1:
-            return 0, 0, 0.0
+        """Index i of the earlier of the snapshots i, i + 1 around t, and
+        the blend weight of the later one."""
         s = t / self.dt
         i = min(max(math.floor(s), 0), len(self.snapshots) - 2)
-        theta = float(min(max(s - i, 0.0), 1.0))
-        return i, i + 1, theta
+        return i, float(min(max(s - i, 0.0), 1.0))
 
     def sample(self, pts, t):
         """psi (B,) and grad psi (d, B) at the points pts (B, d), time t."""
-        i0, i1, theta = self.bracket(t)
-        if i1 == i0 or theta == 0.0:
-            fields = self._window[self._rows(i0)]
+        i, theta = self.bracket(t)
+        if theta == 0.0:
+            fields = self._window[self._rows(i)]
         else:
-            if self._blend_key != (i0, theta):
-                self._blend_rows(i0, theta)
+            if self._blend_key != (i, theta):
+                self._blend_rows(i, theta)
             fields = self._blend
         f = _interp_any(self.grid, fields, pts)
         return f[0], f[1:]
@@ -235,19 +211,6 @@ def _velocity_batch(sampler, pts, t, constants):
     if at_node:
         v[node] = 0.0
     return v, node
-
-
-def velocity(psi, q, constants):
-    """Guidance velocity at one configuration; raises HitNodeError when
-    |psi(q)|^2 falls below the node threshold."""
-    pts = _point(psi.grid, q)
-    constants.check_dimension(psi.grid)
-    sampler = RecordSampler(psi.grid, [psi])
-    v, node = _velocity_batch(sampler, pts, None, constants)
-    if node[0]:
-        raise HitNodeError(f"density below {sampler.node_threshold:g} at "
-                           f"{pts[0].tolist()}")
-    return [float(c) for c in v[0]]
 
 
 # --- spinor fields -------------------------------------------------------------
@@ -289,15 +252,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "points", p)
 
-    def to_csv(self, path):
-        d = self.points.shape[1]
-        header = "t,q1" if d == 1 else "t,q1,q2"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.points):
-                fh.write(",".join(repr(float(v)) for v in (t, *row)) + "\n")
-            fh.write(f"status,{self.status}\n")
-
 
 class FlowResult:
     """Batched integration output: endpoints, status codes, optional paths.
@@ -309,9 +263,6 @@ class FlowResult:
         self.statuses = statuses      # (B,) int codes
         self.stop_index = stop_index  # (B,) step index where each froze
         self.paths = paths            # (T, B, d) when recorded
-
-    def status_names(self):
-        return [_STATUS_NAMES[s] for s in self.statuses]
 
     def trajectory(self, b):
         """Member b's stored path up to the step where it stopped."""

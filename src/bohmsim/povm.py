@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+PV_TOL = 1e-8  # idempotence and orthogonality of projection-valued entries
+
 
 class NotProjectionValued(Exception):
     pass
@@ -80,12 +82,6 @@ class POVMeasure:
     def dimension(self):
         return self.entries[0][1].shape[0]
 
-    def operator(self, label):
-        for lab, op in self.entries:
-            if lab == label:
-                return op
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
@@ -139,23 +135,24 @@ def povm_from_experiment(model):
     return POVMeasure(tuple(entries))
 
 
-def is_projection_valued(povm, tol=1e-8):
-    """True iff every entry is idempotent and distinct entries annihilate."""
+def is_projection_valued(povm):
+    """True iff every entry is idempotent and distinct entries annihilate,
+    to PV_TOL in the spectral norm."""
     ops = [op for _, op in povm.entries]
     for op in ops:
-        if np.linalg.norm(op @ op - op, 2) >= tol:
+        if np.linalg.norm(op @ op - op, 2) >= PV_TOL:
             return False
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:
-            if np.linalg.norm(a @ b, 2) >= tol:
+            if np.linalg.norm(a @ b, 2) >= PV_TOL:
                 return False
     return True
 
 
-def operator_from_pv(povm, values, tol=1e-8):
+def operator_from_pv(povm, values):
     """Self-adjoint operator sum(value * projector) associated with a
     projection-valued measure."""
-    if not is_projection_valued(povm, tol):
+    if not is_projection_valued(povm):
         raise NotProjectionValued("entries are not orthogonal projections")
     a = np.zeros((povm.dimension, povm.dimension), dtype=np.complex128)
     for lab, op in povm.entries:
@@ -181,18 +178,6 @@ def repeat_agreement_probability(model, psi):
             if l2 == lab:
                 agree += float(np.sum(np.abs(joint[:, j2, :]) ** 2))
     return agree
-
-
-def outcome_distribution_composite(model, psi, composite_labels):
-    """Calibration variant reading the full composite index (system-major);
-    yields outcome statistics only, with no operator attached to it."""
-    if len(composite_labels) != model.n * model.m:
-        raise ValueError("one label per composite index required")
-    final = model.unitary @ compose_initial(psi, model)
-    probs = {}
-    for i, lab in enumerate(composite_labels):
-        probs[str(lab)] = probs.get(str(lab), 0.0) + float(abs(final[i]) ** 2)
-    return OutcomeDistribution(probs)
 
 
 # --- named generators and the bundled zoo ---------------------------------------

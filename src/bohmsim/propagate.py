@@ -259,12 +259,6 @@ class PauliStepper:
         return self._rotate(self.scalar.advance(up), self.scalar.advance(down))
 
 
-def step(psi, potential, constants, dt, method):
-    """One unitary step of size dt."""
-    stepper = prepare_stepper(psi.grid, potential, constants, dt, method)
-    return psi.with_amplitudes(stepper.advance(psi.amplitudes))
-
-
 @dataclass(frozen=True)
 class EvolutionRecord:
     """Equally spaced snapshots of one evolution, kept for the guidance flow.
@@ -295,6 +289,9 @@ class EvolutionRecord:
             raise ValueError(f"dt: snapshot spacing {self.dt!r} is not step_dt "
                              f"{self.step_dt!r} times stride {self.stride}")
         times = np.asarray(self.times, dtype=np.float64)
+        if times.ndim != 1:
+            raise ValueError(f"times: expected a 1-d array, found shape "
+                             f"{times.shape}")
         object.__setattr__(self, "times", times)
         if len(times) != len(self.snapshots) or len(times) == 0:
             raise ValueError("one snapshot per time required")
@@ -445,8 +442,10 @@ def load_record(directory):
         return potentials_mod.from_description(desc)
 
     potential = _parse_field(manifest, "potential", potential_from)
+    times = _parse_field(manifest, "times",
+                         lambda v: np.asarray(v, dtype=np.float64))
     snaps = []
-    for name in manifest["snapshots"]:
+    for name in _parse_field(manifest, "snapshots", list):
         psi, snap_constants = read_wavefunction(os.path.join(directory, name))
         if snap_constants != constants:
             raise ValueError(f"{name}: constants {snap_constants.describe()} "
@@ -455,5 +454,4 @@ def load_record(directory):
         snaps.append(psi)
     return EvolutionRecord(grid, constants, potential, manifest["method"],
                            manifest["dt"], manifest["step_dt"],
-                           manifest["stride"],
-                           np.asarray(manifest["times"]), snaps)
+                           manifest["stride"], times, snaps)

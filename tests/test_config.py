@@ -32,37 +32,37 @@ def _case(scenario, **case):
 # message paths and list positions they were once derived from, kept as they
 # are so that every record of those tests still matches.
 PROBES = [
-    ("cases[0].potential.omegas-0",
+    ("equivariance-harmonic-no-omegas",
      _case("equivariance", potential={"kind": "harmonic"}),
      "cases[0].potential.omegas: missing"),
-    ("cases[0].potential.kappa-1",
+    ("equivariance-coupled-oscillator-no-kappa",
      _case("equivariance", potential={"kind": "coupled-oscillator"}),
      "cases[0].potential.kappa: missing"),
-    ("cases[0]-2",
+    ("equivariance-coupled-oscillator-on-1d-grid",
      _case("equivariance", potential={"kind": "coupled-oscillator",
                                       "kappa": 1.0}),
      "cases[0]: coupled oscillator requires a 2-d grid"),
-    ("cases[0].initial.generator-3",
+    ("equivariance-unknown-generator",
      _case("equivariance", initial={"generator": "product-gaussian-2d"}),
      "cases[0].initial.generator: unknown generator 'product-gaussian-2d'"),
-    ("cases[0]-4",
+    ("equivariance-dt-zero",
      _case("equivariance", dt=0), "cases[0]: dt must be positive"),
-    ("cases[0]-5",
+    ("equivariance-stride-not-dividing-steps",
      _case("equivariance", stride=3),
      "cases[0]: snapshot_stride must divide the step count"),
-    ("cases[0]-6",
+    ("equivariance-dt-ode-below-snapshot-spacing",
      _case("equivariance", dt_ode=1e-3),
      "cases[0]: snapshot spacing exceeds dt_ode"),
-    ("bins-7",
+    ("equivariance-bins-zero",
      {"scenario": "equivariance", "bins": 0}, "bins: must be >= 1"),
-    ("cases[0].grid-8",
+    ("equivariance-grid-upper-below-lower",
      _case("equivariance", grid={"lower": 12.0, "upper": -12.0}),
      "cases[0].grid: axis spacing must be positive"),
-    ("n-9",
+    ("flux-n-zero",
      {"scenario": "flux", "n": 0}, "n: must be >= 2"),
-    ("cases[0]-10",
+    ("flux-surface-off-grid",
      _case("flux", surface=1e9), "cases[0]: surface location outside the grid"),
-    ("cases[0].asserts[0][0]-11",
+    ("flux-unknown-assert",
      _case("flux", asserts=[["bogus", 1, 1]]),
      "cases[0].asserts[0][0]: expected a match of expected_total|"),
     ("weights[0]-12",

@@ -12,8 +12,7 @@ from bohmsim.equilibrium import (Ensemble, MacroPartition, ZeroSliceError,
                                  aligned_l2_error, collapse_experiment,
                                  conditional_wavefunction,
                                  effective_decomposition,
-                                 equivariance_distance,
-                                 multi_time_equivariance, sample_density)
+                                 equivariance_distance, sample_density)
 from bohmsim.fields import ScalarWaveFunction, gradient_array, norm
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import (HIT_NODE, LEFT_GRID, OutOfBoundsError,
@@ -83,7 +82,7 @@ def test_sample_deterministic_and_validated():
     b = sample_density(psi, 100, seed=9)
     np.testing.assert_array_equal(a.members, b.members)
     with pytest.raises(ValueError):
-        sample_density(psi.with_amplitudes(2 * psi.amplitudes), 10, seed=0)
+        sample_density(ScalarWaveFunction(g, 2 * psi.amplitudes), 10, seed=0)
     with pytest.raises(ValueError):
         sample_density(psi, 0, seed=0)
 
@@ -178,15 +177,6 @@ def test_distance_2d():
     rep = equivariance_distance(ens, psi, bins=20)
     assert rep.ks is None
     assert rep.l1 < 0.35  # 400 cells at n=4000: multinomial scale ~ 0.25
-
-
-def test_multi_time_union():
-    g = grid1d(512)
-    psi = unit_gaussian(g)
-    out = multi_time_equivariance(psi, Free(), C1, times=[0.25, 0.5], dt=1e-3,
-                                  method=SPLIT_FOURIER, n_each=2000, seed=31,
-                                  bins=30, stride=5, dt_ode=5e-3)
-    assert out["mean_l1"] < 0.1
 
 
 # --- conditional wave function ----------------------------------------------------------

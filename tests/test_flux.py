@@ -31,8 +31,6 @@ def moving_gaussian_record(center, k, half, n, t_final, width=1.0):
 def test_surface_validation():
     with pytest.raises(ValueError):
         CrossingSurface(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        CrossingSurface(0.0, 0.0, 1.0, orientation=2)
 
 
 def _hand_summed_current(record, constants, surface):
@@ -52,7 +50,7 @@ def _hand_summed_current(record, constants, surface):
         if grid.dimension == 2:
             line = float(np.sum(grid.axes[1].quadrature_weights() * line))
         times.append(t)
-        vals.append(float(line) * surface.orientation)
+        vals.append(float(line))
     return np.asarray(times), np.asarray(vals)
 
 
@@ -70,13 +68,12 @@ def test_surface_current_matches_four_term_sum(dimension, boundary, method):
     ax = g.axes[0]
     # off the nodes, on a node and on both edges
     for location in (0.37, -1.0, ax.lower, ax.upper):
-        for orientation in (1, -1):
-            surface = CrossingSurface(location, 0.02, 0.1, orientation)
-            times, vals = _current_at_surface(rec, surface)
-            ref_times, ref_vals = _hand_summed_current(rec, constants, surface)
-            assert len(times) == 9
-            assert times.tobytes() == ref_times.tobytes()
-            assert vals.tobytes() == ref_vals.tobytes()
+        surface = CrossingSurface(location, 0.02, 0.1)
+        times, vals = _current_at_surface(rec, surface)
+        ref_times, ref_vals = _hand_summed_current(rec, constants, surface)
+        assert len(times) == 9
+        assert times.tobytes() == ref_times.tobytes()
+        assert vals.tobytes() == ref_vals.tobytes()
 
 
 def test_expected_stationary_zero():
@@ -110,13 +107,6 @@ def test_count_simple_trajectories():
     assert counts.mean(axis=0).tolist() == [0.5, 0.5]
 
 
-def test_count_orientation_flip():
-    surf = CrossingSurface(0.0, 0.0, 1.0, orientation=-1)
-    t = np.linspace(0, 1, 11)
-    through = _completed_flow(t, np.linspace(-1, 1, 11)[:, None])
-    assert per_member_counts(through, surf).tolist() == [[1.0, -1.0]]
-
-
 def test_count_grazing_tie_break():
     """A touch of the surface without sign change counts zero; a sign change
     across a touching sample counts once."""
@@ -145,19 +135,17 @@ def _count_one(times, xs, surface):
         return 0, 0
     s = np.sign(nz)
     flips = s[1:] * s[:-1] < 0
-    return (int(np.sum(flips)),
-            int(np.sum(s[1:][flips])) * surface.orientation)
+    return int(np.sum(flips)), int(np.sum(s[1:][flips]))
 
 
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40),
-       members=st.integers(1, 12), orientation=st.sampled_from([1, -1]),
-       zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+       members=st.integers(1, 12), zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
        location=st.sampled_from([0.0, 0.25, -3.0]))
-def test_counts_match_loop_reference(seed, steps, members, orientation,
-                                     zero_frac, location):
-    """Random paths with exact touches of the surface, early stops and
-    both orientations count exactly as the per-member loop."""
+def test_counts_match_loop_reference(seed, steps, members, zero_frac,
+                                     location):
+    """Random paths with exact touches of the surface and early stops count
+    exactly as the per-member loop."""
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, 1.0, steps)
     d = rng.normal(size=(steps, members))
@@ -165,8 +153,7 @@ def test_counts_match_loop_reference(seed, steps, members, orientation,
     xs = location + d
     stop = rng.integers(0, steps, members)
     t0 = rng.uniform(-0.2, 0.6)
-    surf = CrossingSurface(location, t0, t0 + rng.uniform(0.1, 1.2),
-                           orientation)
+    surf = CrossingSurface(location, t0, t0 + rng.uniform(0.1, 1.2))
     flow = FlowResult(times, xs[-1, :, None], np.zeros(members, np.int8),
                       stop, xs[:, :, None])
     expected = np.asarray([_count_one(times[: s + 1], xs[: s + 1, b], surf)

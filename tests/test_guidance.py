@@ -10,13 +10,13 @@ from bohmsim import analytic, guidance
 from bohmsim.fields import (ScalarWaveFunction, SpinorWaveFunction, density,
                             gradient, norm)
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import (Configuration, EmptyFlowError, HitNodeError,
-                              OutOfBoundsError, RecordSampler, Trajectory,
-                              integrate_flow, integrate_trajectory,
-                              interpolate, spinor_velocity, velocity)
+from bohmsim.guidance import (EmptyFlowError, HitNodeError, OutOfBoundsError,
+                              RecordSampler, integrate_flow,
+                              integrate_trajectory, spinor_velocity)
+from bohmsim.kernels import interp_cubic_1d
 from bohmsim.potentials import Free, Harmonic
-from bohmsim.propagate import (SPLIT_FOURIER, EvolutionRecord, PauliStepper,
-                               evolve)
+from bohmsim.propagate import (CRANK_NICOLSON, SPLIT_FOURIER, EvolutionRecord,
+                               PauliStepper, evolve, prepare_stepper)
 
 C1 = PhysicalConstants.natural(1)
 C2 = PhysicalConstants.natural(2)
@@ -24,6 +24,26 @@ C2 = PhysicalConstants.natural(2)
 
 def grid1d(n=512, half=10.0):
     return Grid.regular(-half, half, n, dimension=1)
+
+
+def interpolate(psi, x):
+    """psi at the point x of its 1-d grid."""
+    ax = psi.grid.axes[0]
+    return complex(interp_cubic_1d(psi.amplitudes, ax.lower, ax.spacing,
+                                   ax.periodic, np.array([x]))[0])
+
+
+def velocity_at(psi, q, constants):
+    """The guidance velocity of the field psi at the point q, and whether q
+    is at a node: a sampler over the record [psi, psi] read at t = 0."""
+    sampler = RecordSampler(psi.grid, [psi, psi], 1.0)
+    v, node = guidance._velocity_batch(sampler, np.array([q], dtype=float),
+                                       0.0, constants)
+    return v[0].tolist(), bool(node[0])
+
+
+def status_names(flow):
+    return [guidance._STATUS_NAMES[s] for s in flow.statuses]
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +65,7 @@ def test_interpolate_exact_on_grid():
     psi = ScalarWaveFunction(g, rng.normal(size=64) + 1j * rng.normal(size=64))
     x = g.coordinates(0)
     for i in (0, 17, 63):
-        assert interpolate(psi, (x[i],)) == psi.amplitudes[i]
+        assert interpolate(psi, x[i]) == psi.amplitudes[i]
 
 
 def test_interpolate_smooth_wave():
@@ -53,16 +73,18 @@ def test_interpolate_smooth_wave():
     k = 2 * np.pi * 10 / g.axes[0].length
     psi = ScalarWaveFunction.from_callable(g, lambda x: np.exp(1j * k * x))
     for xq in (0.137, -3.21, 5.5):
-        assert abs(interpolate(psi, (xq,)) - np.exp(1j * k * xq)) < 1e-6
+        assert abs(interpolate(psi, xq) - np.exp(1j * k * xq)) < 1e-6
 
 
 def test_interpolate_out_of_bounds():
+    """A start off the grid is rejected before any flow."""
     g = Grid.regular(-5.0, 5.0, 64, boundary="boxed", dimension=1)
-    psi = ScalarWaveFunction(g, np.ones(g.shape, dtype=complex))
-    with pytest.raises(OutOfBoundsError):
-        interpolate(psi, (5.5,))
-    with pytest.raises(OutOfBoundsError):
-        interpolate(psi, Configuration((-6.0,)))
+    psi = ScalarWaveFunction(g, np.ones(g.shape, dtype=complex)).normalize()
+    rec = EvolutionRecord(g, C1, Free(), CRANK_NICOLSON, 0.1, 0.1, 1,
+                          np.array([0.0, 0.1]), [psi, psi])
+    for q in ((5.5,), (-6.0,)):
+        with pytest.raises(OutOfBoundsError):
+            integrate_trajectory(q, rec)
 
 
 # --- velocity -----------------------------------------------------------------------
@@ -73,13 +95,13 @@ def test_velocity_plane_wave():
     k = 2 * np.pi * 12 / g.axes[0].length
     psi = ScalarWaveFunction.from_callable(g, lambda x: np.exp(1j * k * x))
     for xq in (-4.0, 0.3, 6.1):
-        assert abs(velocity(psi, (xq,), C1)[0] - k) < 1e-6
+        assert abs(velocity_at(psi, (xq,), C1)[0][0] - k) < 1e-6
 
 
 def test_velocity_real_field_zero():
     g = grid1d()
     psi = ScalarWaveFunction.from_callable(g, lambda x: np.exp(-x * x / 2))
-    assert abs(velocity(psi, (0.4,), C1)[0]) < 1e-9
+    assert abs(velocity_at(psi, (0.4,), C1)[0][0]) < 1e-9
 
 
 def test_velocity_closed_form_field(oscillator_record):
@@ -91,7 +113,7 @@ def test_velocity_closed_form_field(oscillator_record):
     h = 1e-4
     for (x0, y0) in [(0.3, -0.2), (0.9, 0.6), (-1.1, 0.2)]:
         xt, yt = analytic.coupled_oscillator_trajectory(x0, y0, t)
-        v = velocity(snap, (xt, yt), C2)
+        v, _ = velocity_at(snap, (xt, yt), C2)
         xp, yp = analytic.coupled_oscillator_trajectory(x0, y0, t + h)
         xm, ym = analytic.coupled_oscillator_trajectory(x0, y0, t - h)
         # 1e-4 budget: off-grid cubic interpolation on the 128^2 grid
@@ -105,23 +127,31 @@ def _first_excited():
         grid1d(), lambda x: x * np.exp(-x * x / 2), normalize=True)
 
 
+def _spinor_velocity_at_node(spinor, q, constants):
+    """spinor_velocity, with HitNodeError read as the node flag."""
+    try:
+        return spinor_velocity(spinor, q, constants), False
+    except HitNodeError:
+        return None, True
+
+
 def test_velocity_node_threshold(monkeypatch):
-    """velocity and spinor_velocity raise HitNodeError exactly when the
-    density at q lies below NODE_FRACTION times the field's peak density,
-    with NODE_FRACTION read at call time."""
+    """The scalar velocity flags a node, and spinor_velocity raises
+    HitNodeError, exactly when the density at q lies below NODE_FRACTION
+    times the field's peak density, with NODE_FRACTION read at call time."""
     psi = _first_excited()
     spinor = SpinorWaveFunction(psi.grid, psi.amplitudes,
                                 np.zeros(psi.grid.shape, dtype=complex))
-    for guide, field in ((velocity, psi), (spinor_velocity, spinor)):
-        with pytest.raises(HitNodeError):
-            guide(field, (1e-9,), C1)
+    for guide, field in ((velocity_at, psi),
+                         (_spinor_velocity_at_node, spinor)):
+        assert guide(field, (1e-9,), C1)[1]
         q = (0.3,)
-        ratio = abs(interpolate(psi, q)) ** 2 / np.max(density(psi))
+        ratio = abs(interpolate(psi, q[0])) ** 2 / np.max(density(psi))
         monkeypatch.setattr(guidance, "NODE_FRACTION", ratio * (1 + 1e-9))
-        with pytest.raises(HitNodeError):
-            guide(field, q, C1)
+        assert guide(field, q, C1)[1]
         monkeypatch.setattr(guidance, "NODE_FRACTION", ratio * (1 - 1e-9))
-        assert abs(guide(field, q, C1)[0]) < 1e-9
+        v, node = guide(field, q, C1)
+        assert not node and abs(v[0]) < 1e-9
         monkeypatch.undo()
 
 
@@ -131,8 +161,8 @@ def test_velocity_scalar_multiple_invariance():
         g, lambda x: np.exp(-x * x / 4 + 0.6j * x))
     scaled = ScalarWaveFunction(g, (2.0 - 3.0j) * psi.amplitudes)
     for xq in (-1.0, 0.5, 2.2):
-        v1 = velocity(psi, (xq,), C1)[0]
-        v2 = velocity(scaled, (xq,), C1)[0]
+        v1 = velocity_at(psi, (xq,), C1)[0][0]
+        v2 = velocity_at(scaled, (xq,), C1)[0][0]
         assert abs(v1 - v2) < 1e-12
 
 
@@ -143,8 +173,8 @@ def test_velocity_galilean_boost():
     boosted = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(1j * u * x) * np.exp(-x * x / 2))
     for xq in g.coordinates(0)[[150, 256, 301]]:
-        v0 = velocity(psi, (xq,), C1)[0]
-        v1 = velocity(boosted, (xq,), C1)[0]
+        v0 = velocity_at(psi, (xq,), C1)[0][0]
+        v1 = velocity_at(boosted, (xq,), C1)[0][0]
         assert abs(v1 - (v0 + u)) < 1e-8
 
 
@@ -169,33 +199,34 @@ def test_spinor_velocity_cases():
 
 
 def test_spinor_velocity_checks_the_mass_count():
-    """Two masses on a 1-d grid are rejected, as ``velocity`` rejects them."""
+    """Two masses on a 1-d grid are rejected, as the flow rejects them."""
     g = grid1d()
     x = g.coordinates(0)
     k = 2 * np.pi * 10 / g.axes[0].length
     s = SpinorWaveFunction(g, np.exp(1j * k * x), np.zeros_like(x, dtype=complex))
     with pytest.raises(ValueError, match="2 masses for a 1-d grid"):
         spinor_velocity(s, (0.5,), C2)
+    psi = ScalarWaveFunction(g, s.up).normalize()
+    rec = EvolutionRecord(g, C1, Free(), SPLIT_FOURIER, 0.1, 0.1, 1,
+                          np.array([0.0, 0.1]), [psi, psi])
     with pytest.raises(ValueError, match="2 masses for a 1-d grid"):
-        velocity(ScalarWaveFunction(g, s.up), (0.5,), C2)
+        integrate_flow(np.array([[0.5]]), rec, C2)
 
 
 def test_spinor_pauli_zero_field_decouples():
-    from bohmsim.propagate import step as scalar_step
     g = grid1d(256, 8.0)
     x = g.coordinates(0)
     packet = np.exp(-x * x / 4) / np.sqrt(np.sum(
         g.quadrature_weights() * np.exp(-x * x / 2)))
     s_up, s_down = 0.6 * packet, 0.8j * packet
-    up = ScalarWaveFunction(g, s_up)
-    down = ScalarWaveFunction(g, s_down)
+    up, down = s_up, s_down
     pauli = PauliStepper(g, Harmonic((1.0,)), C1, 1e-3, (0, 0, 0))
+    scalar = prepare_stepper(g, Harmonic((1.0,)), C1, 1e-3, SPLIT_FOURIER)
     for _ in range(50):
         s_up, s_down = pauli.advance(s_up, s_down)
-        up = scalar_step(up, Harmonic((1.0,)), C1, 1e-3, SPLIT_FOURIER)
-        down = scalar_step(down, Harmonic((1.0,)), C1, 1e-3, SPLIT_FOURIER)
-    assert np.max(np.abs(s_up - up.amplitudes)) < 1e-12
-    assert np.max(np.abs(s_down - down.amplitudes)) < 1e-12
+        up, down = scalar.advance(up), scalar.advance(down)
+    assert np.max(np.abs(s_up - up)) < 1e-12
+    assert np.max(np.abs(s_down - down)) < 1e-12
 
 
 def test_spinor_pauli_longitudinal_phases():
@@ -340,7 +371,7 @@ def test_trajectory_hit_node_status():
     rec = evolve(psi, Harmonic((1.0,)), C1, 0.5, 1e-3, SPLIT_FOURIER,
                  snapshot_stride=10)
     flow = integrate_flow(np.array([[1e-7]]), rec, C1, dt_ode=1e-2)
-    assert flow.status_names()[0] == "HitNode"
+    assert status_names(flow)[0] == "HitNode"
 
 
 def test_flow_node_rule():
@@ -352,10 +383,10 @@ def test_flow_node_rule():
                           0.1, 1, 0.1 * np.arange(11), [psi] * 11)
     starts = np.array([[1e-7], [1e-5]])
     threshold = guidance.NODE_FRACTION * np.max(density(psi))
-    below, above = (abs(interpolate(psi, q)) ** 2 for q in starts)
+    below, above = (abs(interpolate(psi, q[0])) ** 2 for q in starts)
     assert below < threshold < above
     flow = integrate_flow(starts, rec, C1, dt_ode=0.1)
-    assert flow.status_names() == ["HitNode", "Completed"]
+    assert status_names(flow) == ["HitNode", "Completed"]
     assert flow.stop_index.tolist() == [0, 10]
     assert flow.points[0, 0] == starts[0, 0]
 
@@ -369,7 +400,7 @@ def test_flow_completed_members():
                           0.1, 1, 0.1 * np.arange(11), [psi] * 11)
     flow = integrate_flow(np.array([[0.5], [1e-7], [-0.5]]), rec, C1,
                           dt_ode=0.1)
-    assert flow.status_names() == ["Completed", "HitNode", "Completed"]
+    assert status_names(flow) == ["Completed", "HitNode", "Completed"]
     np.testing.assert_array_equal(flow.completed(), flow.points[[0, 2]])
     with pytest.raises(EmptyFlowError) as info:
         integrate_flow(np.array([[1e-7], [-1e-7]]), rec, C1,
@@ -386,7 +417,7 @@ def test_no_crossing_in_one_dimension():
     rec = evolve(psi, Free(), C1, 1.0, 1e-3, SPLIT_FOURIER, snapshot_stride=2)
     starts = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
     flow = integrate_flow(starts, rec, C1, dt_ode=2e-3, store_path=True)
-    assert all(s == "Completed" for s in flow.status_names())
+    assert all(s == "Completed" for s in status_names(flow))
     for j in range(flow.paths.shape[0]):
         order = flow.paths[j, :, 0]
         assert np.all(np.diff(order) > 0)
@@ -427,7 +458,7 @@ def test_batched_flow_equals_each_member_alone(mixed_record, dt_ode):
     rec = mixed_record
     batch = integrate_flow(MIXED_STARTS, rec, C1, dt_ode=dt_ode,
                            store_path=True)
-    assert batch.status_names() == ["Completed", "LeftGrid", "HitNode",
+    assert status_names(batch) == ["Completed", "LeftGrid", "HitNode",
                                     "Completed", "HitNode", "LeftGrid",
                                     "LeftGrid", "LeftGrid", "LeftGrid"]
     # Two members stop together at step 0, two more at one later step, and
@@ -633,17 +664,6 @@ def test_flow_second_order_in_snapshot_spacing():
         errs.append(np.max(np.abs(flow.points[:, 0] - exact)))
     assert 3.6 < errs[0] / errs[1] < 4.4
     assert 3.6 < errs[1] / errs[2] < 4.4
-
-
-def test_trajectory_csv_export(tmp_path):
-    traj = Trajectory(np.array([0.0, 0.1, 0.2]),
-                      np.array([[0.0], [0.5], [1.0]]), "Completed")
-    path = tmp_path / "traj.csv"
-    traj.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,q1"
-    assert lines[-1] == "status,Completed"
-    assert len(lines) == 5
 
 
 def test_dt_ode_coarser_than_snapshots_rejected():

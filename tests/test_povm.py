@@ -10,9 +10,8 @@ from bohmsim.povm import (ExperimentModel, NotProjectionValued,
                           OutcomeDistribution, POVMeasure, compose_initial,
                           is_projection_valued, make_model, model_from_json,
                           model_to_json, model_zoo, operator_from_pv,
-                          outcome_distribution, outcome_distribution_composite,
-                          povm_from_experiment, povm_to_json,
-                          repeat_agreement_probability)
+                          outcome_distribution, povm_from_experiment,
+                          povm_to_json, repeat_agreement_probability)
 
 
 def random_state(rng, n):
@@ -135,9 +134,9 @@ def test_povm_controlled_flip_projections(zoo):
                 if str(j) == lab:
                     mask[i * 2 + j] = 1.0
         brute = v.conj().T @ (mask[:, None] * v)
-        np.testing.assert_allclose(povm.operator(lab), brute, atol=1e-12)
-        np.testing.assert_allclose(povm.operator(lab), np.diag(expect_diag),
-                                   atol=1e-12)
+        op = dict(povm.entries)[lab]
+        np.testing.assert_allclose(op, brute, atol=1e-12)
+        np.testing.assert_allclose(op, np.diag(expect_diag), atol=1e-12)
 
 
 def test_povm_type_validation():
@@ -232,26 +231,6 @@ def test_reproducibility_iff_projection_valued(zoo):
         agree = min(repeat_agreement_probability(model, random_state(rng, model.n))
                     for _ in range(20))
         assert (agree > 1.0 - 1e-9) == pv, name
-
-
-# --- composite-index calibration variant ---------------------------------------------------
-
-
-def test_composite_calibration_variant(zoo):
-    rng = np.random.default_rng(19)
-    model = zoo["controlled-flip"]
-    psi = random_state(rng, 2)
-    labels = ("0", "1", "0", "1")  # depends only on the apparatus index
-    mu_c = outcome_distribution_composite(model, psi, labels)
-    mu = outcome_distribution(model, psi)
-    for lab in ("0", "1"):
-        assert abs(mu_c[lab] - mu[lab]) < 1e-12
-    # a genuinely composite calibration still yields a distribution
-    mu_full = outcome_distribution_composite(model, psi,
-                                             ("a", "b", "c", "d"))
-    assert abs(sum(mu_full.probabilities.values()) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        outcome_distribution_composite(model, psi, ("a",))
 
 
 # --- JSON interfaces -------------------------------------------------------------------

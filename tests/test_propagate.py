@@ -13,12 +13,12 @@ from bohmsim import analytic, propagate
 from bohmsim.fields import (ScalarWaveFunction, density, norm,
                             read_wavefunction, write_wavefunction)
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import interpolate
+from bohmsim.kernels import interp_cubic_1d
 from bohmsim.potentials import (CoupledOscillator, Free, Harmonic, Sampled,
                                 SoftCoulomb)
 from bohmsim.propagate import (CRANK_NICOLSON, SPLIT_FOURIER, EvolutionRecord,
                                continuity_residual, evolve, load_record,
-                               prepare_stepper, save_record, step)
+                               prepare_stepper, save_record)
 
 C1 = PhysicalConstants.natural(1)
 
@@ -46,11 +46,12 @@ def test_step_free_plane_wave_phase():
     psi = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(1j * k * x) / np.sqrt(g.axes[0].length))
     dt = 1e-3
-    out = step(psi, Free(), C1, dt, SPLIT_FOURIER)
-    np.testing.assert_allclose(np.abs(out.amplitudes), np.abs(psi.amplitudes),
+    out = prepare_stepper(g, Free(), C1, dt, SPLIT_FOURIER).advance(
+        psi.amplitudes)
+    np.testing.assert_allclose(np.abs(out), np.abs(psi.amplitudes),
                                atol=1e-10)
     expect = psi.amplitudes * np.exp(-1j * k * k * dt / 2)
-    assert np.max(np.abs(out.amplitudes - expect)) < 1e-10
+    assert np.max(np.abs(out - expect)) < 1e-10
 
 
 @pytest.mark.parametrize("method,factory", [(SPLIT_FOURIER, periodic_grid),
@@ -60,10 +61,11 @@ def test_step_harmonic_ground_state(method, factory):
     psi = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(-x * x / 2), normalize=True)
     dt = 1e-3
-    out = step(psi, Harmonic((1.0,)), C1, dt, method)
-    assert np.max(np.abs(np.abs(out.amplitudes) - np.abs(psi.amplitudes))) < 1e-6
+    out = prepare_stepper(g, Harmonic((1.0,)), C1, dt, method).advance(
+        psi.amplitudes)
+    assert np.max(np.abs(np.abs(out) - np.abs(psi.amplitudes))) < 1e-6
     mid = g.axes[0].count // 2
-    phase = out.amplitudes[mid] / psi.amplitudes[mid]
+    phase = out[mid] / psi.amplitudes[mid]
     assert abs(phase - np.exp(-0.5j * dt)) < 1e-6
 
 
@@ -71,19 +73,20 @@ def test_step_norm_preserved_per_step():
     for method, factory in [(SPLIT_FOURIER, periodic_grid),
                             (CRANK_NICOLSON, boxed_grid)]:
         psi = gaussian(factory(), k=1.5)
-        out = step(psi, Harmonic((1.0,)), C1, 1e-3, method)
+        stepper = prepare_stepper(psi.grid, Harmonic((1.0,)), C1, 1e-3, method)
+        out = ScalarWaveFunction(psi.grid, stepper.advance(psi.amplitudes))
         assert abs(norm(out) - norm(psi)) < 1e-12
 
 
 def test_method_boundary_mismatch():
     with pytest.raises(ValueError):
-        step(gaussian(periodic_grid()), Free(), C1, 1e-3, CRANK_NICOLSON)
+        prepare_stepper(periodic_grid(), Free(), C1, 1e-3, CRANK_NICOLSON)
     with pytest.raises(ValueError):
-        step(gaussian(boxed_grid()), Free(), C1, 1e-3, SPLIT_FOURIER)
+        prepare_stepper(boxed_grid(), Free(), C1, 1e-3, SPLIT_FOURIER)
     with pytest.raises(ValueError):
-        step(gaussian(periodic_grid()), Free(), C1, 1e-3, "leapfrog")
+        prepare_stepper(periodic_grid(), Free(), C1, 1e-3, "leapfrog")
     with pytest.raises(ValueError):
-        step(gaussian(periodic_grid()), Free(), C1, -1e-3, SPLIT_FOURIER)
+        prepare_stepper(periodic_grid(), Free(), C1, -1e-3, SPLIT_FOURIER)
 
 
 def test_split_fourier_phases_must_be_finite():
@@ -369,7 +372,8 @@ def test_record_invariants():
                         np.array([0.0, 0.1, 0.3]), [psi, psi, psi])
     with pytest.raises(ValueError):
         EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, 0.1, 0.1, 1,
-                        np.array([0.0]), [psi.with_amplitudes(2 * psi.amplitudes)])
+                        np.array([0.0]),
+                        [ScalarWaveFunction(psi.grid, 2 * psi.amplitudes)])
 
 
 @pytest.mark.parametrize("dt,step_dt,stride", [
@@ -532,7 +536,7 @@ def test_time_reversal(method, factory):
     ref = evolve(psi, Harmonic((1.0,)), C1, t, dt / 10, method,
                  snapshot_stride=5000).snapshots[-1]
     one_way = max(np.max(np.abs(fwd.amplitudes - ref.amplitudes)), 1e-14)
-    back = run(fwd.with_amplitudes(np.conj(fwd.amplitudes)))
+    back = run(ScalarWaveFunction(g, np.conj(fwd.amplitudes)))
     roundtrip = np.max(np.abs(np.conj(back.amplitudes) - psi.amplitudes))
     assert roundtrip < 10 * one_way
 
@@ -575,7 +579,9 @@ def test_methods_cross_check():
     rb = evolve(b, Harmonic((1.0,)), C1, 1.0, 1e-3, CRANK_NICOLSON,
                 snapshot_stride=1000)
     pts = gp.coordinates(0)[::8]
-    vals = np.array([interpolate(rb.snapshots[-1], (x,)) for x in pts])
+    ax = gb.axes[0]
+    vals = interp_cubic_1d(rb.snapshots[-1].amplitudes, ax.lower, ax.spacing,
+                           ax.periodic, pts)
     ref = ra.snapshots[-1].amplitudes[::8]
     assert np.max(np.abs(vals - ref)) < 1e-3
 
@@ -686,9 +692,13 @@ def _rewrite_snapshot_hbar(manifest, directory):
     (_set("step_dt", "0.01"), "^step_dt: must be positive and finite"),
     # a record's clock starts at 0, so no manifest can shift it
     (_set("times", [1.0, 1.02, 1.04]), "^times: a record starts at t = 0"),
+    (_set("times", [[0.0], [0.5], [7.0]]), r"^times: expected a 1-d array"),
+    (_set("times", ["a", "b", "c"]), "field 'times'"),
+    (_set("snapshots", 3), "field 'snapshots'"),
 ], ids=["no-step_dt", "no-times", "method-bogus", "method-boxed-only",
         "step_dt-negative", "stride-3", "stride-0", "dt-0.03", "snapshot-hbar",
-        "grid-no-axes", "constants-no-hbar", "step_dt-string", "times-shifted"])
+        "grid-no-axes", "constants-no-hbar", "step_dt-string", "times-shifted",
+        "times-nested", "times-strings", "snapshots-count"])
 def test_corrupt_manifest_raises_naming_field(tmp_path, mutate, field):
     """A saved record (dt 0.02 = step_dt 0.01 x stride 2) with one field
     made inconsistent."""

@@ -323,6 +323,8 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     """
     constants.check_dimension(record.grid)
     record.check_constants(constants)
+    if len(record.snapshots) < 2:
+        raise ValueError("a flow needs a record of at least two snapshots")
     dt_ode = dt_ode if dt_ode is not None else record.dt
     n = ode_step_count(record.t_final, dt_ode, record.dt)
     times = dt_ode * np.arange(n + 1)

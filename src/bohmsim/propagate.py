@@ -5,7 +5,9 @@ sweep factored once and then solved in one LAPACK call per step), plus the
 continuity-equation diagnostic and on-disk persistence of evolutions.
 
 Both steppers advance a state by a given number of steps in one call, and
-``evolve`` makes one call per snapshot interval.
+``evolve`` makes one call per snapshot interval. A record keeps one clock,
+the step and the stride of steps between snapshots: its snapshot spacing is
+step_dt x stride and its times follow from that.
 
 Free evolution stays in k-space. When the potential vanishes on every grid
 point, each potential half-step multiplies by exactly 1 and the inverse
@@ -38,7 +40,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +60,8 @@ TIME_RTOL = 1e-9  # relative tolerance of every comparison of two times
 
 def time_tol(t):
     """How far an instant may lie from t and still count as t:
-    TIME_RTOL max(1, |t|). Step counts, record spans and surface windows
-    all compare instants within it."""
+    TIME_RTOL max(1, |t|). Step counts, flow spans and a stored record's
+    times all compare instants within it."""
     return TIME_RTOL * max(1.0, abs(t))
 
 
@@ -262,51 +264,43 @@ class PauliStepper:
 @dataclass(frozen=True)
 class EvolutionRecord:
     """Equally spaced snapshots of one evolution, kept for the guidance flow.
-    A record starts at t = 0: snapshot i is the field at time i dt."""
+    Its one clock is the integrator step ``step_dt`` and the ``stride`` of
+    steps between snapshots: snapshot i is the field at t = i dt, where
+    dt = step_dt * stride is the snapshot spacing."""
 
     grid: Grid
     constants: PhysicalConstants
     potential: object
     method: str
-    dt: float           # snapshot spacing, step_dt * stride to 1e-9
     step_dt: float      # integrator step
-    stride: int
-    times: np.ndarray
-    snapshots: list = field(default_factory=list)
+    stride: int         # integrator steps per snapshot
+    snapshots: list
 
     def __post_init__(self):
         _check_method(self.grid, self.method)
-        for name in ("dt", "step_dt"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and value > 0):
-                raise ValueError(f"{name}: must be positive and finite, "
-                                 f"found {value!r}")
+        if not (_is_number(self.step_dt) and self.step_dt > 0):
+            raise ValueError(f"step_dt: must be positive and finite, found "
+                             f"{self.step_dt!r}")
         if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
             raise ValueError(f"stride: must be a positive integer, found "
                              f"{self.stride!r}")
-        if not abs(self.dt - self.step_dt * self.stride) <= TIME_RTOL * self.dt:
-            raise ValueError(f"dt: snapshot spacing {self.dt!r} is not step_dt "
-                             f"{self.step_dt!r} times stride {self.stride}")
-        times = np.asarray(self.times, dtype=np.float64)
-        if times.ndim != 1:
-            raise ValueError(f"times: expected a 1-d array, found shape "
-                             f"{times.shape}")
-        object.__setattr__(self, "times", times)
-        if len(times) != len(self.snapshots) or len(times) == 0:
-            raise ValueError("one snapshot per time required")
-        if times[0] != 0.0:
-            raise ValueError(f"times: a record starts at t = 0, found "
-                             f"{times[0]!r}")
-        if len(times) > 1:
-            gaps = np.diff(times)
-            if np.any(np.abs(gaps - self.dt) > time_tol(self.dt)):
-                raise ValueError("snapshot times must be equally spaced by dt")
+        if not self.snapshots:
+            raise ValueError("a record needs at least one snapshot")
         for s in self.snapshots:
             if s.grid != self.grid:
                 raise ValueError("snapshot grid mismatch")
             if abs(norm(s) - 1.0) > 1e-8:
                 raise ValueError("snapshot not normalized within 1e-8")
+
+    @property
+    def dt(self):
+        return self.step_dt * self.stride
+
+    @property
+    def times(self):
+        """The snapshot times: step_dt times each snapshot's step index, in
+        that order, since (step_dt * stride) * i rounds differently."""
+        return self.step_dt * (self.stride * np.arange(len(self.snapshots)))
 
     @property
     def t_final(self):
@@ -320,9 +314,10 @@ class EvolutionRecord:
             raise ValueError(f"constants {constants.describe()} differ from "
                              f"the record's {self.constants.describe()}")
 
-    def spans(self, t0, t1):
-        eps = time_tol(self.t_final)
-        return -eps <= t0 and t1 <= self.t_final + eps
+
+def _is_number(value):
+    """A finite real number; a string that reads as one is not."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def step_count(t_final, dt, snapshot_stride=1):
@@ -355,14 +350,11 @@ def evolve(psi0, potential, constants, t_final, dt, method, snapshot_stride=1):
     stepper = prepare_stepper(psi0.grid, potential, constants, dt, method)
     arr = psi0.amplitudes
     snaps = [psi0]
-    times = [0.0]
-    for k in range(snapshot_stride, n_steps + 1, snapshot_stride):
+    for _ in range(n_steps // snapshot_stride):
         arr = stepper.advance(arr, snapshot_stride)
         snaps.append(ScalarWaveFunction(psi0.grid, arr))
-        times.append(k * dt)
-    return EvolutionRecord(psi0.grid, constants, potential, method,
-                           dt * snapshot_stride, dt, snapshot_stride,
-                           np.asarray(times), snaps)
+    return EvolutionRecord(psi0.grid, constants, potential, method, dt,
+                           snapshot_stride, snaps)
 
 
 def continuity_residual(record):
@@ -444,6 +436,12 @@ def load_record(directory):
     potential = _parse_field(manifest, "potential", potential_from)
     times = _parse_field(manifest, "times",
                          lambda v: np.asarray(v, dtype=np.float64))
+    if times.ndim != 1:
+        raise ValueError(f"times: expected a 1-d array, found shape "
+                         f"{times.shape}")
+    bad = [t for t in manifest["times"] if not _is_number(t)]
+    if bad:
+        raise ValueError(f"times: expected finite numbers, found {bad[0]!r}")
     snaps = []
     for name in _parse_field(manifest, "snapshots", list):
         psi, snap_constants = read_wavefunction(os.path.join(directory, name))
@@ -452,6 +450,15 @@ def load_record(directory):
                              f"differ from the manifest's "
                              f"{constants.describe()}")
         snaps.append(psi)
-    return EvolutionRecord(grid, constants, potential, manifest["method"],
-                           manifest["dt"], manifest["step_dt"],
-                           manifest["stride"], times, snaps)
+    record = EvolutionRecord(grid, constants, potential, manifest["method"],
+                             manifest["step_dt"], manifest["stride"], snaps)
+    # the stored clock catches a corrupt step_dt or stride
+    dt = manifest["dt"]
+    if not (_is_number(dt) and abs(dt - record.dt) <= TIME_RTOL * record.dt):
+        raise ValueError(f"dt: snapshot spacing {dt!r} is not step_dt "
+                         f"{record.step_dt!r} times stride {record.stride}")
+    if len(times) != len(snaps) or np.any(
+            np.abs(times - record.times) > time_tol(record.t_final)):
+        raise ValueError(f"times: a record starts at t = 0 and has one time "
+                         f"per snapshot, dt = {record.dt!r} apart")
+    return record

@@ -20,7 +20,7 @@ from .equilibrium import (COLLAPSE_SHAPE, EmptyFlowError,
                           collapse_experiment, collapse_hamiltonian,
                           equivariance_check, sample_density)
 from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
-from .flux import (CrossingSurface, _current_at_surface, expected_crossings,
+from .flux import (_current_at_surface, check_location, expected_crossings,
                    per_member_counts)
 from .grids import Grid, PhysicalConstants
 from .guidance import (COMPLETED, HIT_NODE, LEFT_GRID, integrate_flow,
@@ -639,27 +639,26 @@ def run_collapse(params, out_dir=None):
 
 
 def _flux_setup(case):
-    """Constants, initial state and surface of one case; raises ValueError
-    where the run would reject the case."""
+    """Constants and initial state of one case; raises ValueError where the
+    run would reject the case."""
     grid = _grid_1d(case["grid"])
     constants = PhysicalConstants.natural(dimension=1)
     prepare_stepper(grid, Free(), constants, case["dt"], SPLIT_FOURIER)
     psi0 = make_initial(grid, constants, case["initial"])
-    surface = CrossingSurface(case["surface"], 0.0, case["t_final"])
-    surface.check_grid(grid)
+    check_location(grid, case["surface"])
     _check_flow(case)
-    return constants, psi0, surface
+    return constants, psi0
 
 
 def _flux_case(case, n, seed, out_dir):
-    constants, psi0, surface = _flux_setup(case)
+    constants, psi0 = _flux_setup(case)
     record = evolve(psi0, Free(), constants, case["t_final"], case["dt"],
                     SPLIT_FOURIER, snapshot_stride=case["stride"])
-    exp_total, exp_signed = expected_crossings(record, surface)
+    exp_total, exp_signed = expected_crossings(record, case["surface"])
     ens = sample_density(psi0, n, seed)
     flow = integrate_flow(ens.members, record, constants,
                           dt_ode=case["dt_ode"], store_path=True)
-    counts = per_member_counts(flow, surface)
+    counts = per_member_counts(flow, case["surface"])
     emp_total, emp_signed = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / math.sqrt(counts.shape[0])
     result = {
@@ -677,7 +676,7 @@ def _flux_case(case, n, seed, out_dir):
     if out_dir is not None:
         _write_csv(out_dir, f"flux_{case['name']}_current.csv",
                    "t,normal_current",
-                   zip(*_current_at_surface(record, surface)))
+                   zip(*_current_at_surface(record, case["surface"])))
     return result
 
 

@@ -28,9 +28,9 @@ def _case(scenario, **case):
 
 # Configs of the right JSON types that the run would reject, one row per
 # rule: each is a config error that names its path. Each row names itself,
-# so a row inserted anywhere renames no other. The first rows' names are the
-# message paths and list positions they were once derived from, kept as they
-# are so that every record of those tests still matches.
+# so a row inserted anywhere renames no other. The names of the form
+# path-position are the message paths and list positions they were once
+# derived from, kept so that every record of those tests still matches.
 PROBES = [
     ("equivariance-harmonic-no-omegas",
      _case("equivariance", potential={"kind": "harmonic"}),
@@ -65,32 +65,32 @@ PROBES = [
     ("flux-unknown-assert",
      _case("flux", asserts=[["bogus", 1, 1]]),
      "cases[0].asserts[0][0]: expected a match of expected_total|"),
-    ("weights[0]-12",
+    ("collapse-weight-above-one",
      {"scenario": "collapse", "weights": [1.5]}, "weights[0]: must be <= 1"),
-    ("points-13",
+    ("oscillator-oracle-points-seven",
      {"scenario": "oscillator-oracle", "points": 7},
      "points: axis needs at least 8 points"),
-    ("t_final-14",
+    ("oscillator-oracle-t-final-below-one",
      {"scenario": "oscillator-oracle", "t_final": 0.5}, "t_final: must be >= 1"),
-    ("rabi_steps-15",
+    ("spin-rabi-steps-zero",
      {"scenario": "spin", "rabi_steps": 0}, "rabi_steps: must be >= 1"),
-    ("b_transverse-16",
+    ("spin-b-transverse-zero",
      {"scenario": "spin", "b_transverse": 0}, "b_transverse: must be > 0"),
-    ("scenario-17",
+    ("scenario-not-a-string",
      {"scenario": []}, "scenario: unknown scenario []"),
-    ("dt-18",
+    ("spin-dt-nan",
      {"scenario": "spin", "dt": math.nan}, "dt: expected a finite number"),
-    ("cases[0].grid-19",
+    ("flux-grid-count-zero",
      _case("flux", grid={"count": 0}),
      "cases[0].grid: axis needs at least 8 points"),
-    ("cases[0]-20",
+    ("equivariance-stride-zero",
      _case("equivariance", stride=0),
      "cases[0]: snapshot_stride must be positive"),
-    ("cases[0]-21",
+    ("flux-dt-ode-zero",
      _case("flux", dt_ode=0), "cases[0]: dt_ode must be positive"),
-    ("config-22",
+    ("collapse-dt-zero",
      {"scenario": "collapse", "dt": 0}, "config: dt must be positive"),
-    ("hbars[1]-23",
+    ("classical-limit-hbar-zero",
      {"scenario": "classical-limit", "hbars": [0.3, 0.0]},
      "hbars[1]: hbar and masses must be positive"),
     ("config-24",
@@ -240,9 +240,8 @@ def test_equivariance_with_harmonic_first_case():
                          ids=["dt_ode-spacing", "dt_ode-t_final"])
 def test_instants_within_the_time_tolerance_run(dt_ode, tmp_path):
     """163851 steps of 0.1 end at 16385.100000000002, a relative 2e-16 past
-    t_final 16385.1: the surface window holds that last snapshot, and
-    dt_ode 16385.1 is not below the snapshot spacing. Both configs
-    validate and run to a verdict."""
+    t_final 16385.1, and dt_ode 16385.1 is not below the snapshot spacing.
+    Both configs validate and run to a verdict."""
     config = {"scenario": "flux", "n": 4, "cases": [{
         "grid": {"lower": -12.0, "upper": 20.0, "count": 64},
         "t_final": 16385.1, "dt": 0.1, "stride": 163851, "dt_ode": dt_ode}]}

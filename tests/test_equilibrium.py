@@ -100,8 +100,8 @@ def test_evolve_ensemble_stationary():
     g = grid1d()
     psi = unit_gaussian(g)
     # stationary state: snapshots equal up to the global phase guidance drops
-    rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.05, 0.05,
-                          1, 0.05 * np.arange(11), [psi] * 11)
+    rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.05, 1,
+                          [psi] * 11)
     ens = sample_density(psi, 300, seed=3)
     res = integrate_flow(ens.members, rec, C1, dt_ode=5e-2)
     assert res.count(HIT_NODE) == 0 and res.count(LEFT_GRID) == 0

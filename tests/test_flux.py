@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from bohmsim.equilibrium import sample_density
 from bohmsim.fields import ScalarWaveFunction, density, probability_current
-from bohmsim.flux import (CrossingSurface, _current_at_surface,
-                          expected_crossings, per_member_counts)
+from bohmsim.flux import (_current_at_surface, expected_crossings,
+                          per_member_counts)
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import FlowResult, integrate_flow
 from bohmsim.kernels import cubic_stencil
@@ -28,23 +28,16 @@ def moving_gaussian_record(center, k, half, n, t_final, width=1.0):
     return psi, rec
 
 
-def test_surface_validation():
-    with pytest.raises(ValueError):
-        CrossingSurface(0.0, 1.0, 0.5)
-
-
-def _hand_summed_current(record, constants, surface):
+def _hand_summed_current(record, constants, location):
     """The surface current summed by hand over the four stencil nodes, as
     it was before the interpolation kernel took it over."""
     grid = record.grid
     ax = grid.axes[0]
     idx, w = cubic_stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
-                           np.array([surface.location]))
+                           np.array([location]))
     w = w[:, 0]
     times, vals = [], []
     for t, snap in zip(record.times, record.snapshots):
-        if t < surface.t0 - 1e-12 or t > surface.t1 + 1e-12:
-            continue
         j = probability_current(snap, constants).components[0]
         line = sum(w[b] * j[idx[b, 0]] for b in range(4))
         if grid.dimension == 2:
@@ -68,10 +61,9 @@ def test_surface_current_matches_four_term_sum(dimension, boundary, method):
     ax = g.axes[0]
     # off the nodes, on a node and on both edges
     for location in (0.37, -1.0, ax.lower, ax.upper):
-        surface = CrossingSurface(location, 0.02, 0.1)
-        times, vals = _current_at_surface(rec, surface)
-        ref_times, ref_vals = _hand_summed_current(rec, constants, surface)
-        assert len(times) == 9
+        times, vals = _current_at_surface(rec, location)
+        ref_times, ref_vals = _hand_summed_current(rec, constants, location)
+        assert len(times) == 11
         assert times.tobytes() == ref_times.tobytes()
         assert vals.tobytes() == ref_vals.tobytes()
 
@@ -82,9 +74,9 @@ def test_expected_stationary_zero():
     psi = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(-x * x / 2), normalize=True)
     # real stationary state: the current vanishes identically
-    rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.05, 0.05,
-                          1, 0.05 * np.arange(5), [psi] * 5)
-    total, signed = expected_crossings(rec, CrossingSurface(0.5, 0.0, 0.2))
+    rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.05, 1,
+                          [psi] * 5)
+    total, signed = expected_crossings(rec, 0.5)
     assert abs(total) < 1e-13 and abs(signed) < 1e-13
 
 
@@ -98,11 +90,10 @@ def _completed_flow(times, xs):
 
 
 def test_count_simple_trajectories():
-    surf = CrossingSurface(0.0, 0.0, 1.0)
     t = np.linspace(0, 1, 11)
     left, through = -1.0 - t, np.linspace(-1, 1, 11)
     counts = per_member_counts(_completed_flow(t, np.stack([left, through], 1)),
-                               surf)
+                               0.0)
     assert counts.tolist() == [[0.0, 0.0], [1.0, 1.0]]
     assert counts.mean(axis=0).tolist() == [0.5, 0.5]
 
@@ -113,23 +104,21 @@ def test_count_grazing_tie_break():
     t = np.linspace(0, 1, 5)
     touch = [-1.0, -0.5, 0.0, -0.5, -1.0]
     crossing = [-1.0, -0.5, 0.0, 0.5, 1.0]
-    surf = CrossingSurface(0.0, 0.0, 1.0)
     flow = _completed_flow(t, np.stack([touch, crossing], 1))
-    assert per_member_counts(flow, surf).tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    assert per_member_counts(flow, 0.0).tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
 def test_counts_need_stored_paths():
     flow = FlowResult(np.linspace(0, 1, 3), np.zeros((2, 1)),
                       np.zeros(2, np.int8), np.full(2, 2))
     with pytest.raises(ValueError, match="no stored paths"):
-        per_member_counts(flow, CrossingSurface(0.0, 0.0, 1.0))
+        per_member_counts(flow, 0.0)
 
 
-def _count_one(times, xs, surface):
+def _count_one(xs, location):
     """Loop reference for one member: one crossing per sign change between
-    consecutive nonzero samples inside the time window."""
-    sel = (times >= surface.t0 - 1e-12) & (times <= surface.t1 + 1e-12)
-    d = xs[sel] - surface.location
+    consecutive nonzero samples."""
+    d = xs - location
     nz = d[d != 0.0]
     if nz.size < 2:
         return 0, 0
@@ -152,30 +141,18 @@ def test_counts_match_loop_reference(seed, steps, members, zero_frac,
     d[rng.random(d.shape) < zero_frac] = 0.0
     xs = location + d
     stop = rng.integers(0, steps, members)
-    t0 = rng.uniform(-0.2, 0.6)
-    surf = CrossingSurface(location, t0, t0 + rng.uniform(0.1, 1.2))
     flow = FlowResult(times, xs[-1, :, None], np.zeros(members, np.int8),
                       stop, xs[:, :, None])
-    expected = np.asarray([_count_one(times[: s + 1], xs[: s + 1, b], surf)
+    expected = np.asarray([_count_one(xs[: s + 1, b], location)
                            for b, s in enumerate(stop)], dtype=np.float64)
-    assert per_member_counts(flow, surf).tobytes() == expected.tobytes()
-
-
-def test_expected_interval_additivity():
-    _, rec = moving_gaussian_record(-3.0, 4.0, 16.0, 1024, 2.0)
-    whole = expected_crossings(rec, CrossingSurface(0.0, 0.0, 2.0))
-    first = expected_crossings(rec, CrossingSurface(0.0, 0.0, 1.0))
-    second = expected_crossings(rec, CrossingSurface(0.0, 1.0, 2.0))
-    assert abs(whole[0] - (first[0] + second[0])) < 1e-12
-    assert abs(whole[1] - (first[1] + second[1])) < 1e-12
+    assert per_member_counts(flow, location).tobytes() == expected.tobytes()
 
 
 def test_traversal_against_mass_bookkeeping():
     """Oracle: for a packet that crosses once, the signed count equals the
     probability mass transported across the surface."""
     psi, rec = moving_gaussian_record(-3.0, 4.0, 16.0, 1024, 2.0)
-    surf = CrossingSurface(0.0, 0.0, 2.0)
-    total, signed = expected_crossings(rec, surf)
+    total, signed = expected_crossings(rec, 0.0)
     g = rec.grid
     w = g.quadrature_weights()
     right = g.coordinates(0) > 0.0
@@ -186,7 +163,7 @@ def test_traversal_against_mass_bookkeeping():
 
     ens = sample_density(psi, 2000, seed=41)
     flow = integrate_flow(ens.members, rec, C1, dt_ode=5e-3, store_path=True)
-    counts = per_member_counts(flow, surf)
+    counts = per_member_counts(flow, 0.0)
     emp_total, emp_signed = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / np.sqrt(len(counts))
     assert abs(emp_total - total) < 4 * max(se[0], 1e-3)
@@ -208,13 +185,12 @@ def test_superposition_linearity_oracle():
     b = packet(17.5, -5.0)
     combo = ScalarWaveFunction(g, (a + b) / np.sqrt(2.0))
     assert abs(np.sum(w * np.abs(combo.amplitudes) ** 2) - 1.0) < 1e-9
-    surf = CrossingSurface(0.0, 0.0, 5.0)
 
     def flux_of(amps):
         psi = ScalarWaveFunction(g, amps)
         rec = evolve(psi, Free(), C1, 5.0, 1e-3, SPLIT_FOURIER,
                      snapshot_stride=5)
-        return expected_crossings(rec, surf)
+        return expected_crossings(rec, 0.0)
 
     ta, sa = flux_of(a)
     tb, sb = flux_of(b)
@@ -224,12 +200,10 @@ def test_superposition_linearity_oracle():
     assert abs(sc) < 0.02 and abs(tc - 1.0) < 0.05
 
 
-def test_surface_window_and_location_validated():
+def test_surface_location_validated():
     _, rec = moving_gaussian_record(-3.0, 4.0, 16.0, 512, 1.0)
-    with pytest.raises(ValueError):
-        expected_crossings(rec, CrossingSurface(0.0, 0.0, 2.0))
-    with pytest.raises(ValueError):
-        expected_crossings(rec, CrossingSurface(99.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="surface location outside the grid"):
+        expected_crossings(rec, 99.0)
 
 
 def test_expected_crossings_2d_surface():
@@ -239,7 +213,7 @@ def test_expected_crossings_2d_surface():
         g, lambda x, y: np.exp(-(x * x + y * y) / 2), normalize=True)
     rec = evolve(psi, Harmonic((1.0, 1.0)), c2, 0.1, 1e-3, SPLIT_FOURIER,
                  snapshot_stride=10)
-    total, signed = expected_crossings(rec, CrossingSurface(0.3, 0.0, 0.1))
+    total, signed = expected_crossings(rec, 0.3)
     assert abs(total) < 1e-9 and abs(signed) < 1e-9
 
 
@@ -254,7 +228,7 @@ def test_periodic_exit_stops_and_counts_no_windings():
     assert left.sum() > 100 and np.all(flow.statuses[~left] == 0)
     assert np.all(np.diff(flow.paths[:, :, 0], axis=0) >= 0.0)
     assert np.all(flow.points[left, 0] > 8.0 - 0.1)
-    counts = per_member_counts(flow, CrossingSurface(4.0, 0.0, 1.5))
+    counts = per_member_counts(flow, 4.0)
     started_left = ens.members[:, 0] < 4.0
     assert np.array_equal(counts[:, 0], np.where(started_left, 1.0, 0.0))
     assert np.array_equal(counts[:, 1], counts[:, 0])

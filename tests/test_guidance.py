@@ -80,8 +80,7 @@ def test_interpolate_out_of_bounds():
     """A start off the grid is rejected before any flow."""
     g = Grid.regular(-5.0, 5.0, 64, boundary="boxed", dimension=1)
     psi = ScalarWaveFunction(g, np.ones(g.shape, dtype=complex)).normalize()
-    rec = EvolutionRecord(g, C1, Free(), CRANK_NICOLSON, 0.1, 0.1, 1,
-                          np.array([0.0, 0.1]), [psi, psi])
+    rec = EvolutionRecord(g, C1, Free(), CRANK_NICOLSON, 0.1, 1, [psi, psi])
     for q in ((5.5,), (-6.0,)):
         with pytest.raises(OutOfBoundsError):
             integrate_trajectory(q, rec)
@@ -207,8 +206,7 @@ def test_spinor_velocity_checks_the_mass_count():
     with pytest.raises(ValueError, match="2 masses for a 1-d grid"):
         spinor_velocity(s, (0.5,), C2)
     psi = ScalarWaveFunction(g, s.up).normalize()
-    rec = EvolutionRecord(g, C1, Free(), SPLIT_FOURIER, 0.1, 0.1, 1,
-                          np.array([0.0, 0.1]), [psi, psi])
+    rec = EvolutionRecord(g, C1, Free(), SPLIT_FOURIER, 0.1, 1, [psi, psi])
     with pytest.raises(ValueError, match="2 masses for a 1-d grid"):
         integrate_flow(np.array([[0.5]]), rec, C2)
 
@@ -314,8 +312,8 @@ def test_trajectory_stationary_state():
         g, lambda x: np.exp(-x * x / 2), normalize=True)
     # a stationary state evolves by a global phase only, which the guidance
     # field ignores: the record snapshots are the state itself
-    rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.1, 0.1, 1,
-                          0.1 * np.arange(11), [psi] * 11)
+    rec = EvolutionRecord(g, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.1, 1,
+                          [psi] * 11)
     traj = integrate_trajectory((0.7,), rec, dt_ode=0.1)
     assert traj.status == "Completed"
     assert np.max(np.abs(traj.points - 0.7)) < 1e-9
@@ -380,7 +378,7 @@ def test_flow_node_rule():
     psi = _first_excited()
     # a stationary state: the snapshots are the state itself
     rec = EvolutionRecord(psi.grid, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.1,
-                          0.1, 1, 0.1 * np.arange(11), [psi] * 11)
+                          1, [psi] * 11)
     starts = np.array([[1e-7], [1e-5]])
     threshold = guidance.NODE_FRACTION * np.max(density(psi))
     below, above = (abs(interpolate(psi, q[0])) ** 2 for q in starts)
@@ -397,7 +395,7 @@ def test_flow_completed_members():
     of how they stopped."""
     psi = _first_excited()
     rec = EvolutionRecord(psi.grid, C1, Harmonic((1.0,)), SPLIT_FOURIER, 0.1,
-                          0.1, 1, 0.1 * np.arange(11), [psi] * 11)
+                          1, [psi] * 11)
     flow = integrate_flow(np.array([[0.5], [1e-7], [-0.5]]), rec, C1,
                           dt_ode=0.1)
     assert status_names(flow) == ["Completed", "HitNode", "Completed"]
@@ -407,6 +405,16 @@ def test_flow_completed_members():
                        dt_ode=0.1).completed()
     assert (info.value.n_input, info.value.hit_node,
             info.value.left_grid) == (2, 2, 0)
+
+
+def test_flow_needs_two_snapshots():
+    """A record of t_final 0 holds one snapshot and no span to flow over;
+    the error names the record, not dt_ode."""
+    psi = ScalarWaveFunction(grid1d(64), np.ones(64, dtype=complex)).normalize()
+    rec = evolve(psi, Free(), C1, 0.0, 0.01, SPLIT_FOURIER)
+    with pytest.raises(ValueError, match="^a flow needs a record of at least "
+                       "two snapshots$"):
+        integrate_flow(np.array([[0.5]]), rec, C1)
 
 
 def test_no_crossing_in_one_dimension():

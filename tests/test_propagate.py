@@ -1,6 +1,7 @@
 """The two unitary schemes: phases, unitarity, convergence order, time
 reversal, the continuity diagnostic, and record persistence."""
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -368,27 +369,20 @@ def test_evolve_rejects_misaligned_final_time():
 def test_record_invariants():
     psi = gaussian(periodic_grid())
     with pytest.raises(ValueError):
-        EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, 0.1, 0.1, 1,
-                        np.array([0.0, 0.1, 0.3]), [psi, psi, psi])
-    with pytest.raises(ValueError):
-        EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, 0.1, 0.1, 1,
-                        np.array([0.0]),
+        EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, 0.1, 1,
                         [ScalarWaveFunction(psi.grid, 2 * psi.amplitudes)])
 
 
-@pytest.mark.parametrize("dt,step_dt,stride", [
-    (0.01, 0.01, 2),   # the default flow would reject its own record
-    (0.01, 0.005, 1),  # dt_ode = step_dt x stride would undercut the spacing
-    (0.01, 0.01 / 3, 2),
-])
-def test_record_spacing_must_be_step_times_stride(dt, step_dt, stride):
-    psi = gaussian(periodic_grid())
-    with pytest.raises(ValueError, match="dt: snapshot spacing"):
-        EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, dt, step_dt,
-                        stride, dt * np.arange(3), [psi] * 3)
-    # agreement to a relative 1e-9 is accepted
-    EvolutionRecord(psi.grid, C1, Free(), SPLIT_FOURIER, dt * (1 + 1e-12),
-                    dt / 4, 4, dt * np.arange(3), [psi] * 3)
+@pytest.mark.parametrize("dt,stride", [(2e-3, 25), (1e-2, 10)])
+def test_record_clock_has_the_bits_of_the_steps(dt, stride):
+    """times are k dt at every stride-th step k, bit for bit; the product
+    (dt stride) k differs from it at both configs."""
+    n = 500
+    rec = evolve(gaussian(periodic_grid(64)), Free(), C1, n * dt, dt,
+                 SPLIT_FOURIER, snapshot_stride=stride)
+    steps = np.array([k * dt for k in range(0, n + 1, stride)])
+    assert rec.times.tobytes() == steps.tobytes()
+    assert rec.dt == dt * stride and rec.t_final == steps[-1]
 
 
 # --- the factored Crank-Nicolson solve ---------------------------------------
@@ -653,6 +647,35 @@ def test_record_save_load_roundtrip(tmp_path):
     assert back.potential.describe() == rec.potential.describe()
 
 
+def test_manifest_with_stored_clock_loads_to_the_same_record(tmp_path):
+    """A manifest whose dt and times were written from the evolution loop
+    (dt = step_dt x stride, times k step_dt) loads to the record it was
+    saved from."""
+    step_dt, stride, n = 2e-3, 25, 100
+    rec = evolve(gaussian(periodic_grid(64), k=0.5), Free(), C1, n * step_dt,
+                 step_dt, SPLIT_FOURIER, snapshot_stride=stride)
+    directory = str(tmp_path / "run")
+    save_record(rec, directory)
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest["dt"] = step_dt * stride
+    manifest["times"] = [k * step_dt for k in range(0, n + 1, stride)]
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    back = load_record(directory)
+    for f in dataclasses.fields(EvolutionRecord):
+        mine, theirs = getattr(back, f.name), getattr(rec, f.name)
+        if f.name == "potential":
+            assert mine.describe() == theirs.describe()
+        elif f.name == "snapshots":
+            assert [s.amplitudes.tobytes() for s in mine] == [
+                s.amplitudes.tobytes() for s in theirs]
+        else:
+            assert mine == theirs
+    assert back.times.tobytes() == rec.times.tobytes() and back.dt == rec.dt
+
+
 def _set(key, value):
     def mutate(manifest, directory):
         manifest[key] = value
@@ -694,11 +717,15 @@ def _rewrite_snapshot_hbar(manifest, directory):
     (_set("times", [1.0, 1.02, 1.04]), "^times: a record starts at t = 0"),
     (_set("times", [[0.0], [0.5], [7.0]]), r"^times: expected a 1-d array"),
     (_set("times", ["a", "b", "c"]), "field 'times'"),
+    # numeric strings fail as step_dt "0.01" does
+    (_set("times", ["0.0", "0.02", "0.04"]),
+     "^times: expected finite numbers, found '0.0'"),
     (_set("snapshots", 3), "field 'snapshots'"),
 ], ids=["no-step_dt", "no-times", "method-bogus", "method-boxed-only",
         "step_dt-negative", "stride-3", "stride-0", "dt-0.03", "snapshot-hbar",
         "grid-no-axes", "constants-no-hbar", "step_dt-string", "times-shifted",
-        "times-nested", "times-strings", "snapshots-count"])
+        "times-nested", "times-strings", "times-numeric-strings",
+        "snapshots-count"])
 def test_corrupt_manifest_raises_naming_field(tmp_path, mutate, field):
     """A saved record (dt 0.02 = step_dt 0.01 x stride 2) with one field
     made inconsistent."""

@@ -25,14 +25,18 @@ written straight into its window row by ``gradient_array``.
 
 The time blend runs on the grid, before interpolation: at a time between
 two snapshots the sampler writes (1 - theta) psi_i + theta psi_(i+1), and
-the same for grad psi, into one buffer of 1 + d fields and interpolates
-that, so each stage gathers 1 + d fields rather than 2 (1 + d). The buffer
-is kept for the next query at the same time, so RK4 stages 2 and 3, which
-both sample t0 + h/2, share one blend. The blend is made for every batch,
-however small: a size rule that blended at the points for small batches
-would make a member's bits depend on how many members share its batch. The
-flow runs on one thread: on two cores, splitting each stage's members over
-two threads ran slower than one thread.
+the same for grad psi, over snapshot i's 1 + d fields in the window and
+interpolates those, so each stage gathers 1 + d fields rather than
+2 (1 + d). A forward flow never reads snapshot i again after its midpoint,
+so the window of two snapshots is the sampler's only grid storage besides
+one scratch field. The blend stays in the window for the next query at the
+same time, so RK4 stages 2 and 3, which both sample t0 + h/2, share one
+blend. A stage time within TIME_RTOL of a snapshot reads that snapshot as
+it is, so stages 1 and 4 at snapshot times blend nothing. The blend is made
+for every batch, however small: a size rule that blended at the points for
+small batches would make a member's bits depend on how many members share
+its batch. The flow runs on one thread: on two cores, splitting each
+stage's members over two threads ran slower than one thread.
 
 The flow compacts only on a step where a member stops. Typical
 trajectories never reach a node, so on most steps every member that starts
@@ -102,6 +106,19 @@ def _point(grid, q):
     return pts
 
 
+def _outside(grid, pts):
+    """Mask of the points pts (B, d) that lie outside the grid's closed
+    domain, NaN among them, or False when none does. Each axis's min and
+    max decide that none does; the mask is built only when they do not.
+    Column by column: a reduction over axis 0 of (B, 2) is ten times
+    slower."""
+    if all(ax.lower <= pts[:, k].min(initial=np.inf)
+           and pts[:, k].max(initial=-np.inf) <= ax.upper
+           for k, ax in enumerate(grid.axes)):
+        return False
+    return ~grid.contains(pts)
+
+
 def _interp_any(grid, values, pts):
     """Batch cubic interpolation of one gridded complex array, or of several
     stacked on a leading axis; pts is (B, d)."""
@@ -121,18 +138,19 @@ class RecordSampler:
 
     Snapshot i is the field at time i dt: a record starts at t = 0, and a
     flow's record holds at least two snapshots. A sliding window of shape
-    (2 (1 + d),) + grid.shape holds the fields of two snapshots, one per
-    slot: snapshot i sits in slot i % 2 as the 1 + d leading rows
-    (psi, d_1 psi, ..., d_d psi), so each slot is one contiguous block.
-    Within one flow the query times never decrease, so each snapshot's
-    gradients are computed once; an earlier time is still answered
-    correctly, at the cost of recomputing.
+    (2 (1 + d),) + grid.shape has two slots of 1 + d contiguous leading
+    rows (psi, d_1 psi, ..., d_d psi). Slot i % 2 holds snapshot i, or
+    the time blend that starts at snapshot i.
 
     At a time strictly between snapshots i and i + 1, with blend weight
-    theta, the 1 + d fields (1 - theta) slot_i + theta slot_(i+1) are
-    written into a blend buffer on the grid, and only they are
-    interpolated. The buffer remembers its (i, theta), so queries at the
-    same time reuse it.
+    theta, (1 - theta) slot_i + theta slot_(i+1) is written over slot i,
+    which then holds that blend and no snapshot, and only its 1 + d fields
+    are interpolated. A forward flow never reads snapshot i after a
+    midpoint: its next times are the same blend, which the slot answers
+    again, snapshot i + 1 or later. So within one flow, whose query times
+    never decrease, each snapshot's gradients are computed once, unless two
+    distinct times fall strictly inside one interval. An earlier time is
+    still answered correctly, at the cost of recomputing.
     """
 
     def __init__(self, grid, snapshots, dt):
@@ -141,58 +159,68 @@ class RecordSampler:
         self.dt = dt
         self.node_threshold = _node_threshold(density(snapshots[0]))
         self._width = 1 + grid.dimension
-        self._held = [None, None]  # snapshot in each slot
+        # (i, theta) of the fields in each slot; theta 0 is snapshot i
+        self._held = [None, None]
         self._window = np.empty((2 * self._width,) + grid.shape,
                                 dtype=np.complex128)
-        self._blend = np.empty((self._width,) + grid.shape,
-                               dtype=np.complex128)
         self._scratch = np.empty(grid.shape, dtype=np.complex128)
-        self._blend_key = None  # (i, theta) of the fields in the buffer
+
+    def _slot(self, i):
+        """Window rows of the slot that holds snapshot i or a blend from it."""
+        slot = i % 2
+        return slice(slot * self._width, (slot + 1) * self._width)
 
     def _rows(self, idx):
         """Window rows holding snapshot idx, which is loaded if absent."""
-        slot = idx % 2
-        rows = slice(slot * self._width, (slot + 1) * self._width)
-        if self._held[slot] != idx:
+        rows = self._slot(idx)
+        if self._held[idx % 2] != (idx, 0.0):
             snap = self.snapshots[idx]
             fields = self._window[rows]
             fields[0] = snap.amplitudes
             for k in range(self.grid.dimension):
                 gradient_array(self.grid, snap.amplitudes, k, out=fields[1 + k])
-            self._held[slot] = idx
+            self._held[idx % 2] = (idx, 0.0)
         return rows
 
     def _blend_rows(self, i, theta):
         """(1 - theta) times snapshot i's fields plus theta times snapshot
-        i + 1's, written into the blend buffer. Each product and sum has an
+        i + 1's, written over snapshot i's rows. Each product and sum has an
         explicit output, so its operand order, and with it every bit, is the
         same on every grid size."""
-        early = self._window[self._rows(i)]
         late = self._window[self._rows(i + 1)]
-        out, scratch = self._blend, self._scratch
-        np.multiply(early, 1.0 - theta, out=out)
+        out, scratch = self._window[self._rows(i)], self._scratch
+        np.multiply(out, 1.0 - theta, out=out)
         for k in range(self._width):
             np.multiply(late[k], theta, out=scratch)
             np.add(out[k], scratch, out=out[k])
-        self._blend_key = (i, theta)
+        self._held[i % 2] = (i, theta)
 
     def bracket(self, t):
         """Index i of the earlier of the snapshots i, i + 1 around t, and
-        the blend weight of the later one."""
+        the blend weight theta in [0, 1) of the later one. s = t / dt
+        within TIME_RTOL of an integer k is snapshot k's time, (k, 0.0), so
+        a stage time that meets a snapshot up to roundoff reads it as it
+        is. From the last snapshot's time on, i is its index and theta 0."""
         s = t / self.dt
-        i = min(max(math.floor(s), 0), len(self.snapshots) - 2)
-        return i, float(min(max(s - i, 0.0), 1.0))
+        k = round(s)
+        if abs(s - k) <= time_tol(s):
+            s = k
+        last = len(self.snapshots) - 1
+        if s >= last:
+            return last, 0.0
+        i = max(math.floor(s), 0)
+        return i, float(max(s - i, 0.0))
 
     def sample(self, pts, t):
         """psi (B,) and grad psi (d, B) at the points pts (B, d), time t."""
         i, theta = self.bracket(t)
         if theta == 0.0:
-            fields = self._window[self._rows(i)]
+            rows = self._rows(i)
         else:
-            if self._blend_key != (i, theta):
+            if self._held[i % 2] != (i, theta):
                 self._blend_rows(i, theta)
-            fields = self._blend
-        f = _interp_any(self.grid, fields, pts)
+            rows = self._slot(i)
+        f = _interp_any(self.grid, self._window[rows], pts)
         return f[0], f[1:]
 
 
@@ -339,7 +367,7 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
 
     def eval_v(pts, t):
         v, node = _velocity_batch(sampler, pts, t, constants)
-        return v, node, ~sampler.grid.contains(pts)
+        return v, node, _outside(record.grid, pts)
 
     # q holds each stopped member's final position; the members still
     # moving, in order, are ``moving`` and their positions ``qa``
@@ -365,13 +393,13 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
                 moving, qa, dq = moving[keep], qa[keep], dq[keep]
             np.add(qa, dq, out=qa)
             # landing outside the domain is a grid exit as well
-            landed_in = sampler.grid.contains(qa)
-            if not landed_in.all():
-                out = ~landed_in
+            out = _outside(record.grid, qa)
+            if out is not False:
                 statuses[moving[out]] = LEFT_GRID_CODE
                 stop[moving[out]] = j + 1
                 q[moving[out]] = qa[out]
-                moving, qa = moving[landed_in], qa[landed_in]
+                keep = ~out
+                moving, qa = moving[keep], qa[keep]
         if store_path:
             if moving.size == b:
                 paths[j + 1] = qa

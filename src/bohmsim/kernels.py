@@ -22,14 +22,20 @@ With the fields on a trailing axis each term broadcast an (m, 1) weight over
 (m, K): m inner loops of only K = 2 to 6. For four fields on a 2048-point
 periodic axis and 4096 points, the take costs about 90 us (``values[:, idx]``
 315 us), the sum 120 us against 190-240 us in the trailing layout, and the
-whole call 250-400 us against 470-660 us. In 2-d the flat index
-``idx0 * n1 + idx1`` gathers all 16 stencil nodes in one take, 0.6-0.7 ms
-against 2.7 ms for 16 fancy-index gathers on a 128 x 384 grid with six
-fields and 4000 points. ``np.take`` copies a source that is not C-contiguous
-in full before gathering: one point from every other row of six such fields
-costs 0.22 ms, and 3 us from contiguous rows. So the 2-d kernel makes its
-source contiguous once, and the guidance window keeps each snapshot's fields
-in contiguous leading rows.
+whole call 250-400 us against 470-660 us. In 2-d one take gathers the four
+nodes of one stencil row, at flat indices ``idx0[a] * n1 + idx1``, and the
+row is summed before the next is gathered, so a call holds a quarter of
+the 16-node gather and of its index. For three fields on a 128 x 128 grid
+at 12000 points, a call's traced peak is 6.1 MB against 15.5 MB for one
+take of all 16 nodes, in 3.1-3.5 ms against 3.3-4.2 ms; at 20 points it
+costs 94-99 us against 84-88 us (best of 5 x 20 calls, six rounds over two
+runs). One 16-node take was 0.6-0.7 ms against 2.7 ms for 16 fancy-index
+gathers on a 128 x 384 grid with six fields and 4000 points. ``np.take``
+copies a source that is not C-contiguous in full before gathering: one
+point from every other row of six such fields costs 0.22 ms, and 3 us
+from contiguous rows. So the 2-d kernel makes its source contiguous once,
+and the guidance window keeps each snapshot's fields in contiguous leading
+rows.
 
 A periodic stencil wraps only where a point needs it (``cubic_stencil``).
 For 4096 points on 2048 nodes it costs 75-90 us when no stencil crosses the
@@ -106,11 +112,12 @@ def _span(a):
 
 def _weighted_sum(w, rows):
     """w[0] rows[0] + w[1] rows[1] + w[2] rows[2] + w[3] rows[3], added left
-    to right. w is (4, m), one weight per point, and rows holds four arrays
-    of shape (..., m)."""
-    out = w[0] * rows[0]
-    for k in (1, 2, 3):
-        out += w[k] * rows[k]
+    to right. w is (4, m), one weight per point, and rows yields four arrays
+    of shape (..., m), each read only when its term is added."""
+    rows = iter(rows)
+    out = w[0] * next(rows)
+    for k, row in enumerate(rows, 1):
+        out += w[k] * row
     return out
 
 
@@ -140,18 +147,17 @@ def interp_cubic_2d(values, lo0, h0, per0, lo1, h1, per1, xq, yq):
 
     ``values`` has shape (n0, n1), or (K, n0, n1) for K stacked fields on
     the same grid, with results of shape (m,) or (K, m) as in
-    ``interp_cubic_1d``. Each stencil row along axis 1 is summed first,
-    then the four rows along axis 0.
+    ``interp_cubic_1d``. Each stencil row along axis 1 is gathered and
+    summed in turn, then added into the sum of the four rows along axis 0.
     """
     values = np.ascontiguousarray(values, dtype=np.complex128)
     n0, n1 = values.shape[-2:]
     idx0, w0 = cubic_stencil(n0, lo0, h0, per0, xq)
     idx1, w1 = cubic_stencil(n1, lo1, h1, per1, yq)
-    flat = idx0[:, None] * n1 + idx1  # (4, 4, m) index into n0 * n1
-    gathered = np.take(values.reshape(values.shape[:-2] + (n0 * n1,)), flat,
-                       axis=-1)  # (..., 4, 4, m)
-    rows = [_weighted_sum(w1, _stencil_rows(gathered[..., a, :, :]))
-            for a in range(4)]
+    flat = values.reshape(values.shape[:-2] + (n0 * n1,))
+    # row a's four nodes sit at flat indices idx0[a] * n1 + idx1, (4, m)
+    rows = (_weighted_sum(w1, _stencil_rows(
+        np.take(flat, idx0[a] * n1 + idx1, axis=-1))) for a in range(4))
     return _weighted_sum(w0, rows)
 
 

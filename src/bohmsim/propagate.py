@@ -281,7 +281,8 @@ class EvolutionRecord:
         if not (_is_number(self.step_dt) and self.step_dt > 0):
             raise ValueError(f"step_dt: must be positive and finite, found "
                              f"{self.step_dt!r}")
-        if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
+        if (not isinstance(self.stride, (int, np.integer))
+                or isinstance(self.stride, bool) or self.stride < 1):
             raise ValueError(f"stride: must be a positive integer, found "
                              f"{self.stride!r}")
         if not self.snapshots:
@@ -316,8 +317,10 @@ class EvolutionRecord:
 
 
 def _is_number(value):
-    """A finite real number; a string that reads as one is not."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    """A finite real number; a string that reads as one is not, and
+    neither is a bool, although Python counts it as an int."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def step_count(t_final, dt, snapshot_stride=1):
@@ -454,7 +457,9 @@ def load_record(directory):
                              manifest["step_dt"], manifest["stride"], snaps)
     # the stored clock catches a corrupt step_dt or stride
     dt = manifest["dt"]
-    if not (_is_number(dt) and abs(dt - record.dt) <= TIME_RTOL * record.dt):
+    if not _is_number(dt):
+        raise ValueError(f"dt: expected a finite number, found {dt!r}")
+    if abs(dt - record.dt) > TIME_RTOL * record.dt:
         raise ValueError(f"dt: snapshot spacing {dt!r} is not step_dt "
                          f"{record.step_dt!r} times stride {record.stride}")
     if len(times) != len(snaps) or np.any(

@@ -369,9 +369,13 @@ def _check_flow(params):
 
 def _sampler_fields(dimension):
     """Grid-sized complex fields that the guidance sampler of a flow holds:
-    a window of psi and grad psi at two snapshots, 2 (1 + d) fields, their
-    time blend, 1 + d fields, and one scratch field for the blend."""
-    return 3 * (1 + dimension) + 1
+    a window of psi and grad psi at two snapshots, 2 (1 + d) fields, which
+    also holds the time blend, one scratch field for the blend, and three
+    for the transients of one snapshot derivative. The terms of the boxed
+    difference stencil take the most: traced, 2.8-3.0 fields on 64^2
+    points and 2.0 on 256^2; a periodic transform's wave numbers and copies
+    take 0.1-2.5."""
+    return 2 * (1 + dimension) + 4
 
 
 def _member_bytes(dimension):
@@ -379,19 +383,22 @@ def _member_bytes(dimension):
     d holds at the peak of one RK4 stage, sampling included.
 
     A stage interpolates K = 1 + d stacked complex fields, psi and grad psi
-    blended in time on the grid: it gathers 4^d stencil values of each and
-    sums them through 4^(d-1) row sums and one result, with 4^d flat
-    indices and four indices and four weights per axis. RK4 holds about 12
-    float64 d-vectors per member (positions, stage points, k1..k4,
-    velocities) and sampling about 5. This gives 424 B in 1-d and 1536 B in
-    2-d; the traced peaks of equivariance and collapse runs grow by 366 and
-    1494 B per member."""
+    blended in time on the grid. It gathers one stencil row of 4 values of
+    each at a time, with that row's four flat indices in 2-d, and holds
+    2 d partial sums of K values: the sum and its product, and in 2-d the
+    outer sum and the last row's sum. numpy casts the real weights to
+    complex for each product, in a buffer of K values per member. Each axis
+    has four indices and four weights. RK4 holds about 12 float64 d-vectors
+    per member (positions, stage points, k1..k4, velocities) and sampling
+    about 5. This gives 424 B in 1-d and 864 B in 2-d; the traced peaks of
+    flows of 2000 members grow by 355 and 784 B per member
+    (``test_memory_model_bounds_a_traced_flow``)."""
     d = dimension
     fields = 1 + d
-    gathered = 16 * fields * (4**d + 4 ** (d - 1) + 1)
-    stencil = 8 * 4**d + 64 * d
+    values = 16 * fields * (4 + 2 * d + 1)
+    stencil = 32 * (d - 1) + 64 * d
     vectors = 8 * d * (12 + 5)
-    return gathered + stencil + vectors
+    return values + stencil + vectors
 
 
 def _check_memory(names, snapshots, grid_points, members, dimension,

@@ -7,6 +7,7 @@ config error (exit 2) that names the path of the fault.
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bohmsim import cli, flux, scenarios
+from bohmsim.fields import ScalarWaveFunction
 from bohmsim.grids import Grid, PhysicalConstants
+from bohmsim.guidance import integrate_flow
+from bohmsim.potentials import Free
+from bohmsim.propagate import CRANK_NICOLSON, SPLIT_FOURIER, evolve
 from bohmsim.scenarios import (SCENARIOS, ConfigError, make_initial,
                                parse_config, run_scenario, validate_config)
 
@@ -28,9 +33,9 @@ def _case(scenario, **case):
 
 # Configs of the right JSON types that the run would reject, one row per
 # rule: each is a config error that names its path. Each row names itself,
-# so a row inserted anywhere renames no other. The names of the form
-# path-position are the message paths and list positions they were once
-# derived from, kept so that every record of those tests still matches.
+# so a row inserted anywhere renames no other. The one name of the form
+# path-position, cases[0]-36, is the message path and list position it was
+# once derived from, kept so that every record of that test still matches.
 PROBES = [
     ("equivariance-harmonic-no-omegas",
      _case("equivariance", potential={"kind": "harmonic"}),
@@ -93,42 +98,42 @@ PROBES = [
     ("classical-limit-hbar-zero",
      {"scenario": "classical-limit", "hbars": [0.3, 0.0]},
      "hbars[1]: hbar and masses must be positive"),
-    ("config-24",
+    ("classical-limit-displacement-off-grid",
      {"scenario": "classical-limit", "displacement": 9.0},
      "config: start 9.7"),
-    ("cases[0].name-25",
+    ("flux-case-name-with-slash",
      _case("flux", name="a/b"), "cases[0].name: expected a match"),
-    ("cases[0]-26",
+    ("flux-two-packet-one-center",
      _case("flux", initial={"generator": "two-packet", "centers": [1.0]}),
      "cases[0]: two-packet needs one momentum and one weight per center"),
-    ("cases[0]-27",
+    ("flux-gaussian-center-far-off-grid",
      _case("flux", initial={"generator": "gaussian", "center": 1e6}),
      "cases[0]: cannot normalize a zero field"),
-    ("seed-28",
+    ("povm-seed-negative",
      {"scenario": "povm", "seed": -1}, "seed: must be >= 0"),
-    ("out_dir-29",
+    ("povm-out-dir-not-a-string",
      {"scenario": "povm", "out_dir": 5}, "out_dir: expected a string"),
     # every start would leave the grid at step 0, and t = 1 is no snapshot
-    ("config-30",
+    ("oscillator-oracle-no-snapshot-at-t-1",
      {"scenario": "oscillator-oracle", "points": 32, "t_final": 1e306,
       "dt": 1e306, "stride": 1, "dt_ode": 1e306},
      "config: the field check needs a snapshot at t = 1"),
-    ("config-31",
+    ("spin-dt-overflows-kinetic-phase",
      {"scenario": "spin", "dt": 1e306},
      "config: the kinetic phase of a 1e+306 step contains NaN or Inf"),
-    ("config-32",
+    ("classical-limit-dt-overflows-kinetic-phase",
      {"scenario": "classical-limit", "t_final": 1e306, "dt": 1e306,
       "stride": 1, "dt_ode": 1e306},
      "config: the kinetic phase of a 1e+306 step contains NaN or Inf"),
-    ("config-33",
+    ("collapse-coupling-overflows-potential-phase",
      {"scenario": "collapse", "coupling": 1e308},
      "config: the potential phase of a 0.001 step contains NaN or Inf"),
-    ("cases[0]-34",
+    ("flux-dt-overflows-kinetic-phase",
      _case("flux", t_final=1e306, dt=1e306, stride=1, dt_ode=1e306),
      "cases[0]: the kinetic phase of a 1e+306 step contains NaN or Inf"),
     # a packet whose density underflows to 0 on every grid point, and a
     # momentum whose phase overflows: neither lets numpy warn first
-    ("cases[0]-35",
+    ("flux-two-packet-center-off-grid",
      _case("flux", grid={"lower": -16.0, "upper": 26.0, "count": 2048},
            initial={"generator": "two-packet", "centers": [-55, 17.5]}),
      "cases[0]: two-packet: the packet at -55 has no weight on the grid"),
@@ -351,7 +356,7 @@ def test_over_work_budget_is_a_config_error(config, message):
     ({"scenario": "equivariance", "n": 10**9},
      "n, bins and cases[0] would store 424 GB"),
     ({"scenario": "collapse", "n": 10**9},
-     "n, t_meas and dt would store 1.54e+3 GB"),
+     "n, t_meas and dt would store 864 GB"),
     ({"scenario": "spin", "rabi_steps": 10**12},
      "points, decoupled_steps and rabi_steps would make"),
     # 1.8e9 updates, under the budget, if a step cost one update per grid
@@ -395,6 +400,39 @@ def test_defaults_and_workloads_stay_well_inside_the_memory_budget(
         assert validate_config({"scenario": name}) == [], name
     for name, config in WORKLOAD_CONFIGS:
         assert validate_config(config) == [], name
+
+
+@pytest.mark.parametrize("dimension,boundary,count,members", [
+    (1, "periodic", 256, 2000), (1, "boxed", 4097, 100),
+    (2, "periodic", 32, 2000), (2, "boxed", 65, 20)], ids=str)
+def test_memory_model_bounds_a_traced_flow(dimension, boundary, count,
+                                           members):
+    """The flow's share of the memory model, its sampler's grid fields plus
+    the bytes per member, bounds the traced peak growth of one flow and is
+    at most twice it: on flows whose members dominate, and on boxed grids,
+    whose difference stencil leaves the most derivative transients, where
+    the grid does."""
+    g = Grid.regular(-8.0, 8.0, count, boundary=boundary,
+                     dimension=dimension)
+    constants = PhysicalConstants.natural(dimension)
+    psi = ScalarWaveFunction.from_callable(
+        g, lambda *x: np.exp(-sum(c * c for c in x) / 2 + 1j * x[0]),
+        normalize=True)
+    method = SPLIT_FOURIER if boundary == "periodic" else CRANK_NICOLSON
+    rec = evolve(psi, Free(), constants, 0.1, 0.01, method,
+                 snapshot_stride=2)
+    starts = np.random.default_rng(1).uniform(-2.0, 2.0,
+                                              (members, dimension))
+    integrate_flow(starts[:4], rec, constants)  # one-time setup
+    tracemalloc.start()
+    try:
+        integrate_flow(starts, rec, constants)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    model = (16 * scenarios._sampler_fields(dimension) * count**dimension
+             + members * scenarios._member_bytes(dimension))
+    assert peak <= model <= 2 * peak
 
 
 # --- property tests ---------------------------------------------------------------

@@ -492,6 +492,19 @@ def test_batched_flow_equals_each_member_alone(mixed_record, dt_ode):
                 == np.ascontiguousarray(batch.paths[:, b]).tobytes())
 
 
+def test_nan_member_leaves_the_grid(mixed_record):
+    """The flow's range test, one min and max per axis, lets no NaN pass:
+    a NaN member stops as LeftGrid at step 0, and the others keep the bits
+    they get alone."""
+    starts = np.array([[-0.5], [np.nan], [0.2]])
+    with np.errstate(invalid="ignore"):  # the stencil casts NaN to an index
+        flow = integrate_flow(starts, mixed_record, C1, dt_ode=1e-3)
+    assert status_names(flow) == ["Completed", "LeftGrid", "Completed"]
+    assert flow.stop_index[1] == 0
+    alone = integrate_flow(starts[[0, 2]], mixed_record, C1, dt_ode=1e-3)
+    assert alone.points.tobytes() == flow.points[[0, 2]].tobytes()
+
+
 @pytest.mark.parametrize("t", [0.0, 5e-4])
 def test_node_member_leaves_the_others_bits(mixed_record, t):
     """A member at a node gets velocity exactly 0; the others get the bits
@@ -535,6 +548,71 @@ def test_flow_derives_each_snapshot_gradient_once(monkeypatch, mixed_record,
     assert set(calls) == {(id(s.amplitudes), 0) for s in rec.snapshots}
 
 
+def _fresh_fields(snap):
+    """psi and grad psi of one snapshot, derived afresh, stacked."""
+    return np.stack([snap.amplitudes] + [gradient(snap, k)
+                                         for k in range(snap.grid.dimension)])
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "boxed"])
+def test_window_answers_equal_blends_of_fresh_fields(boundary):
+    """A 2-d sampler over three snapshots, queried at a snapshot, a
+    midpoint, a second theta in the same interval, the next snapshot and
+    then an earlier time: each answer is the interpolated
+    (1 - theta) a + theta b of freshly derived fields a and b, bit for bit,
+    although a blend overwrites snapshot i's rows of the window."""
+    sampler, pts = _sampler_case(boundary, (32, 48), count=3)
+    dt = sampler.dt
+    for t, at in [(dt, (1, 0.0)), (1.5 * dt, (1, 0.5)),
+                  (1.75 * dt, (1, 0.75)), (2 * dt, (2, 0.0)),
+                  (0.5 * dt, (0, 0.5))]:
+        i, theta = sampler.bracket(t)
+        assert i == at[0] and abs(theta - at[1]) < 1e-12
+        fields = _fresh_fields(sampler.snapshots[i])
+        if theta:
+            later = _fresh_fields(sampler.snapshots[i + 1])
+            fields = (1.0 - theta) * fields + theta * later
+        want = guidance._interp_any(sampler.grid, fields, pts)
+        val, grads = sampler.sample(pts, t)
+        assert val.tobytes() == want[0].tobytes()
+        assert grads.tobytes() == want[1:].tobytes()
+
+
+def test_bracket_snaps_snapshot_times_that_round_off():
+    """k dt in floating point is snapshot k's time, weight exactly 0, even
+    where (k dt) / dt is not k, as for dt = 0.1 and k = 3; from the last
+    snapshot's time on, the sampler reads that snapshot."""
+    sampler, _ = _sampler_case("periodic", (64,), count=11)
+    assert 3 * 0.1 / 0.1 != 3
+    assert [sampler.bracket(k * 0.1) for k in range(11)] == [
+        (k, 0.0) for k in range(11)]
+    assert sampler.bracket(1.2) == (10, 0.0)
+
+
+def test_flow_reads_the_last_snapshot_at_its_last_stage(monkeypatch):
+    """The last RK4 stage of a flow falls on the last snapshot's time, up
+    to roundoff, and reads that snapshot as it is: no blend, and the final
+    slot holds snapshot n - 1."""
+    psi = ScalarWaveFunction.from_callable(
+        grid1d(256, 8.0), lambda x: np.exp(-x * x / 2 + 1j * x),
+        normalize=True)
+    rec = evolve(psi, Free(), C1, 0.3, 0.1, SPLIT_FOURIER)
+    queries = []
+    sample = RecordSampler.sample
+
+    def recording_sample(self, pts, t):
+        queries.append((self, t, self.bracket(t)))
+        return sample(self, pts, t)
+
+    monkeypatch.setattr(RecordSampler, "sample", recording_sample)
+    integrate_flow(np.array([[0.5]]), rec, C1, dt_ode=0.1)
+    sampler, t, last = queries[-1]
+    n = len(rec.snapshots)
+    assert t / rec.dt != n - 1  # roundoff at the end
+    assert last == (n - 1, 0.0)
+    assert sampler._held[(n - 1) % 2] == (n - 1, 0.0)
+
+
 @pytest.mark.parametrize("boundary,shape", [
     ("periodic", (256,)), ("periodic", (32, 48)),
     ("boxed", (257,)), ("boxed", (33, 47))], ids=str)
@@ -556,8 +634,8 @@ def test_window_gradients_equal_gradient(boundary, shape):
             assert rows[1 + k].tobytes() == gradient(snaps[idx], k).tobytes()
 
 
-def _sampler_case(boundary, shape):
-    """A sampler over two random snapshots 0.1 apart on a grid of this
+def _sampler_case(boundary, shape, count=2):
+    """A sampler over count random snapshots 0.1 apart on a grid of this
     boundary and shape, and 50 random points inside it."""
     axes = tuple(Grid.regular(-4.0, 4.0, n, boundary=boundary,
                               dimension=1).axes[0] for n in shape)
@@ -565,7 +643,7 @@ def _sampler_case(boundary, shape):
     rng = np.random.default_rng(7 * len(shape))
     snaps = [ScalarWaveFunction(g, rng.normal(size=shape)
                                 + 1j * rng.normal(size=shape))
-             for _ in range(2)]
+             for _ in range(count)]
     pts = np.stack([rng.uniform(ax.lower, ax.upper - 0.5 * ax.spacing, 50)
                     for ax in axes], axis=1)
     return RecordSampler(g, snaps, 0.1), pts
@@ -598,7 +676,7 @@ def test_flow_blends_once_per_step_and_interpolates_one_plus_d_fields(
         monkeypatch):
     """With dt_ode equal to the snapshot spacing, RK4 stages 1 and 4 fall on
     snapshots and stages 2 and 3 share one midpoint blend; the last stage 4
-    sits at the end of the final bracket, with weight 1."""
+    reads the last snapshot."""
     g = grid1d(256, 8.0)
     psi = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(-x * x / 4 + 1.5j * x), normalize=True)
@@ -621,7 +699,7 @@ def test_flow_blends_once_per_step_and_interpolates_one_plus_d_fields(
     flow = integrate_flow(starts, rec, C1, dt_ode=0.0625)
     steps = len(rec.snapshots) - 1
     assert flow.count("Completed") == len(starts)
-    assert blends == [(j, 0.5) for j in range(steps)] + [(steps - 1, 1.0)]
+    assert blends == [(j, 0.5) for j in range(steps)]
     assert widths == [2] * (4 * steps)
 
 

@@ -700,38 +700,44 @@ def _rewrite_snapshot_hbar(manifest, directory):
     write_wavefunction(psi, PhysicalConstants(hbar=2.0, masses=(1.0,)), path)
 
 
-@pytest.mark.parametrize("mutate,field", [
-    (_drop("step_dt"), "step_dt"),
-    (_drop("times"), "times"),
-    (_set("method", "bogus"), "method"),
-    (_set("method", CRANK_NICOLSON), "crank-nicolson"),
-    (_set("step_dt", -0.01), "step_dt"),
-    (_set("stride", 3), "stride"),
-    (_set("stride", 0), "stride"),
-    (_set("dt", 0.03), "^dt: snapshot spacing"),
-    (_rewrite_snapshot_hbar, "constants"),
-    (_drop_nested("grid", "axes"), "field 'grid'"),
-    (_drop_nested("constants", "hbar"), "field 'constants'"),
-    (_set("step_dt", "0.01"), "^step_dt: must be positive and finite"),
+@pytest.mark.parametrize("mutate,field,stride", [
+    (_drop("step_dt"), "step_dt", 2),
+    (_drop("times"), "times", 2),
+    (_set("method", "bogus"), "method", 2),
+    (_set("method", CRANK_NICOLSON), "crank-nicolson", 2),
+    (_set("step_dt", -0.01), "step_dt", 2),
+    (_set("stride", 3), "stride", 2),
+    (_set("stride", 0), "stride", 2),
+    (_set("dt", 0.03), "^dt: snapshot spacing", 2),
+    (_rewrite_snapshot_hbar, "constants", 2),
+    (_drop_nested("grid", "axes"), "field 'grid'", 2),
+    (_drop_nested("constants", "hbar"), "field 'constants'", 2),
+    (_set("step_dt", "0.01"), "^step_dt: must be positive and finite", 2),
     # a record's clock starts at 0, so no manifest can shift it
-    (_set("times", [1.0, 1.02, 1.04]), "^times: a record starts at t = 0"),
-    (_set("times", [[0.0], [0.5], [7.0]]), r"^times: expected a 1-d array"),
-    (_set("times", ["a", "b", "c"]), "field 'times'"),
+    (_set("times", [1.0, 1.02, 1.04]), "^times: a record starts at t = 0", 2),
+    (_set("times", [[0.0], [0.5], [7.0]]), r"^times: expected a 1-d array",
+     2),
+    (_set("times", ["a", "b", "c"]), "field 'times'", 2),
     # numeric strings fail as step_dt "0.01" does
     (_set("times", ["0.0", "0.02", "0.04"]),
-     "^times: expected finite numbers, found '0.0'"),
-    (_set("snapshots", 3), "field 'snapshots'"),
+     "^times: expected finite numbers, found '0.0'", 2),
+    (_set("snapshots", 3), "field 'snapshots'", 2),
+    # JSON true is a bool, which Python counts as the int 1: at stride 1
+    # "stride": true would read as a consistent clock
+    (_set("stride", True), "^stride: must be a positive integer", 1),
+    (_set("step_dt", True), "^step_dt: must be positive and finite", 1),
+    (_set("dt", True), "^dt: expected a finite number, found True", 1),
 ], ids=["no-step_dt", "no-times", "method-bogus", "method-boxed-only",
         "step_dt-negative", "stride-3", "stride-0", "dt-0.03", "snapshot-hbar",
         "grid-no-axes", "constants-no-hbar", "step_dt-string", "times-shifted",
         "times-nested", "times-strings", "times-numeric-strings",
-        "snapshots-count"])
-def test_corrupt_manifest_raises_naming_field(tmp_path, mutate, field):
-    """A saved record (dt 0.02 = step_dt 0.01 x stride 2) with one field
+        "snapshots-count", "stride-true", "step_dt-true", "dt-true"])
+def test_corrupt_manifest_raises_naming_field(tmp_path, mutate, field, stride):
+    """A saved record (dt = step_dt 0.01 x stride, 2 or 1) with one field
     made inconsistent."""
     directory = str(tmp_path / "run")
     rec = evolve(gaussian(periodic_grid(64)), Free(), C1, 0.04, 0.01,
-                 SPLIT_FOURIER, snapshot_stride=2)
+                 SPLIT_FOURIER, snapshot_stride=stride)
     save_record(rec, directory)
     path = os.path.join(directory, "manifest.json")
     with open(path) as fh:

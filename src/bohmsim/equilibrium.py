@@ -5,8 +5,10 @@ with collapse statistics.
 
 An ensemble is carried by ``integrate_flow``, and every statistic here reads
 its ``FlowResult``: the transported members are ``FlowResult.completed()``,
-the excluded ones its HitNode and LeftGrid counts. ``EmptyFlowError``, raised
-when no member completes, lives in ``guidance`` and is re-exported here."""
+the excluded ones its HitNode and LeftGrid counts; ``guidance`` raises
+``EmptyFlowError`` when no member completes. The equivariance statistics are
+1-d, as the ``equivariance`` scenario that checks them: a 2-d field or
+record raises ValueError."""
 
 import math
 from dataclasses import dataclass
@@ -15,8 +17,7 @@ import numpy as np
 
 from .fields import ScalarWaveFunction, density, norm
 from .grids import Grid, PhysicalConstants
-from .guidance import (HIT_NODE, LEFT_GRID, EmptyFlowError,  # noqa: F401
-                       OutOfBoundsError, integrate_flow)
+from .guidance import HIT_NODE, LEFT_GRID, OutOfBoundsError, integrate_flow
 from .kernels import interp_cubic_1d
 from .potentials import Sampled
 from .propagate import SPLIT_FOURIER, evolve
@@ -67,90 +68,78 @@ def sample_density(psi, n, seed):
     return Ensemble(members)
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    l1: float
-    ks: float = None
+def _check_1d(grid):
+    """Raise ValueError unless grid is one-dimensional."""
+    if grid.dimension != 1:
+        raise ValueError("the equivariance statistics are 1-d; got a "
+                         f"{grid.dimension}-d grid")
 
 
 def _bin_masses(psi, bins):
-    """|psi|^2 mass per histogram bin from the grid quadrature."""
-    grid = psi.grid
-    w = grid.quadrature_weights() * density(psi)
-    edges, masses = [], w
-    for k, ax in enumerate(grid.axes):
-        e = np.linspace(ax.lower, ax.upper, bins + 1)
-        which = np.clip(np.searchsorted(e, ax.points(), side="right") - 1,
-                        0, bins - 1)
-        edges.append((e, which))
-    if grid.dimension == 1:
-        out = np.zeros(bins)
-        np.add.at(out, edges[0][1], masses)
-        return [e for e, _ in edges], out
-    out = np.zeros((bins, bins))
-    ix, iy = np.meshgrid(edges[0][1], edges[1][1], indexing="ij")
-    np.add.at(out, (ix, iy), masses)
-    return [e for e, _ in edges], out
+    """(edges, masses) of ``bins`` equal histogram bins over the axis of a
+    1-d field: the bin edges and the |psi|^2 mass per bin from the grid
+    quadrature."""
+    _check_1d(psi.grid)
+    ax = psi.grid.axes[0]
+    edges = np.linspace(ax.lower, ax.upper, bins + 1)
+    which = np.clip(np.searchsorted(edges, ax.points(), side="right") - 1,
+                    0, bins - 1)
+    masses = np.zeros(bins)
+    np.add.at(masses, which, psi.grid.quadrature_weights() * density(psi))
+    return edges, masses
 
 
-def equivariance_distance(ens, psi, bins=50):
-    """L1 distance between the binned empirical density and the per-bin
-    |psi|^2 mass; in one dimension the Kolmogorov-Smirnov statistic against
-    the quadrature CDF is returned as well."""
+def equivariance_distance(ens, psi, bins):
+    """(l1, ks) of a 1-d ensemble against |psi|^2: the L1 distance between
+    the binned empirical density and the per-bin |psi|^2 mass, and the
+    Kolmogorov-Smirnov statistic against the quadrature CDF."""
     grid = psi.grid
     edges, expected = _bin_masses(psi, bins)
     total = expected.sum()
-    if grid.dimension == 1:
-        x = ens.members[:, 0]
-        emp, _ = np.histogram(x, bins=edges[0])
-        emp = emp / ens.size
-        l1 = float(np.sum(np.abs(emp - expected)))
-        # KS against the cumulative quadrature of |psi|^2
-        w = grid.quadrature_weights() * density(psi)
-        pts = grid.coordinates(0)
-        cum = np.concatenate([[0.0], np.cumsum(w)]) / total
-        xs = np.sort(x)
-        f = np.interp(xs, np.concatenate([[grid.axes[0].lower],
-                                          pts + 0.5 * grid.axes[0].spacing]),
-                      cum)
-        i = np.arange(1, xs.size + 1)
-        ks = float(np.max(np.maximum(np.abs(f - i / xs.size),
-                                     np.abs(f - (i - 1) / xs.size))))
-        return DistanceReport(l1=l1, ks=ks)
-    h, _, _ = np.histogram2d(ens.members[:, 0], ens.members[:, 1],
-                             bins=[edges[0], edges[1]])
-    emp = h / ens.size
+    x = ens.members[:, 0]
+    emp, _ = np.histogram(x, bins=edges)
+    emp = emp / ens.size
     l1 = float(np.sum(np.abs(emp - expected)))
-    return DistanceReport(l1=l1)
+    # KS against the cumulative quadrature of |psi|^2
+    w = grid.quadrature_weights() * density(psi)
+    pts = grid.coordinates(0)
+    cum = np.concatenate([[0.0], np.cumsum(w)]) / total
+    xs = np.sort(x)
+    f = np.interp(xs, np.concatenate([[grid.axes[0].lower],
+                                      pts + 0.5 * grid.axes[0].spacing]),
+                  cum)
+    i = np.arange(1, xs.size + 1)
+    ks = float(np.max(np.maximum(np.abs(f - i / xs.size),
+                                 np.abs(f - (i - 1) / xs.size))))
+    return l1, ks
 
 
-def equivariance_check(record, n, seed, bins=50, dt_ode=None):
-    """Transport an equilibrium sample of the record's first snapshot and
+def equivariance_check(record, n, seed, bins, dt_ode):
+    """Transport an equilibrium sample of a 1-d record's first snapshot and
     compare it at the final time both to |psi_t|^2 and, by a two-sample KS
     test, to a fresh equilibrium sample."""
+    _check_1d(record.grid)
     ens0 = sample_density(record.snapshots[0], n, seed)
     flow = integrate_flow(ens0.members, record, record.constants,
                           dt_ode=dt_ode)
     moved = Ensemble(flow.completed())
     psi_t = record.snapshots[-1]
-    dist = equivariance_distance(moved, psi_t, bins=bins)
-    out = {
+    l1, ks = equivariance_distance(moved, psi_t, bins)
+    # imported here: scipy.stats takes about a second to import, and
+    # nothing else in the package needs it
+    from scipy import stats
+    fresh = sample_density(psi_t.normalize(), n, seed + 7919)
+    stat = stats.ks_2samp(moved.members[:, 0], fresh.members[:, 0])
+    return {
         "n": n,
         "seed": seed,
-        "l1": dist.l1,
-        "ks_model": dist.ks,
+        "l1": l1,
+        "ks_model": ks,
         "hit_node": flow.count(HIT_NODE),
         "left_grid": flow.count(LEFT_GRID),
+        "ks_two_sample": float(stat.statistic),
+        "ks_two_sample_pvalue": float(stat.pvalue),
     }
-    if record.grid.dimension == 1:
-        # imported here: scipy.stats takes about a second to import, and
-        # nothing else in the package needs it
-        from scipy import stats
-        fresh = sample_density(psi_t.normalize(), n, seed + 7919)
-        stat = stats.ks_2samp(moved.members[:, 0], fresh.members[:, 0])
-        out["ks_two_sample"] = float(stat.statistic)
-        out["ks_two_sample_pvalue"] = float(stat.pvalue)
-    return out
 
 
 # --- conditional and effective wave functions -----------------------------------
@@ -285,6 +274,7 @@ def aligned_l2_error(psi_a, psi_b):
 
 
 COLLAPSE_SHAPE = (128, 384)  # grid points of the system and pointer axes
+COLLAPSE_STRIDE = 10  # time steps per stored snapshot of the record
 # pointer mass on the wrong side of y = 0 below which the cells are disjoint
 LEAKAGE_THRESHOLD = 1e-6
 
@@ -306,21 +296,23 @@ def collapse_hamiltonian(coupling):
     return grid, constants, Sampled(v)
 
 
-def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
-                        snapshot_stride, dt_ode):
+def collapse_experiment(weight, n_members, seed, coupling, t_meas, dt,
+                        dt_ode):
     """Two-outcome von Neumann measurement on a 2-d grid; returns the report.
 
     The system is a superposition c1 phi1 + c2 phi2 of two well-separated
-    packets; the pointer couples through V = g s(x) y with s = +-1 on the two
-    packet supports, so the branches push the pointer to opposite sides.
-    Equilibrium-sampled configurations are transported by the guidance flow,
-    outcomes are read off the pointer cell at t_meas, and the report compares
-    outcome frequencies with |c1|^2, |c2|^2 and the realized branch's
-    effective wave function with its packet. The defaults of the run
-    parameters live in one place, the ``collapse`` scenario's table.
+    packets, c1 = sqrt(weight) and c2 = sqrt(1 - weight), so a weight outside
+    [0, 1] raises ValueError; the pointer couples through V = g s(x) y with
+    s = +-1 on the two packet supports, so the branches push the pointer to
+    opposite sides. Equilibrium-sampled configurations are transported by
+    the guidance flow, outcomes are read off the pointer cell at t_meas, and
+    the report compares outcome frequencies with c1^2, c2^2 and the realized
+    branch's effective wave function with its packet. The defaults of the
+    run parameters live in one place, the ``collapse`` scenario's table.
     """
-    if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-9:
-        raise ValueError("|c1|^2 + |c2|^2 must equal 1")
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError(f"weight {weight} outside [0, 1]")
+    c1, c2 = math.sqrt(weight), math.sqrt(1.0 - weight)
     sep, width_x, width_y = 3.0, 0.5, 0.2
     grid, constants, potential = collapse_hamiltonian(coupling)
     gx, gy = (Grid(axes=(ax,)) for ax in grid.axes)
@@ -336,7 +328,7 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
     pointer0 /= np.sqrt(np.sum(gy.quadrature_weights() * pointer0**2))
     psi0 = ScalarWaveFunction(grid, np.outer(sys0, pointer0)).normalize()
     record = evolve(psi0, potential, constants, t_meas, dt, SPLIT_FOURIER,
-                    snapshot_stride=snapshot_stride)
+                    snapshot_stride=COLLAPSE_STRIDE)
 
     # cross-branch mass: pointer amplitude on the wrong side of y=0
     wq = grid.quadrature_weights()
@@ -363,7 +355,7 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
     hit_node, left_grid = flow.count(HIT_NODE), flow.count(LEFT_GRID)
     counts = {"1": int(np.sum(y_final < 0.0)), "2": int(np.sum(y_final > 0.0))}
     freqs = {k: v / n_done for k, v in counts.items()}
-    expected = {"1": abs(c1) ** 2, "2": abs(c2) ** 2}
+    expected = {"1": c1 ** 2, "2": c2 ** 2}
     bands = {}
     for k, p in expected.items():
         sigma = math.sqrt(max(p * (1.0 - p), 0.0) / n_members)
@@ -408,8 +400,8 @@ def collapse_experiment(c1, c2, n_members, seed, coupling, t_meas, dt,
                    "value": lost, "threshold": 0.01, "passed": lost <= 0.01})
     return {
         "parameters": {
-            "c1": [c1.real, c1.imag] if isinstance(c1, complex) else [float(c1), 0.0],
-            "c2": [c2.real, c2.imag] if isinstance(c2, complex) else [float(c2), 0.0],
+            "c1": [c1, 0.0],
+            "c2": [c2, 0.0],
             "n_members": n_members,
             "coupling": coupling,
             "t_meas": t_meas,

@@ -1,7 +1,9 @@
-"""Crossing statistics through a static hyperplane {x = c}, with its normal
-along +x, over the whole span of a record: the time-integrated current
-gives the expected (total and signed) number of trajectory crossings,
-checked against direct counts over ensembles."""
+"""Crossing statistics through a static point surface {x = c} of a 1-d
+grid, with its normal along +x, over the whole span of a record: the
+time-integrated current gives the expected (total and signed) number of
+trajectory crossings, checked against direct counts over ensembles. They
+are one-dimensional, as the ``flux`` scenario that checks them:
+``check_location`` rejects a grid of any other dimension."""
 
 import numpy as np
 
@@ -10,42 +12,35 @@ from .kernels import interp_cubic_1d
 
 
 def check_location(grid, location):
-    """Raise ValueError unless the surface {x = location} meets the grid,
-    that is, unless location lies on the first axis."""
+    """Raise ValueError unless grid is 1-d and the surface {x = location}
+    meets it, that is, unless location lies on its axis."""
+    if grid.dimension != 1:
+        raise ValueError("the crossing statistics are 1-d; got a "
+                         f"{grid.dimension}-d grid")
     if not grid.axes[0].contains(location):
         raise ValueError("surface location outside the grid")
 
 
-def _current_at_surface(record, location):
-    """(times, values) of the normal current at x = location at every
-    snapshot time: cubic interpolation, integrated over the transverse axis
-    in 2-d."""
-    grid = record.grid
-    ax = grid.axes[0]
-    check_location(grid, location)
+def expected_crossings(record, location):
+    """(total, signed, current) over the surface {x = location} of a 1-d
+    record: the normal current j(location, t) at every snapshot time, by
+    cubic interpolation, and its integrals of |j| and j over the record's
+    span, by trapezoid in time over the snapshots."""
+    ax = record.grid.axes[0]
+    check_location(record.grid, location)
+    if len(record.snapshots) < 2:
+        raise ValueError("a flux integral needs a record of at least two "
+                         "snapshots")
     at = np.array([location])
     vals = []
     for snap in record.snapshots:
         j = probability_current(snap, record.constants).components[0]
-        line = interp_cubic_1d(j.T, ax.lower, ax.spacing, ax.periodic,
-                               at)[..., 0].real
-        if grid.dimension == 2:
-            line = float(np.sum(grid.axes[1].quadrature_weights() * line))
-        vals.append(float(line))
-    return record.times, np.asarray(vals)
-
-
-def expected_crossings(record, location):
-    """(total, signed) = (integral of |j.n|, integral of j.n) over the
-    surface {x = location}, by trapezoid in time over the record
-    snapshots."""
-    times, vals = _current_at_surface(record, location)
-    if len(times) < 2:
-        raise ValueError("a flux integral needs a record of at least two "
-                         "snapshots")
-    total = float(np.trapezoid(np.abs(vals), times))
-    signed = float(np.trapezoid(vals, times))
-    return total, signed
+        vals.append(float(interp_cubic_1d(j, ax.lower, ax.spacing,
+                                          ax.periodic, at)[0].real))
+    current = np.asarray(vals)
+    total = float(np.trapezoid(np.abs(current), record.times))
+    signed = float(np.trapezoid(current, record.times))
+    return total, signed, current
 
 
 def per_member_counts(flow, location):

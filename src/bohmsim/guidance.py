@@ -334,10 +334,13 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     spacing).
 
     All members advance together, one step at a time, over one sampler
-    window. A member that meets a node (density below NODE_FRACTION times
-    the peak density of the first snapshot) or leaves the grid during a step
-    stops at the start of that step; one that lands outside the grid stops
-    there. Stopped members keep their last position in the stored paths.
+    window. A member that starts outside the grid's closed domain, a NaN
+    coordinate included, stops there as LeftGrid with stop index 0 before
+    the first step, and no stage reads it. A member that meets a node
+    (density below NODE_FRACTION times the peak density of the first
+    snapshot) or leaves the grid during a step stops at the start of that
+    step; one that lands outside the grid stops there. Stopped members keep
+    their last position in the stored paths.
 
     The domain of a periodic axis is one period, [lower, upper]: a member
     that crosses the period boundary stops as LeftGrid rather than wrapping
@@ -371,8 +374,12 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
 
     # q holds each stopped member's final position; the members still
     # moving, in order, are ``moving`` and their positions ``qa``
-    moving = np.arange(b)
-    qa = q.copy()
+    # _outside answers False when every start is inside
+    out = np.zeros(b, dtype=bool) | _outside(record.grid, q)
+    statuses[out] = LEFT_GRID_CODE
+    stop[out] = 0
+    moving = np.flatnonzero(~out)
+    qa = q[moving]
     for j in range(len(times) - 1):
         if moving.size:
             t0, t1 = times[j], times[j + 1]

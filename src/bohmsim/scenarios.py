@@ -16,15 +16,15 @@ from decimal import Decimal
 import numpy as np
 
 from . import analytic, povm as povm_mod
-from .equilibrium import (COLLAPSE_SHAPE, EmptyFlowError,
+from .equilibrium import (COLLAPSE_SHAPE, COLLAPSE_STRIDE, _bin_masses,
                           collapse_experiment, collapse_hamiltonian,
                           equivariance_check, sample_density)
 from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
-from .flux import (_current_at_surface, check_location, expected_crossings,
-                   per_member_counts)
+from .flux import check_location, expected_crossings, per_member_counts
 from .grids import Grid, PhysicalConstants
-from .guidance import (COMPLETED, HIT_NODE, LEFT_GRID, integrate_flow,
-                       integrate_trajectory, ode_step_count, spinor_velocity)
+from .guidance import (COMPLETED, HIT_NODE, LEFT_GRID, EmptyFlowError,
+                       integrate_flow, integrate_trajectory, ode_step_count,
+                       spinor_velocity)
 from .kernels import BACKEND
 from .potentials import KINDS, CoupledOscillator, Free, Harmonic, from_description
 from .propagate import (SPLIT_FOURIER, PauliStepper, evolve, prepare_stepper,
@@ -594,23 +594,19 @@ def run_equivariance(params, out_dir=None):
                              frac, frac < 1e-3, threshold=1e-3))
         if out_dir is not None:
             psi_t = record.snapshots[-1]
-            from .equilibrium import _bin_masses
             edges, expected = _bin_masses(psi_t, params["bins"])
             _write_csv(out_dir, f"equivariance_{case['name']}_bins.csv",
                        "bin_left,bin_right,expected_mass",
-                       list(zip(edges[0][:-1], edges[0][1:], expected)))
+                       zip(edges[:-1], edges[1:], expected))
     return {"cases": results, "checks": checks}
 
 
 # --- scenario: collapse -------------------------------------------------------------
 
 
-_COLLAPSE_STRIDE = 10  # time steps per stored snapshot of the collapse record
-
-
 def _check_collapse(params):
     n_steps, snapshots, _ = _flow_steps(params["t_meas"], params["dt"],
-                                        _COLLAPSE_STRIDE, params["dt_ode"])
+                                        COLLAPSE_STRIDE, params["dt_ode"])
     grid_points = math.prod(COLLAPSE_SHAPE)
     _check_memory("n, t_meas and dt", snapshots, grid_points, params["n"], 2)
     _check_work("weights, t_meas and dt",
@@ -625,11 +621,9 @@ def run_collapse(params, out_dir=None):
     for j, p1 in enumerate(params["weights"]):
         seed = params["seed"] + 13 * j
         try:
-            rep = collapse_experiment(math.sqrt(p1), math.sqrt(1.0 - p1),
-                                      n_members=params["n"], seed=seed,
+            rep = collapse_experiment(p1, n_members=params["n"], seed=seed,
                                       coupling=params["coupling"],
                                       t_meas=params["t_meas"], dt=params["dt"],
-                                      snapshot_stride=_COLLAPSE_STRIDE,
                                       dt_ode=params["dt_ode"])
         except EmptyFlowError as exc:
             rep = {"seed": seed,
@@ -661,7 +655,8 @@ def _flux_case(case, n, seed, out_dir):
     constants, psi0 = _flux_setup(case)
     record = evolve(psi0, Free(), constants, case["t_final"], case["dt"],
                     SPLIT_FOURIER, snapshot_stride=case["stride"])
-    exp_total, exp_signed = expected_crossings(record, case["surface"])
+    exp_total, exp_signed, current = expected_crossings(
+        record, case["surface"])
     ens = sample_density(psi0, n, seed)
     flow = integrate_flow(ens.members, record, constants,
                           dt_ode=case["dt_ode"], store_path=True)
@@ -682,8 +677,7 @@ def _flux_case(case, n, seed, out_dir):
     }
     if out_dir is not None:
         _write_csv(out_dir, f"flux_{case['name']}_current.csv",
-                   "t,normal_current",
-                   zip(*_current_at_surface(record, case["surface"])))
+                   "t,normal_current", zip(record.times, current))
     return result
 
 

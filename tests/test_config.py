@@ -256,7 +256,9 @@ def test_instants_within_the_time_tolerance_run(dt_ode, tmp_path):
     assert cli.main(["run", str(path)]) in (0, 1)
 
 
-def test_flux_derives_each_surface_current_once(monkeypatch):
+def test_flux_derives_each_surface_current_once(monkeypatch, tmp_path):
+    """One probability current per snapshot, also when the run writes the
+    current's CSV file, which reads the values of the flux integral."""
     calls = []
     real = flux.probability_current
 
@@ -265,10 +267,14 @@ def test_flux_derives_each_surface_current_once(monkeypatch):
         return real(psi, constants)
 
     monkeypatch.setattr(flux, "probability_current", counting)
-    code, _ = run_scenario(SMALL_FLUX)
     case = SMALL_FLUX["cases"][0]
     snapshots = round(case["t_final"] / (case["dt"] * case["stride"])) + 1
-    assert code in (0, 1) and len(calls) == snapshots
+    for out_dir in (None, tmp_path):
+        calls.clear()
+        code, _ = run_scenario(SMALL_FLUX, out_dir=out_dir and str(out_dir))
+        assert code in (0, 1) and len(calls) == snapshots
+    rows = (tmp_path / "flux_traversal_current.csv").read_text().split()
+    assert len(rows) == 1 + snapshots
 
 
 # --- benchmark workloads ---------------------------------------------------------

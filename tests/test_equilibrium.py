@@ -11,7 +11,7 @@ from bohmsim import analytic
 from bohmsim.equilibrium import (Ensemble, MacroPartition, ZeroSliceError,
                                  aligned_l2_error, collapse_experiment,
                                  conditional_wavefunction,
-                                 effective_decomposition,
+                                 effective_decomposition, equivariance_check,
                                  equivariance_distance, sample_density)
 from bohmsim.fields import ScalarWaveFunction, gradient_array, norm
 from bohmsim.grids import Grid, PhysicalConstants
@@ -19,7 +19,7 @@ from bohmsim.guidance import (HIT_NODE, LEFT_GRID, OutOfBoundsError,
                               integrate_flow)
 from bohmsim.kernels import cubic_stencil
 from bohmsim.potentials import CoupledOscillator, Free, Harmonic
-from bohmsim.propagate import SPLIT_FOURIER, evolve
+from bohmsim.propagate import SPLIT_FOURIER, EvolutionRecord, evolve
 
 C1 = PhysicalConstants.natural(1)
 C2 = PhysicalConstants.natural(2)
@@ -96,7 +96,6 @@ def test_ensemble_requires_members():
 
 
 def test_evolve_ensemble_stationary():
-    from bohmsim.propagate import EvolutionRecord
     g = grid1d()
     psi = unit_gaussian(g)
     # stationary state: snapshots equal up to the global phase guidance drops
@@ -137,9 +136,9 @@ def test_distance_iid_sample_small():
     g = grid1d(1024)
     psi = unit_gaussian(g)
     ens = sample_density(psi, 10**4, seed=13)
-    rep = equivariance_distance(ens, psi, bins=50)
-    assert rep.l1 < 0.05
-    assert rep.ks < 0.03
+    l1, ks = equivariance_distance(ens, psi, bins=50)
+    assert l1 < 0.05
+    assert ks < 0.03
 
 
 def test_distance_shifted_gaussian_large():
@@ -150,33 +149,38 @@ def test_distance_shifted_gaussian_large():
     shifted = ScalarWaveFunction.from_callable(
         g, lambda x: np.exp(-((x - 1.0) ** 2) / 2), normalize=True)
     ens = sample_density(shifted, 10**4, seed=17)
-    rep = equivariance_distance(ens, psi, bins=50)
+    l1, _ = equivariance_distance(ens, psi, bins=50)
     sd = math.sqrt(0.5)
     exact_gap = 2.0 * (2.0 * 0.5 * (1 + special.erf(0.5 / (sd * math.sqrt(2)))) - 1.0)
     assert exact_gap > 0.7
-    assert rep.l1 > 0.3
-    assert abs(rep.l1 - exact_gap) < 0.1
+    assert l1 > 0.3
+    assert abs(l1 - exact_gap) < 0.1
 
 
 def test_distance_single_member():
     g = grid1d(256)
     psi = unit_gaussian(g)
     ens = Ensemble(np.array([[0.05]]))
-    rep = equivariance_distance(ens, psi, bins=20)
+    l1, _ = equivariance_distance(ens, psi, bins=20)
     from bohmsim.equilibrium import _bin_masses
     _, masses = _bin_masses(psi, 20)
     target = 2.0 * (1.0 - masses.max())
-    assert abs(rep.l1 - target) < 0.02
+    assert abs(l1 - target) < 0.02
 
 
 def test_distance_2d():
-    g = Grid.regular(-6.0, 6.0, 128, dimension=2)
+    """The equivariance statistics are 1-d: a 2-d field or record raises a
+    ValueError naming its dimension."""
+    g = Grid.regular(-6.0, 6.0, 32, dimension=2)
     psi = ScalarWaveFunction.from_callable(
         g, lambda x, y: np.exp(-(x * x + y * y) / 2), normalize=True)
-    ens = sample_density(psi, 4000, seed=23)
-    rep = equivariance_distance(ens, psi, bins=20)
-    assert rep.ks is None
-    assert rep.l1 < 0.35  # 400 cells at n=4000: multinomial scale ~ 0.25
+    ens = sample_density(psi, 40, seed=23)
+    with pytest.raises(ValueError, match="2-d grid"):
+        equivariance_distance(ens, psi, bins=20)
+    rec = EvolutionRecord(g, C2, Harmonic((1.0, 1.0)), SPLIT_FOURIER, 0.05,
+                          1, [psi] * 3)
+    with pytest.raises(ValueError, match="2-d grid"):
+        equivariance_check(rec, 40, seed=23, bins=20, dt_ode=0.05)
 
 
 # --- conditional wave function ----------------------------------------------------------
@@ -339,12 +343,11 @@ def test_conditional_family_not_schrodinger(analytic_field_t1):
 # --- pointer measurement (reduced size; the acceptance suite runs it in full) ------------
 
 # the collapse scenario's defaults, apart from the ensemble size
-RUN = {"coupling": 40.0, "t_meas": 1.0, "dt": 1e-3, "snapshot_stride": 10,
-       "dt_ode": 1e-2}
+RUN = {"coupling": 40.0, "t_meas": 1.0, "dt": 1e-3, "dt_ode": 1e-2}
 
 
 def test_collapse_degenerate_weight():
-    rep = collapse_experiment(1.0, 0.0, n_members=200, seed=2, **RUN)
+    rep = collapse_experiment(1.0, n_members=200, seed=2, **RUN)
     assert rep["frequencies"]["1"] == 1.0
     assert rep["counts"]["2"] == 0
     assert rep["effective_state_errors"]["1"] < 1e-3
@@ -352,13 +355,12 @@ def test_collapse_degenerate_weight():
 
 
 def test_collapse_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        collapse_experiment(1.0, 0.5, n_members=10, seed=0, **RUN)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        collapse_experiment(1.5, n_members=10, seed=0, **RUN)
 
 
 def test_collapse_classification_time_reported():
-    rep = collapse_experiment(math.sqrt(0.5), math.sqrt(0.5), n_members=200,
-                              seed=3, **RUN)
+    rep = collapse_experiment(0.5, n_members=200, seed=3, **RUN)
     assert rep["classification_time"] is not None
     assert 0.0 < rep["classification_time"] <= 1.0
     leaks = [leak for _, leak in rep["leakage_series"]]

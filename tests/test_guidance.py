@@ -1,6 +1,7 @@
 """Velocity fields, node handling, spinor operations, and RK4 trajectory
 integration against closed forms."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -497,12 +498,28 @@ def test_nan_member_leaves_the_grid(mixed_record):
     a NaN member stops as LeftGrid at step 0, and the others keep the bits
     they get alone."""
     starts = np.array([[-0.5], [np.nan], [0.2]])
-    with np.errstate(invalid="ignore"):  # the stencil casts NaN to an index
-        flow = integrate_flow(starts, mixed_record, C1, dt_ode=1e-3)
+    flow = integrate_flow(starts, mixed_record, C1, dt_ode=1e-3)
     assert status_names(flow) == ["Completed", "LeftGrid", "Completed"]
     assert flow.stop_index[1] == 0
     alone = integrate_flow(starts[[0, 2]], mixed_record, C1, dt_ode=1e-3)
     assert alone.points.tobytes() == flow.points[[0, 2]].tobytes()
+
+
+def test_off_grid_starts_stop_before_any_stage(oscillator_record):
+    """In a 2-d flow, a NaN start and an off-grid start stop as LeftGrid at
+    step 0 and no stage reads them, so numpy warns of no NaN; they rest at
+    their starts, and the others keep the bits they get alone."""
+    starts = np.array([[0.2, 0.2], [np.nan, 0.1], [9.0, 0.0], [-0.4, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = integrate_flow(starts, oscillator_record, C2, dt_ode=0.1,
+                              store_path=True)
+    assert status_names(flow) == ["Completed", "LeftGrid", "LeftGrid",
+                                  "Completed"]
+    assert flow.stop_index[[1, 2]].tolist() == [0, 0]
+    assert np.all(flow.paths[:, 2] == starts[2])
+    alone = integrate_flow(starts[[0, 3]], oscillator_record, C2, dt_ode=0.1)
+    assert alone.points.tobytes() == flow.points[[0, 3]].tobytes()
 
 
 @pytest.mark.parametrize("t", [0.0, 5e-4])

@@ -10,7 +10,7 @@ import pytest
 import bohmsim
 from bohmsim import scenarios
 from bohmsim.cli import main
-from bohmsim.equilibrium import EmptyFlowError
+from bohmsim.guidance import EmptyFlowError
 from bohmsim.scenarios import (ConfigError, SCENARIOS, list_scenarios,
                                run_scenario, validate_config)
 
@@ -116,7 +116,7 @@ def test_cli_run_where_no_member_completes_fails(tmp_path, capsys):
 
 
 def test_collapse_where_no_member_completes_fails(monkeypatch):
-    def lose_everyone(c1, c2, n_members, **kwargs):
+    def lose_everyone(weight, n_members, **kwargs):
         raise EmptyFlowError(n_members, 0, n_members)
 
     monkeypatch.setattr(scenarios, "collapse_experiment", lose_everyone)

@@ -93,8 +93,12 @@ def equivariance_distance(ens, psi, bins):
     """(l1, ks) of a 1-d ensemble against |psi|^2: the L1 distance between
     the binned empirical density and the per-bin |psi|^2 mass, and the
     Kolmogorov-Smirnov statistic against the quadrature CDF."""
+    return _distance(ens, psi, *_bin_masses(psi, bins))
+
+
+def _distance(ens, psi, edges, expected):
+    """equivariance_distance over the bins ``_bin_masses`` gave."""
     grid = psi.grid
-    edges, expected = _bin_masses(psi, bins)
     total = expected.sum()
     x = ens.members[:, 0]
     emp, _ = np.histogram(x, bins=edges)
@@ -117,14 +121,16 @@ def equivariance_distance(ens, psi, bins):
 def equivariance_check(record, n, seed, bins, dt_ode):
     """Transport an equilibrium sample of a 1-d record's first snapshot and
     compare it at the final time both to |psi_t|^2 and, by a two-sample KS
-    test, to a fresh equilibrium sample."""
+    test, to a fresh equilibrium sample. Returns the statistics and the
+    (edges, masses) of the |psi_t|^2 bins they were measured on."""
     _check_1d(record.grid)
     ens0 = sample_density(record.snapshots[0], n, seed)
     flow = integrate_flow(ens0.members, record, record.constants,
                           dt_ode=dt_ode)
     moved = Ensemble(flow.completed())
     psi_t = record.snapshots[-1]
-    l1, ks = equivariance_distance(moved, psi_t, bins)
+    edges, masses = _bin_masses(psi_t, bins)
+    l1, ks = _distance(moved, psi_t, edges, masses)
     # imported here: scipy.stats takes about a second to import, and
     # nothing else in the package needs it
     from scipy import stats
@@ -139,7 +145,7 @@ def equivariance_check(record, n, seed, bins, dt_ode):
         "left_grid": flow.count(LEFT_GRID),
         "ks_two_sample": float(stat.statistic),
         "ks_two_sample_pvalue": float(stat.pvalue),
-    }
+    }, (edges, masses)
 
 
 # --- conditional and effective wave functions -----------------------------------

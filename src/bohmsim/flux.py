@@ -1,7 +1,10 @@
 """Crossing statistics through a static point surface {x = c} of a 1-d
 grid, with its normal along +x, over the whole span of a record: the
 time-integrated current gives the expected (total and signed) number of
-trajectory crossings, checked against direct counts over ensembles. They
+trajectory crossings, checked against direct counts over ensembles. A
+``CrossingCounter`` makes the counts as the flow runs, from the rows that
+``integrate_flow`` hands its ``on_step`` hook, so no path is stored;
+``per_member_counts`` replays stored paths through the same counter. They
 are one-dimensional, as the ``flux`` scenario that checks them:
 ``check_location`` rejects a grid of any other dimension."""
 
@@ -43,31 +46,49 @@ def expected_crossings(record, location):
     return total, signed, current
 
 
-def per_member_counts(flow, location):
-    """Per-member (total, signed) crossing counts of {x = location} by a
-    FlowResult, as a (B, 2) float array; raises ValueError when the flow
-    stored no paths.
+class CrossingCounter:
+    """Per-member (total, signed) crossing counts of the surface
+    {x = location} by a flow of ``members`` members, made online: an
+    ``integrate_flow`` hook that reads each row of the flow once and
+    stores no path.
 
-    Every sample up to each member's stop index counts. Tie-break: one
-    crossing per sign change of x - location between consecutive nonzero
-    samples, so a touch of the surface without a sign change counts zero.
-    The signed count adds +1 for a crossing along +x and -1 for one against
-    it. Members are counted together, one time row at a time. On a periodic
-    axis a member stops as LeftGrid at the period boundary (see
+    Every row up to each member's stop index counts, which is the rows the
+    flow hands its hook. Tie-break: one crossing per sign change of
+    x - location between consecutive nonzero samples, so a touch of the
+    surface without a sign change counts zero. The signed count adds +1 for
+    a crossing along +x and -1 for one against it. On a periodic axis a
+    member stops as LeftGrid at the period boundary (see
     ``integrate_flow``), so windings are not counted.
     """
+
+    def __init__(self, members, location):
+        self.location = location
+        self.total = np.zeros(members)
+        self.signed = np.zeros(members)
+        self.last = np.zeros(members)  # sign of the latest nonzero sample, or 0
+
+    def __call__(self, j, members, positions):
+        sign = np.sign(positions[:, 0] - self.location)
+        last = self.last[members]
+        flip = sign * last < 0
+        self.total[members] += flip
+        self.signed[members] += np.where(flip, sign, 0.0)
+        self.last[members] = np.where(sign != 0.0, sign, last)
+
+    def counts(self):
+        """The counts so far as a (members, 2) float array."""
+        return np.stack([self.total, self.signed], axis=1)
+
+
+def per_member_counts(flow, location):
+    """Per-member (total, signed) crossing counts of {x = location} by a
+    FlowResult, as a (B, 2) float array: its stored paths replayed through
+    ``CrossingCounter``, row by row, each to its stop index. Raises
+    ValueError when the flow stored no paths."""
     if flow.paths is None:
         raise ValueError("flow result has no stored paths")
-    xs = flow.paths[:, :, 0]
-    rows = np.arange(len(flow.times))[:, None]
-    valid = rows <= flow.stop_index[None, :]
-    total = np.zeros(xs.shape[1])
-    signed = np.zeros(xs.shape[1])
-    last = np.zeros(xs.shape[1])  # sign of the latest nonzero sample, or 0
-    for x, ok in zip(xs, valid):
-        sign = np.where(ok, np.sign(x - location), 0.0)
-        flip = sign * last < 0
-        total += flip
-        signed += np.where(flip, sign, 0.0)
-        last = np.where(sign != 0.0, sign, last)
-    return np.stack([total, signed], axis=1)
+    counter = CrossingCounter(flow.paths.shape[1], location)
+    for j, row in enumerate(flow.paths):
+        members = np.flatnonzero(flow.stop_index >= j)
+        counter(j, members, row[members])
+    return counter.counts()

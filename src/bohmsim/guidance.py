@@ -48,6 +48,25 @@ statuses and final positions and drop that member from the array.
 is at a node. Each member's arithmetic is elementwise, so whether its
 update was gathered before or after the sum, and whether another member
 stopped beside it, changes none of its bits.
+
+A flow owns one ``kernels.Workspace``, and every array that an RK4 stage
+sizes by its batch lives there: the interpolation's stencils, gathers and
+sums (see ``kernels``), over whose gradients each velocity batch writes
+the quotient grad psi / psi, its |psi|^2 and node mask, two slopes that
+k1..k4 take in turn, the stage points, the update dq, and the step's node
+and grid-exit masks. Each is written with ``out=`` in the operand order
+of the plain expression, so no bit changes. The batch only shrinks, so
+the first stage sizes the workspace, and a step where members stop carves
+smaller views from the same memory. An array handed out from it, a
+sampled psi or a velocity, is a view valid only until the next call on
+it. Allocated afresh, each stage's arrays of 10^4 members lay above
+glibc's 128 KiB mmap threshold and were faulted in anew: the ``flux``
+scenario made 1.56 M minor faults, and makes 10 k.
+
+``integrate_flow``'s ``on_step`` hook sees the moving members' positions
+after every step. Stored paths are its built-in use, and
+``flux.CrossingCounter`` counts crossings with it as the flow runs, so the
+``flux`` scenario stores no paths.
 """
 
 import math
@@ -58,7 +77,7 @@ import numpy as np
 # gradient stays importable here beside gradient_array, which alone fills
 # the window: the benchmark's per-layer trace wraps both names here
 from .fields import density, gradient, gradient_array  # noqa: F401
-from .kernels import interp_cubic_1d, interp_cubic_2d
+from .kernels import Workspace, interp_cubic_1d, interp_cubic_2d
 from .propagate import TIME_RTOL, time_tol
 
 COMPLETED = "Completed"
@@ -119,18 +138,18 @@ def _outside(grid, pts):
     return ~grid.contains(pts)
 
 
-def _interp_any(grid, values, pts):
+def _interp_any(grid, values, pts, ws=None):
     """Batch cubic interpolation of one gridded complex array, or of several
-    stacked on a leading axis; pts is (B, d)."""
+    stacked on a leading axis; pts is (B, d). The result lives in the
+    kernel Workspace ws, as the kernels describe."""
     if grid.dimension == 1:
         ax = grid.axes[0]
         return interp_cubic_1d(values, ax.lower, ax.spacing, ax.periodic,
-                               np.ascontiguousarray(pts[:, 0]))
+                               pts[:, 0], ws)
     ax0, ax1 = grid.axes
     return interp_cubic_2d(values, ax0.lower, ax0.spacing, ax0.periodic,
                            ax1.lower, ax1.spacing, ax1.periodic,
-                           np.ascontiguousarray(pts[:, 0]),
-                           np.ascontiguousarray(pts[:, 1]))
+                           pts[:, 0], pts[:, 1], ws)
 
 
 class RecordSampler:
@@ -153,8 +172,9 @@ class RecordSampler:
     still answered correctly, at the cost of recomputing.
     """
 
-    def __init__(self, grid, snapshots, dt):
+    def __init__(self, grid, snapshots, dt, ws=None):
         self.grid = grid
+        self.ws = ws  # the flow's Workspace, or None for fresh arrays
         self.snapshots = snapshots
         self.dt = dt
         self.node_threshold = _node_threshold(density(snapshots[0]))
@@ -212,7 +232,9 @@ class RecordSampler:
         return i, float(max(s - i, 0.0))
 
     def sample(self, pts, t):
-        """psi (B,) and grad psi (d, B) at the points pts (B, d), time t."""
+        """psi (B,) and grad psi (d, B) at the points pts (B, d), time t,
+        held in the sampler's workspace, when it has one, until its next
+        interpolation."""
         i, theta = self.bracket(t)
         if theta == 0.0:
             rows = self._rows(i)
@@ -220,22 +242,36 @@ class RecordSampler:
             if self._held[i % 2] != (i, theta):
                 self._blend_rows(i, theta)
             rows = self._slot(i)
-        f = _interp_any(self.grid, self._window[rows], pts)
+        f = _interp_any(self.grid, self._window[rows], pts, self.ws)
         return f[0], f[1:]
 
 
-def _velocity_batch(sampler, pts, t, constants):
+def _velocity_layout(m):
+    """|psi|^2 and the node mask of one velocity batch, each (m,)."""
+    return [((m,), np.float64), ((m,), np.bool_)]
+
+
+def _velocity_batch(sampler, pts, t, constants, out=None):
     """Velocity (B, d) plus node mask from interpolated psi and grad psi;
-    members at a node get velocity 0."""
+    members at a node get velocity 0. The velocity is the transpose of
+    out, a (d, B) array, when given; the mask lives in the sampler's
+    workspace (a fresh one when it has none) until its next batch. The
+    quotient grad psi / psi is written over the sampled gradients."""
+    ws = Workspace() if sampler.ws is None else sampler.ws
     val, grads = sampler.sample(pts, t)
-    dens = np.abs(val) ** 2
-    node = dens < sampler.node_threshold
+    dens, node = ws.arrays(_velocity_layout, len(val))
+    np.square(np.abs(val, out=dens), out=dens)
+    np.less(dens, sampler.node_threshold, out=node)
     at_node = node.any()
     # dividing by 1 at a node only keeps the quotient finite; every other
     # member divides by its own psi either way
     safe = np.where(node, 1.0, val) if at_node else val
     scale = constants.hbar / np.asarray(constants.masses)
-    v = (scale[:, None] * np.imag(grads / safe)).T
+    v = np.empty(grads.shape) if out is None else out
+    for a, s in enumerate(scale):  # by rows, so numpy buffers no operand
+        quotient = np.divide(grads[a], safe, out=grads[a])
+        np.multiply(s, quotient.imag, out=v[a])
+    v = v.T
     if at_node:
         v[node] = 0.0
     return v, node
@@ -328,7 +364,17 @@ def ode_step_count(span, dt_ode, snapshot_dt):
     return n
 
 
-def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
+def _stage_layout(m, d):
+    """Two RK4 slopes, which k1..k4 take in turn, a stage's points and the
+    update dq, each (d, m) and used as its (m, d) transpose, as a velocity
+    is, so that the RK4 sums run over one memory layout; and the masks of
+    the members that met a node or left the grid during the step's stages
+    (m,)."""
+    return [((4, d, m), np.float64)] + [((m,), np.bool_)] * 2
+
+
+def integrate_flow(points, record, constants, dt_ode=None, store_path=False,
+                   on_step=None):
     """Integrate a batch of configurations (B, d) through the record's
     velocity field by classical RK4 with step dt_ode (default: the snapshot
     spacing).
@@ -342,6 +388,15 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     step; one that lands outside the grid stops there. Stopped members keep
     their last position in the stored paths.
 
+    ``on_step(j, members, positions)``, when given, sees row j of the
+    flow: the indices (k,) of the members that have not stopped before
+    step j and their positions (k, d) at time j dt_ode. Row 0 holds every
+    member at its start, before off-grid starts stop; a later row runs
+    before the members that landed outside are dropped. So each member
+    appears in the rows 0 to its stop index, as in the stored paths, which
+    are the built-in use of the hook. ``positions`` is valid only during
+    the call.
+
     The domain of a periodic axis is one period, [lower, upper]: a member
     that crosses the period boundary stops as LeftGrid rather than wrapping
     around, so its windings never enter crossing statistics.
@@ -350,7 +405,8 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     of them stops; on every other step the RK4 update is added in place to
     the compact array of moving positions. The update is the same
     elementwise sum either way, so no member's bits depend on whether, or
-    when, another member stopped.
+    when, another member stopped. Every stage array sized by the batch
+    comes from one Workspace that the flow owns (see the module notes).
     """
     constants.check_dimension(record.grid)
     record.check_constants(constants)
@@ -359,21 +415,37 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
     dt_ode = dt_ode if dt_ode is not None else record.dt
     n = ode_step_count(record.t_final, dt_ode, record.dt)
     times = dt_ode * np.arange(n + 1)
-    sampler = RecordSampler(record.grid, record.snapshots, record.dt)
+    ws = Workspace()
+    sampler = RecordSampler(record.grid, record.snapshots, record.dt, ws)
     q = np.array(points, dtype=np.float64, ndmin=2)
     b, d = q.shape
     statuses = np.full(b, COMPLETED_CODE, dtype=np.int8)
     stop = np.full(b, len(times) - 1, dtype=np.int64)
     paths = np.empty((len(times), b, d)) if store_path else None
-    if store_path:
-        paths[0] = q
 
-    def eval_v(pts, t):
-        v, node = _velocity_batch(sampler, pts, t, constants)
-        return v, node, _outside(record.grid, pts)
+    def slope(pts, t, into, node, left):
+        """The velocity at pts into the (d, m) array into; members at a
+        node or outside the grid are added to the masks node and left."""
+        v, at_node = _velocity_batch(sampler, pts, t, constants, into)
+        np.logical_or(node, at_node, out=node)
+        outside = _outside(record.grid, pts)
+        if outside is not False:
+            np.logical_or(left, outside, out=left)
+        return v
+
+    def row_done(j, members, pts):
+        if paths is not None:
+            if members.size == b:
+                paths[j] = pts
+            else:  # the stopped members rest where they stopped
+                paths[j] = q
+                paths[j, members] = pts
+        if on_step is not None:
+            on_step(j, members, pts)
 
     # q holds each stopped member's final position; the members still
     # moving, in order, are ``moving`` and their positions ``qa``
+    row_done(0, np.arange(b), q)
     # _outside answers False when every start is inside
     out = np.zeros(b, dtype=bool) | _outside(record.grid, q)
     statuses[out] = LEFT_GRID_CODE
@@ -384,14 +456,26 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
         if moving.size:
             t0, t1 = times[j], times[j + 1]
             h = t1 - t0
-            k1, n1, o1 = eval_v(qa, t0)
-            k2, n2, o2 = eval_v(qa + 0.5 * h * k1, t0 + 0.5 * h)
-            k3, n3, o3 = eval_v(qa + 0.5 * h * k2, t0 + 0.5 * h)
-            k4, n4, o4 = eval_v(qa + h * k3, t1)
-            dq = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            node = n1 | n2 | n3 | n4
-            dead = node | o1 | o2 | o3 | o4
-            if dead.any():
+            vectors, node, left = ws.arrays(_stage_layout, moving.size, d)
+            k, stage, dq = vectors[:2], vectors[2].T, vectors[3].T
+            node.fill(False)
+            left.fill(False)
+            # dq = (h / 6) (k1 + 2 k2 + 2 k3 + k4) is added left to right
+            # as the slopes come, so k3 and k4 reuse k1's and k2's arrays;
+            # each stage's points qa + c h k overwrite the scaled slope
+            k1 = slope(qa, t0, k[0], node, left)
+            np.add(qa, np.multiply(0.5 * h, k1, out=stage), out=stage)
+            k2 = slope(stage, t0 + 0.5 * h, k[1], node, left)
+            np.add(k1, np.multiply(2.0, k2, out=dq), out=dq)
+            np.add(qa, np.multiply(0.5 * h, k2, out=stage), out=stage)
+            k3 = slope(stage, t0 + 0.5 * h, k[0], node, left)
+            np.add(dq, np.multiply(2.0, k3, out=stage), out=dq)
+            np.add(qa, np.multiply(h, k3, out=stage), out=stage)
+            k4 = slope(stage, t1, k[1], node, left)
+            np.add(dq, k4, out=dq)
+            np.multiply(h / 6.0, dq, out=dq)
+            if node.any() or left.any():
+                dead = node | left
                 statuses[moving[node]] = HIT_NODE_CODE
                 statuses[moving[dead & ~node]] = LEFT_GRID_CODE
                 stop[moving[dead]] = j
@@ -399,20 +483,15 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False):
                 keep = ~dead
                 moving, qa, dq = moving[keep], qa[keep], dq[keep]
             np.add(qa, dq, out=qa)
-            # landing outside the domain is a grid exit as well
-            out = _outside(record.grid, qa)
-            if out is not False:
-                statuses[moving[out]] = LEFT_GRID_CODE
-                stop[moving[out]] = j + 1
-                q[moving[out]] = qa[out]
-                keep = ~out
-                moving, qa = moving[keep], qa[keep]
-        if store_path:
-            if moving.size == b:
-                paths[j + 1] = qa
-            else:
-                paths[j + 1] = q
-                paths[j + 1, moving] = qa
+        row_done(j + 1, moving, qa)
+        # landing outside the domain is a grid exit as well
+        out = _outside(record.grid, qa)
+        if out is not False:
+            statuses[moving[out]] = LEFT_GRID_CODE
+            stop[moving[out]] = j + 1
+            q[moving[out]] = qa[out]
+            keep = ~out
+            moving, qa = moving[keep], qa[keep]
     q[moving] = qa
     return FlowResult(times, q, statuses, stop, paths)
 

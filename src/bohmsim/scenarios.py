@@ -16,11 +16,14 @@ from decimal import Decimal
 import numpy as np
 
 from . import analytic, povm as povm_mod
-from .equilibrium import (COLLAPSE_SHAPE, COLLAPSE_STRIDE, _bin_masses,
+from .equilibrium import (COLLAPSE_SHAPE, COLLAPSE_STRIDE,
                           collapse_experiment, collapse_hamiltonian,
                           equivariance_check, sample_density)
 from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
-from .flux import check_location, expected_crossings, per_member_counts
+from .flux import CrossingCounter, check_location, expected_crossings
+# per_member_counts stays importable here, where the benchmark's per-layer
+# trace wraps it; the flux scenario counts online with CrossingCounter
+from .flux import per_member_counts  # noqa: F401
 from .grids import Grid, PhysicalConstants
 from .guidance import (COMPLETED, HIT_NODE, LEFT_GRID, EmptyFlowError,
                        integrate_flow, integrate_trajectory, ode_step_count,
@@ -371,10 +374,11 @@ def _sampler_fields(dimension):
     """Grid-sized complex fields that the guidance sampler of a flow holds:
     a window of psi and grad psi at two snapshots, 2 (1 + d) fields, which
     also holds the time blend, one scratch field for the blend, and three
-    for the transients of one snapshot derivative. The terms of the boxed
-    difference stencil take the most: traced, 2.8-3.0 fields on 64^2
-    points and 2.0 on 256^2; a periodic transform's wave numbers and copies
-    take 0.1-2.5."""
+    for the transients of one snapshot derivative. The boxed difference
+    stencil along the last axis of a 2-d grid takes the most: traced, 2.8
+    fields on 65^2 points, numpy's buffers for its strided operands; along
+    a 1-d axis it takes 1.0, and a periodic transform 0.1 in 1-d and 1.0
+    in 2-d."""
     return 2 * (1 + dimension) + 4
 
 
@@ -382,23 +386,32 @@ def _member_bytes(dimension):
     """Bytes that each ensemble member of a flow on a grid of this dimension
     d holds at the peak of one RK4 stage, sampling included.
 
-    A stage interpolates K = 1 + d stacked complex fields, psi and grad psi
-    blended in time on the grid. It gathers one stencil row of 4 values of
-    each at a time, with that row's four flat indices in 2-d, and holds
-    2 d partial sums of K values: the sum and its product, and in 2-d the
-    outer sum and the last row's sum. numpy casts the real weights to
-    complex for each product, in a buffer of K values per member. Each axis
-    has four indices and four weights. RK4 holds about 12 float64 d-vectors
-    per member (positions, stage points, k1..k4, velocities) and sampling
-    about 5. This gives 424 B in 1-d and 864 B in 2-d; the traced peaks of
-    flows of 2000 members grow by 355 and 784 B per member
+    The flow's workspace holds every array that a stage sizes by its batch,
+    all at once. Interpolation of K = 1 + d stacked complex fields, psi and
+    grad psi blended in time on the grid, gathers one stencil row of 4
+    values of each and keeps their sum, and in 2-d the row's sum, so
+    16 K (5 + (d - 1)) B. Each axis's stencil keeps 4 indices and 4
+    weights, 64 B, 2-d adds the row's 4 flat indices, and the scratch that
+    every axis reuses (s, the start, u - 1, u - 2, u - 3) takes 40 B. There
+    are seven float64 d-vectors (two slopes, the stage points, dq, the
+    positions q and qa, and the caller's starts) and 28 B of scalars
+    (|psi|^2, three masks, the status, the stop index and the member's
+    index). numpy adds, one operation at a time, buffers of up to 8192
+    values: for the 4 stencil offsets of a point, broadcast along the rows,
+    and for the K d + 1 values that a product of the weighted sums casts
+    and broadcasts, at 16 B each. This gives 412 B in 1-d and 740 B in
+    2-d. Traced on a grid of 16 or 8^2 points, without the starts, a flow
+    of 2000 members peaks at 410 and 734 B per member, and one of 16000
+    members, where numpy's buffers have stopped growing, at 350 and 622 B
     (``test_memory_model_bounds_a_traced_flow``)."""
     d = dimension
     fields = 1 + d
-    values = 16 * fields * (4 + 2 * d + 1)
-    stencil = 32 * (d - 1) + 64 * d
-    vectors = 8 * d * (12 + 5)
-    return values + stencil + vectors
+    values = 16 * fields * (5 + (d - 1))
+    stencils = 64 * d + 32 * (d - 1) + 40
+    vectors = 8 * d * 7
+    scalars = 28
+    buffers = 16 * max(4, fields * d + 1)
+    return values + stencils + vectors + scalars + buffers
 
 
 def _check_memory(names, snapshots, grid_points, members, dimension,
@@ -543,19 +556,17 @@ def _equivariance_setup(case):
     return constants, potential, psi0
 
 
-def _check_cases(params, store_paths):
+def _check_cases(params):
     """The memory bound of each 1-d case, whose flow moves n members and
-    stores their paths when store_paths, and whose histogram has ``bins``
-    bins when the scenario has that parameter, and the work bound of all
-    cases together."""
+    whose histogram has ``bins`` bins when the scenario has that
+    parameter, and the work bound of all cases together."""
     updates = 0
     bins = params.get("bins", 0)
     counts = "n, bins" if "bins" in params else "n"
     for j, case in enumerate(params["cases"]):
-        n_steps, snapshots, steps = _check_flow(case)
-        paths = params["n"] * (steps + 1) if store_paths else 0
+        n_steps, snapshots, _ = _check_flow(case)
         _check_memory(f"{counts} and cases[{j}]", snapshots,
-                      case["grid"]["count"], params["n"], 1, paths, bins)
+                      case["grid"]["count"], params["n"], 1, bins=bins)
         updates += n_steps * case["grid"]["count"]
     _check_work("grid.count, t_final and dt of the cases", updates)
 
@@ -564,9 +575,10 @@ def _equivariance_case(case, n, bins, seed):
     constants, potential, psi0 = _equivariance_setup(case)
     record = evolve(psi0, potential, constants, case["t_final"], case["dt"],
                     SPLIT_FOURIER, snapshot_stride=case["stride"])
-    out = equivariance_check(record, n, seed, bins=bins, dt_ode=case["dt_ode"])
+    out, masses = equivariance_check(record, n, seed, bins=bins,
+                                     dt_ode=case["dt_ode"])
     out["name"] = case["name"]
-    return out, record
+    return out, masses
 
 
 def run_equivariance(params, out_dir=None):
@@ -574,8 +586,8 @@ def run_equivariance(params, out_dir=None):
     results = []
     for j, case in enumerate(params["cases"]):
         try:
-            out, record = _equivariance_case(case, params["n"], params["bins"],
-                                             params["seed"] + 101 * j)
+            out, (edges, expected) = _equivariance_case(
+                case, params["n"], params["bins"], params["seed"] + 101 * j)
         except EmptyFlowError as exc:
             results.append({"name": case["name"], "n": params["n"],
                             "hit_node": exc.hit_node,
@@ -593,8 +605,6 @@ def run_equivariance(params, out_dir=None):
         checks.append(_check(f"{case['name']}: node-hit fraction < 1e-3",
                              frac, frac < 1e-3, threshold=1e-3))
         if out_dir is not None:
-            psi_t = record.snapshots[-1]
-            edges, expected = _bin_masses(psi_t, params["bins"])
             _write_csv(out_dir, f"equivariance_{case['name']}_bins.csv",
                        "bin_left,bin_right,expected_mass",
                        zip(edges[:-1], edges[1:], expected))
@@ -658,9 +668,10 @@ def _flux_case(case, n, seed, out_dir):
     exp_total, exp_signed, current = expected_crossings(
         record, case["surface"])
     ens = sample_density(psi0, n, seed)
+    counter = CrossingCounter(ens.size, case["surface"])
     flow = integrate_flow(ens.members, record, constants,
-                          dt_ode=case["dt_ode"], store_path=True)
-    counts = per_member_counts(flow, case["surface"])
+                          dt_ode=case["dt_ode"], on_step=counter)
+    counts = counter.counts()
     emp_total, emp_signed = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / math.sqrt(counts.shape[0])
     result = {
@@ -954,7 +965,7 @@ _register(
         ]),
     },
     run_equivariance,
-    rule=functools.partial(_check_cases, store_paths=False),
+    rule=_check_cases,
 )
 
 _register(
@@ -1008,7 +1019,7 @@ _register(
              "dt_ode": 5e-3, "asserts": []},
         ]),
     },
-    run_flux, rule=functools.partial(_check_cases, store_paths=True),
+    run_flux, rule=_check_cases,
 )
 
 _register(

@@ -321,7 +321,7 @@ OVER_BUDGET = [
      "config: n, bins and cases[0] would store 2.11 GB"),
     ({"scenario": "collapse", "dt": 1e-5},
      "config: n, t_meas and dt would store 7.88 GB"),
-    ({"scenario": "flux", "n": 10**6}, "config: n and cases[0] would store"),
+    ({"scenario": "flux", "n": 10**7}, "config: n and cases[0] would store"),
     ({"scenario": "flux", "n": 10**400}, "config: n and cases[0] would store"),
     ({"scenario": "classical-limit", "points": 1 << 16, "stride": 1},
      "config: points, t_final, dt and stride would store 12.6 GB"),
@@ -360,9 +360,9 @@ def test_over_work_budget_is_a_config_error(config, message):
 
 @pytest.mark.parametrize("config,message", [
     ({"scenario": "equivariance", "n": 10**9},
-     "n, bins and cases[0] would store 424 GB"),
+     "n, bins and cases[0] would store 412 GB"),
     ({"scenario": "collapse", "n": 10**9},
-     "n, t_meas and dt would store 864 GB"),
+     "n, t_meas and dt would store 740 GB"),
     ({"scenario": "spin", "rabi_steps": 10**12},
      "points, decoupled_steps and rabi_steps would make"),
     # 1.8e9 updates, under the budget, if a step cost one update per grid

@@ -10,6 +10,7 @@ import pytest
 from bohmsim import analytic, guidance
 from bohmsim.fields import (ScalarWaveFunction, SpinorWaveFunction, density,
                             gradient, norm)
+from bohmsim.flux import CrossingCounter, per_member_counts
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import (EmptyFlowError, HitNodeError, OutOfBoundsError,
                               RecordSampler, integrate_flow,
@@ -491,6 +492,60 @@ def test_batched_flow_equals_each_member_alone(mixed_record, dt_ode):
         assert alone.stop_index[0] == batch.stop_index[b]
         assert (alone.paths[:, 0].tobytes()
                 == np.ascontiguousarray(batch.paths[:, b]).tobytes())
+
+
+def test_large_batch_equals_each_member_alone(mixed_record):
+    """3200 members, 40 distinct starts shuffled together, stop at many
+    different steps, so the flow's workspace is carved again for one
+    shrinking batch after another; every member keeps the bits, status
+    and stop index it gets alone."""
+    rec = mixed_record
+    distinct = np.concatenate([MIXED_STARTS,
+                               np.linspace(-3.9, 3.3, 31)[:, None]])
+    which = np.random.default_rng(5).permutation(
+        np.repeat(np.arange(len(distinct)), 80))
+    batch = integrate_flow(distinct[which], rec, C1, dt_ode=1e-3)
+    assert len(set(batch.stop_index.tolist())) >= 10
+    for s, q0 in enumerate(distinct):
+        alone = integrate_flow(q0[None, :], rec, C1, dt_ode=1e-3)
+        mine = which == s
+        assert (batch.points[mine].tobytes()
+                == np.repeat(alone.points, mine.sum(), axis=0).tobytes())
+        assert np.all(batch.statuses[mine] == alone.statuses[0])
+        assert np.all(batch.stop_index[mine] == alone.stop_index[0])
+
+
+def test_online_counts_equal_counts_over_stored_paths(mixed_record):
+    """A CrossingCounter hooked into the flow counts, bit for bit, what
+    per_member_counts counts over the stored paths, on a flow with a NaN
+    start, an off-grid start, members that meet a node, members that leave
+    the grid during a step, and one that lands outside right after
+    crossing the surface at the grid's upper end. The surfaces are that
+    end, x = 0, a member's last position (a touch without a sign change)
+    and an interior sample of a completed path (a sign change across a
+    touching sample). The hook changes no bit of the flow."""
+    rec = mixed_record
+    starts = np.concatenate([MIXED_STARTS, [[np.nan], [4.5]]])
+    stored = integrate_flow(starts, rec, C1, dt_ode=1e-3, store_path=True)
+    assert status_names(stored)[-2:] == ["LeftGrid", "LeftGrid"]
+    assert stored.stop_index[-2:].tolist() == [0, 0]
+    assert stored.count("HitNode") == 2
+    landed, left, done = MIXED_LANDED[1e-3], 5, 0
+    assert rec.grid.contains(stored.points[left:left + 1])[0]
+    upper = rec.grid.axes[0].upper
+    last = stored.paths[stored.stop_index[left], left, 0]
+    interior = stored.paths[20, done, 0]
+    expected = {upper: (landed, [1.0, 1.0]), last: (left, [0.0, 0.0]),
+                interior: (done, [1.0, 1.0]), 0.0: (done, [1.0, 1.0])}
+    for location, (member, counts) in expected.items():
+        counter = CrossingCounter(len(starts), location)
+        online = integrate_flow(starts, rec, C1, dt_ode=1e-3,
+                                on_step=counter)
+        offline = per_member_counts(stored, location)
+        assert counter.counts().tobytes() == offline.tobytes()
+        assert offline[member].tolist() == counts
+        assert online.points.tobytes() == stored.points.tobytes()
+        assert online.stop_index.tolist() == stored.stop_index.tolist()
 
 
 def test_nan_member_leaves_the_grid(mixed_record):

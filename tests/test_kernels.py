@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohmsim.grids import Grid
-from bohmsim.kernels import (cubic_stencil, factor_tridiagonal,
+from bohmsim.kernels import (Workspace, cubic_stencil, factor_tridiagonal,
                              interp_cubic_1d, interp_cubic_2d, thomas_solve)
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -208,6 +208,40 @@ def test_stacked_fields_match_single_calls_bit_for_bit(n0, n1, k, m, per,
                                   lo1, h1, per[1], xq, yq)
         assert out1[j].tobytes() == single1.tobytes()
         assert out2[j].tobytes() == single2.tobytes()
+
+
+@settings(deadline=None)
+@given(n0=st.integers(4, 24), n1=st.integers(4, 24),
+       per=st.tuples(st.booleans(), st.booleans()),
+       calls=st.lists(st.tuples(st.integers(0, 300),
+                                st.sampled_from([(), (1,), (2,), (3,)])),
+                      min_size=2, max_size=6),
+       seed=SEEDS)
+def test_reused_workspace_gives_the_bytes_of_fresh_calls(n0, n1, per, calls,
+                                                         seed):
+    """One Workspace shared by a run of 1-d and 2-d calls, with the point
+    count shrinking and growing and K = 1, 1 + d or a single unstacked
+    field, gives every call the bytes of a call on a fresh workspace; a
+    shrinking run is what a flow makes."""
+    rng = np.random.default_rng(seed)
+    lo0, h0, lo1, h1 = -1.5, 0.125, 0.25, 0.25
+    ws = Workspace()
+    for m, lead in calls + sorted(calls, reverse=True):
+        xq = rng.uniform(lo0, _upper(lo0, h0, n0, per[0]), m)
+        yq = rng.uniform(lo1, _upper(lo1, h1, n1, per[1]), m)
+        xq[::4] = lo0 + h0 * rng.integers(0, n0, xq[::4].size)
+        if per[0]:  # a periodic axis also answers points of other periods
+            xq[1::4] += (n0 * h0) * rng.integers(-2, 3, xq[1::4].size)
+        line = _random_field(rng, lead + (n0,))
+        plane = _random_field(rng, lead + (n0, n1))
+        pts = np.stack([xq, yq], axis=1)  # strided columns, as a flow's
+        got1 = interp_cubic_1d(line, lo0, h0, per[0], pts[:, 0], ws).tobytes()
+        got2 = interp_cubic_2d(plane, lo0, h0, per[0], lo1, h1, per[1],
+                               pts[:, 0], pts[:, 1], ws)
+        assert got2.shape == lead + (m,)
+        assert got2.tobytes() == interp_cubic_2d(
+            plane, lo0, h0, per[0], lo1, h1, per[1], xq, yq).tobytes()
+        assert got1 == interp_cubic_1d(line, lo0, h0, per[0], xq).tobytes()
 
 
 # --- loop reference: the earlier formulation of the interpolation kernels

@@ -15,7 +15,8 @@ NORM_TOL = 1e-9
 
 
 def _require_finite(arr, what):
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    # the float parts in memory order, so any layout views as float64
+    if not np.all(np.isfinite(arr.ravel(order="K").view(np.float64))):
         raise ValueError(f"{what} contains NaN or Inf")
 
 

@@ -7,12 +7,17 @@ the guidance flow, the surface current and the conditional wave function.
 The tridiagonal systems are LU-factored once
 (LAPACK ``zgttrf``) and each solve is one ``zgttrs`` call.
 
-LAPACK is bound on the first factorization, not when this module loads:
-importing ``scipy.linalg`` takes about 0.3 s of a 0.5 s start-up and 20-30
-MB of resident memory, because scipy's array-API layer loads ``numpy.f2py``,
-``numpy.testing`` and ``charset_normalizer`` with it. Only the
-Crank-Nicolson propagator calls the two routines, so split-Fourier runs,
-every CLI scenario among them, never load it.
+The two routines come from scipy's compiled LAPACK wrapper module,
+``scipy.linalg._flapack``, which ``_lapack`` loads straight from its
+extension file on the first factorization; ``scipy.linalg.lapack.zgttrf``
+is that module's own function, so the calls and their bits are the same.
+``import scipy.linalg`` would run the package's init as well, which loads
+scipy's array-API layer and with it ``numpy.f2py``, ``numpy.testing`` and
+``charset_normalizer``: after ``import bohmsim.scenarios`` it takes 190-215
+ms and 25 MB of resident memory, the extension file alone 4-6 ms and 2.4
+MB (fresh processes, 2-core Xeon VM, scipy 1.17). Only the Crank-Nicolson
+propagator calls the two routines, so split-Fourier runs, every CLI
+scenario among them, never load even the extension.
 
 Stacked fields lead the array: K fields on one grid are (K, n) or
 (K, n0, n1), and the result is (K, m). The gathers are
@@ -70,7 +75,12 @@ as ``einsum`` and gives the same bits. (2-core Xeon VM, numpy 2.4, medians
 of 15 repeats over two runs.)
 """
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -82,6 +92,7 @@ _SHIFTS = np.array([[1.0], [2.0], [3.0]])
 # exact, since negation commutes with rounded products and quotients.
 _DENOMINATORS = np.array([[-6.0], [2.0], [-2.0], [6.0]])
 _MIN_ROWS = 3  # the smallest system the LAPACK tridiagonal wrappers accept
+_FLAPACK = "scipy.linalg._flapack"
 
 
 class Workspace:
@@ -277,6 +288,38 @@ def interp_cubic_2d(values, lo0, h0, per0, lo1, h1, per1, xq, yq, ws=None):
     return _weighted_sum(w0, rows(), out)
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK wrapper module, ``scipy.linalg._flapack``,
+    loaded from its extension file without running ``scipy.linalg``'s
+    package init (see above).
+
+    An entry in ``sys.modules`` is used as it is: it is the module a plain
+    import returns. Otherwise the file is loaded and the entry its loader
+    adds is removed again, since it has no parent package: left in place,
+    a later ``import scipy.linalg`` would take it and lack ``_flapack`` as
+    an attribute. Neither ``find_spec`` of the top-level package nor the
+    finder imports scipy.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    where = os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0],
+        "linalg")
+    finder = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_FLAPACK)
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {where}",
+                          name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(_FLAPACK, None)
+    return module
+
+
 def factor_tridiagonal(dl, d, du):
     """LU-factor a batch of complex tridiagonal systems, one per row, for
     repeated solves by ``thomas_solve``.
@@ -288,8 +331,6 @@ def factor_tridiagonal(dl, d, du):
     set to zero, and factored by a single LAPACK ``zgttrf`` call (Gaussian
     elimination with partial pivoting). Returns the factors as a tuple.
     """
-    from scipy.linalg import lapack  # 0.3 s, 20-30 MB to import; see above
-
     sub = np.array(dl, dtype=np.complex128)
     sub[:, 0] = 0.0
     sup = np.array(du, dtype=np.complex128)
@@ -298,11 +339,11 @@ def factor_tridiagonal(dl, d, du):
     # appended, which leave its solution as it is.
     pad = np.zeros(max(0, _MIN_ROWS - sub.size))
     diag = np.asarray(d, dtype=np.complex128).ravel()
-    *factors, info = lapack.zgttrf(np.concatenate([sub.ravel()[1:], pad]),
-                                   np.concatenate([diag, pad + 1.0]),
-                                   np.concatenate([sup.ravel()[:-1], pad]),
-                                   overwrite_dl=1, overwrite_d=1,
-                                   overwrite_du=1)
+    *factors, info = _lapack().zgttrf(
+        np.concatenate([sub.ravel()[1:], pad]),
+        np.concatenate([diag, pad + 1.0]),
+        np.concatenate([sup.ravel()[:-1], pad]),
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"singular tridiagonal system (zero pivot at row {info})")
@@ -314,14 +355,12 @@ def thomas_solve(factors, rhs):
     right-hand sides rhs, of shape (lines, n), by one LAPACK ``zgttrs``
     call. Returns the solutions, shape (lines, n).
     """
-    from scipy.linalg import lapack  # bound by factor_tridiagonal already
-
     rhs = np.asarray(rhs, dtype=np.complex128)
     lines, n = rhs.shape
     b = rhs.reshape(-1, 1)
     if b.shape[0] < _MIN_ROWS:  # the unit rows factor_tridiagonal appended
         b = np.concatenate([b, np.zeros((_MIN_ROWS - b.shape[0], 1))])
-    x, info = lapack.zgttrs(*factors, b)
+    x, info = _lapack().zgttrs(*factors, b)
     if info != 0:
         raise ValueError(f"zgttrs rejected argument {-info}")
     return x[:lines * n].reshape(lines, n)

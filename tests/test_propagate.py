@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,26 @@ def test_split_fourier_phases_must_be_finite():
         prepare_stepper(g, Sampled(v), C1, 1e-3, SPLIT_FOURIER)
     with pytest.raises(ValueError, match="rotation angle"):
         propagate.PauliStepper(g, Free(), C1, 1e300, (1e10, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("shape,step", [((65,), "0.001"),
+                                        ((17, 17), "0.0005")],
+                         ids=["1d", "2d"])
+def test_crank_nicolson_potential_must_be_finite(bad, shape, step):
+    """A potential that is not finite on a boxed grid is rejected when the
+    stepper is built, naming the step of the first Cayley factor (dt/2 in
+    2-d), with no numpy warning on the way."""
+    g = Grid.regular(-4.0, 4.0, shape[0], boundary="boxed",
+                     dimension=len(shape))
+    v = np.zeros(shape)
+    v.flat[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=f"potential diagonal of a {step} step"):
+            prepare_stepper(g, Sampled(v), PhysicalConstants.natural(
+                len(shape)), 1e-3, CRANK_NICOLSON)
 
 
 def test_step_coupled_oscillator_against_closed_form():
@@ -434,6 +455,16 @@ def test_cayley_residual_guard_catches_corrupt_factors():
     stepper = prepare_stepper(psi.grid, pot, c, 1e-3, CRANK_NICOLSON)
     stepper.advance(psi.amplitudes)
     stepper.factors[0].lu[1][:] *= 1.0 + 1e-6  # the diagonal of U
+    with pytest.raises(RuntimeError, match="residual"):
+        stepper.advance(psi.amplitudes)
+
+
+def test_cayley_residual_guard_catches_a_nan_solution():
+    """A NaN residual fails the guard, although it compares false with
+    any tolerance."""
+    psi, pot, c = _cn_case(1, 257)
+    stepper = prepare_stepper(psi.grid, pot, c, 1e-3, CRANK_NICOLSON)
+    stepper.factors[0].lu[1][5] = np.nan  # one diagonal entry of U
     with pytest.raises(RuntimeError, match="residual"):
         stepper.advance(psi.amplitudes)
 

@@ -243,8 +243,9 @@ def _fresh_python(code):
 
 
 def test_package_import_leaves_scipy_linalg_out():
-    """scipy.linalg takes about 0.3 s and 20 MB to import, and only the
-    Crank-Nicolson factorization needs it, so it is imported there."""
+    """Importing scipy.linalg takes about 0.2 s and 25 MB, and nothing in
+    bohmsim needs the package: the Crank-Nicolson factorization loads only
+    its LAPACK extension file."""
     assert _fresh_python(
         "import sys, bohmsim, bohmsim.scenarios, bohmsim.cli; "
         "print('scipy.linalg' in sys.modules)") == "False"
@@ -257,23 +258,46 @@ def test_spin_run_leaves_scipy_linalg_out():
         "print(code, 'scipy.linalg' in sys.modules)") == "0 False"
 
 
+_CN_EVOLUTION = (
+    "from bohmsim import Grid, PhysicalConstants, ScalarWaveFunction, "
+    "CRANK_NICOLSON, evolve, norm\n"
+    "from bohmsim.potentials import Harmonic\n"
+    "import hashlib, sys, numpy as np\n"
+    "g = Grid.regular(-10.0, 10.0, 513, boundary='boxed')\n"
+    "psi = ScalarWaveFunction.from_callable(\n"
+    "    g, lambda x: np.exp(-x * x / 4 + 1.5j * x), normalize=True)\n"
+    "rec = evolve(psi, Harmonic((1.0,)), PhysicalConstants.natural(1),\n"
+    "             0.1, 1e-3, CRANK_NICOLSON, snapshot_stride=50)\n"
+    "digest = hashlib.sha256(b''.join(\n"
+    "    s.amplitudes.tobytes() for s in rec.snapshots)).hexdigest()\n")
+
+
 def test_crank_nicolson_runs_in_a_fresh_process():
-    """The first factorization binds LAPACK, and the evolution it starts
-    keeps the norm."""
+    """The first factorization binds LAPACK from its extension file, so
+    scipy.linalg stays unimported, and the evolution keeps the norm."""
     out = _fresh_python(
-        "from bohmsim import Grid, PhysicalConstants, ScalarWaveFunction, "
-        "CRANK_NICOLSON, evolve, norm\n"
-        "from bohmsim.potentials import Harmonic\n"
-        "import sys, numpy as np\n"
-        "g = Grid.regular(-10.0, 10.0, 513, boundary='boxed')\n"
-        "psi = ScalarWaveFunction.from_callable(\n"
-        "    g, lambda x: np.exp(-x * x / 4 + 1.5j * x), normalize=True)\n"
-        "rec = evolve(psi, Harmonic((1.0,)), PhysicalConstants.natural(1),\n"
-        "             0.1, 1e-3, CRANK_NICOLSON, snapshot_stride=50)\n"
-        "print('scipy.linalg' in sys.modules, len(rec.snapshots), "
+        _CN_EVOLUTION
+        + "print('scipy.linalg' in sys.modules, len(rec.snapshots), "
         "max(abs(norm(s) - 1.0) for s in rec.snapshots))")
-    bound, count, drift = out.split()
-    assert (bound, count) == ("True", "3") and float(drift) < 1e-10
+    loaded, count, drift = out.split()
+    assert (loaded, count) == ("False", "3") and float(drift) < 1e-10
+
+
+def test_lapack_binding_keeps_scipy_importable_in_either_order():
+    """A Crank-Nicolson evolution before scipy.stats and scipy.linalg are
+    imported leaves them a normal package, with the LAPACK module as its
+    attribute; one after takes that module. Both give the same bits."""
+    after = _fresh_python(
+        _CN_EVOLUTION
+        + "import scipy.stats, scipy.linalg\n"
+        "p = scipy.stats.ks_2samp([0.1, 0.5, 0.9], [0.2, 0.4, 0.8]).pvalue\n"
+        "print(digest, 0 < p <= 1, scipy.linalg._flapack is "
+        "sys.modules['scipy.linalg._flapack'])")
+    before = _fresh_python("import scipy.linalg\n" + _CN_EVOLUTION
+                           + "print(digest)")
+    digest, ks_ran, same_module = after.split()
+    assert (ks_ran, same_module) == ("True", "True")
+    assert digest == before
 
 
 def test_cli_list():

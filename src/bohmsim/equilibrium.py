@@ -3,12 +3,14 @@
 functions of a subsystem, and the two-outcome pointer-measurement experiment
 with collapse statistics.
 
-An ensemble is carried by ``integrate_flow``, and every statistic here reads
-its ``FlowResult``: the transported members are ``FlowResult.completed()``,
-the excluded ones its HitNode and LeftGrid counts; ``guidance`` raises
-``EmptyFlowError`` when no member completes. The equivariance statistics are
-1-d, as the ``equivariance`` scenario that checks them: a 2-d field or
-record raises ValueError."""
+An ensemble is carried by a ``guidance.Flow`` in the one streamed pass of
+its evolution, and every statistic here reads its ``FlowResult``: the
+transported members are ``FlowResult.completed()``, the excluded ones its
+HitNode and LeftGrid counts; ``guidance`` raises ``EmptyFlowError`` when no
+member completes. No statistic keeps a snapshot record: each reads the
+initial state, the snapshots as they pass and the evolution's last one.
+The equivariance statistics are 1-d, as the ``equivariance`` scenario that
+checks them: a 2-d field or record raises ValueError."""
 
 import math
 from dataclasses import dataclass
@@ -17,10 +19,13 @@ import numpy as np
 
 from .fields import ScalarWaveFunction, density, norm
 from .grids import Grid, PhysicalConstants
-from .guidance import HIT_NODE, LEFT_GRID, OutOfBoundsError, integrate_flow
+from .guidance import HIT_NODE, LEFT_GRID, Flow, OutOfBoundsError
+# integrate_flow and evolve stay importable here, where the benchmark's
+# per-layer trace wraps them; the experiments below stream their evolution
+from .guidance import integrate_flow  # noqa: F401
 from .kernels import interp_cubic_1d
 from .potentials import Sampled
-from .propagate import SPLIT_FOURIER, evolve
+from .propagate import SPLIT_FOURIER, Evolution, evolve  # noqa: F401
 
 
 class ZeroSliceError(Exception):
@@ -119,16 +124,18 @@ def _distance(ens, psi, edges, expected):
 
 
 def equivariance_check(record, n, seed, bins, dt_ode):
-    """Transport an equilibrium sample of a 1-d record's first snapshot and
+    """Transport an equilibrium sample of a 1-d evolution's initial state,
+    in one run of ``record``, an ``Evolution`` or a stored record, and
     compare it at the final time both to |psi_t|^2 and, by a two-sample KS
     test, to a fresh equilibrium sample. Returns the statistics and the
     (edges, masses) of the |psi_t|^2 bins they were measured on."""
     _check_1d(record.grid)
-    ens0 = sample_density(record.snapshots[0], n, seed)
-    flow = integrate_flow(ens0.members, record, record.constants,
-                          dt_ode=dt_ode)
+    ens0 = sample_density(record.initial, n, seed)
+    flow = Flow(ens0.members, record, record.constants, dt_ode=dt_ode)
+    record.run(flow)
+    flow = flow.result()
     moved = Ensemble(flow.completed())
-    psi_t = record.snapshots[-1]
+    psi_t = record.last
     edges, masses = _bin_masses(psi_t, bins)
     l1, ks = _distance(moved, psi_t, edges, masses)
     # imported here: scipy.stats takes about a second to import, and
@@ -280,7 +287,7 @@ def aligned_l2_error(psi_a, psi_b):
 
 
 COLLAPSE_SHAPE = (128, 384)  # grid points of the system and pointer axes
-COLLAPSE_STRIDE = 10  # time steps per stored snapshot of the record
+COLLAPSE_STRIDE = 10  # time steps per snapshot of the evolution
 # pointer mass on the wrong side of y = 0 below which the cells are disjoint
 LEAKAGE_THRESHOLD = 1e-6
 
@@ -333,18 +340,26 @@ def collapse_experiment(weight, n_members, seed, coupling, t_meas, dt,
     pointer0 = _gaussian(y, 0.0, width_y)
     pointer0 /= np.sqrt(np.sum(gy.quadrature_weights() * pointer0**2))
     psi0 = ScalarWaveFunction(grid, np.outer(sys0, pointer0)).normalize()
-    record = evolve(psi0, potential, constants, t_meas, dt, SPLIT_FOURIER,
-                    snapshot_stride=COLLAPSE_STRIDE)
+    evolution = Evolution(psi0, potential, constants, t_meas, dt,
+                          SPLIT_FOURIER, snapshot_stride=COLLAPSE_STRIDE)
 
-    # cross-branch mass: pointer amplitude on the wrong side of y=0
+    # cross-branch mass: pointer amplitude on the wrong side of y=0, at
+    # each snapshot as the evolution passes it
     wq = grid.quadrature_weights()
     xpos = (x > 0)[:, None]
     ypos = (y > 0)[None, :]
+    times = evolution.times
     leakage_series = []
-    for t, snap in zip(record.times, record.snapshots):
+
+    def leakage(i, snap):
         rho = wq * density(snap)
         leak = float(np.sum(rho[xpos & ypos]) + np.sum(rho[~xpos & ~ypos]))
-        leakage_series.append([float(t), leak])
+        leakage_series.append([float(times[i]), leak])
+
+    ens = sample_density(psi0, n_members, seed)
+    flow = Flow(ens.members, evolution, constants, dt_ode=dt_ode)
+    evolution.run(leakage, flow)
+    flow = flow.result()
     classification_time = next(
         (t for t, leak in leakage_series if leak < LEAKAGE_THRESHOLD), None)
     final_leakage = leakage_series[-1][1]
@@ -354,8 +369,6 @@ def collapse_experiment(weight, n_members, seed, coupling, t_meas, dt,
                        if classification_time is None
                        or t >= classification_time)
 
-    ens = sample_density(psi0, n_members, seed)
-    flow = integrate_flow(ens.members, record, constants, dt_ode=dt_ode)
     y_final = flow.completed()[:, 1]
     n_done = y_final.size
     hit_node, left_grid = flow.count(HIT_NODE), flow.count(LEFT_GRID)
@@ -375,7 +388,7 @@ def collapse_experiment(weight, n_members, seed, coupling, t_meas, dt,
         if not np.any(side):
             continue
         y_rep = float(np.median(y_final[side]))
-        dec = effective_decomposition(record.snapshots[-1], partition, y_rep)
+        dec = effective_decomposition(evolution.last, partition, y_rep)
         if dec is None:
             eff_errors[k] = None
         else:

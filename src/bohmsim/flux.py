@@ -1,17 +1,21 @@
 """Crossing statistics through a static point surface {x = c} of a 1-d
-grid, with its normal along +x, over the whole span of a record: the
+grid, with its normal along +x, over the whole span of an evolution: the
 time-integrated current gives the expected (total and signed) number of
-trajectory crossings, checked against direct counts over ensembles. A
-``CrossingCounter`` makes the counts as the flow runs, from the rows that
-``integrate_flow`` hands its ``on_step`` hook, so no path is stored;
-``per_member_counts`` replays stored paths through the same counter. They
-are one-dimensional, as the ``flux`` scenario that checks them:
-``check_location`` rejects a grid of any other dimension."""
+trajectory crossings, checked against direct counts over ensembles.
+
+Both sides are made in the one streamed pass of the evolution. A
+``SurfaceCurrent`` reads j(c, t) off each snapshot as it arrives and keeps
+one number per snapshot; ``expected_crossings`` replays a stored record
+through it. A ``CrossingCounter`` makes the counts as the flow runs, from
+the rows that a ``guidance.Flow`` hands its ``on_step`` hook, so no path is
+stored; ``per_member_counts`` replays stored paths through the same
+counter. They are one-dimensional, as the ``flux`` scenario that checks
+them: ``check_location`` rejects a grid of any other dimension."""
 
 import numpy as np
 
 from .fields import probability_current
-from .kernels import interp_cubic_1d
+from .kernels import cubic_stencil
 
 
 def check_location(grid, location):
@@ -24,26 +28,48 @@ def check_location(grid, location):
         raise ValueError("surface location outside the grid")
 
 
+class SurfaceCurrent:
+    """The normal current j(location, t) over the surface {x = location} at
+    every snapshot of a 1-d evolution, by cubic interpolation: an observer
+    of ``source``, the ``Evolution`` or ``EvolutionRecord`` that runs it.
+
+    The surface stays put, so its four stencil nodes and weights are found
+    once. Each value is w_0 j_0 + w_1 j_1 + w_2 j_2 + w_3 j_3, added left to
+    right: the real part of ``interp_cubic_1d``'s sum over the real field,
+    term for term, since each complex product has imaginary factors 0."""
+
+    def __init__(self, source, location):
+        check_location(source.grid, location)
+        if source.count < 2:
+            raise ValueError("a flux integral needs a record of at least two "
+                             "snapshots")
+        self.source = source
+        ax = source.grid.axes[0]
+        idx, w = cubic_stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
+                               np.array([location]))
+        self.nodes, self.weights = idx[:, 0], w[:, 0].tolist()
+        self.values = []
+
+    def __call__(self, i, psi):
+        j = probability_current(psi, self.source.constants).components[0]
+        w0, w1, w2, w3 = self.weights
+        j0, j1, j2, j3 = j[self.nodes].tolist()
+        self.values.append(w0 * j0 + w1 * j1 + w2 * j2 + w3 * j3)
+
+    def result(self):
+        """(total, signed, current): the integrals of |j| and j over the
+        span, by trapezoid in time over the snapshots, and j itself."""
+        current = np.asarray(self.values)
+        times = self.source.times
+        return (float(np.trapezoid(np.abs(current), times)),
+                float(np.trapezoid(current, times)), current)
+
+
 def expected_crossings(record, location):
-    """(total, signed, current) over the surface {x = location} of a 1-d
-    record: the normal current j(location, t) at every snapshot time, by
-    cubic interpolation, and its integrals of |j| and j over the record's
-    span, by trapezoid in time over the snapshots."""
-    ax = record.grid.axes[0]
-    check_location(record.grid, location)
-    if len(record.snapshots) < 2:
-        raise ValueError("a flux integral needs a record of at least two "
-                         "snapshots")
-    at = np.array([location])
-    vals = []
-    for snap in record.snapshots:
-        j = probability_current(snap, record.constants).components[0]
-        vals.append(float(interp_cubic_1d(j, ax.lower, ax.spacing,
-                                          ax.periodic, at)[0].real))
-    current = np.asarray(vals)
-    total = float(np.trapezoid(np.abs(current), record.times))
-    signed = float(np.trapezoid(current, record.times))
-    return total, signed, current
+    """``SurfaceCurrent.result()`` over a stored record, replayed."""
+    surface = SurfaceCurrent(record, location)
+    record.run(surface)
+    return surface.result()
 
 
 class CrossingCounter:
@@ -69,6 +95,12 @@ class CrossingCounter:
 
     def __call__(self, j, members, positions):
         sign = np.sign(positions[:, 0] - self.location)
+        if members.size == self.last.size:  # every member, in order
+            flip = sign * self.last < 0
+            self.total += flip
+            self.signed += np.where(flip, sign, 0.0)
+            self.last = np.where(sign != 0.0, sign, self.last)
+            return
         last = self.last[members]
         flip = sign * last < 0
         self.total[members] += flip

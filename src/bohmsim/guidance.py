@@ -1,18 +1,25 @@
 """The guidance law: velocity fields derived from wave functions (scalar and
 spinor), node detection, and trajectory integration dQ/dt = v(Q, t) by
-fixed-step RK4 on time-interpolated evolution records. Wave functions,
-spinors included, are evolved in ``propagate``.
+fixed-step RK4 on the time-interpolated snapshots of an evolution. Wave
+functions, spinors included, are evolved in ``propagate``.
 
-``integrate_flow`` returns one ``FlowResult`` for every batch, a single
-trajectory or a |psi|^2 ensemble: end points, status codes and optional
-paths. ``FlowResult.completed`` hands out the end points of the members
-that completed and raises ``EmptyFlowError`` when none did.
+The flow is streamed. A ``Flow`` is an observer of an evolution: it takes
+each snapshot as the ``Evolution`` hands it over and runs every RK4 step
+whose stages that snapshot completes, so the pair (Q_t, psi_t) advances
+together and no snapshot record is kept. It holds only the snapshots that
+the stage times of its next steps bracket, two when dt_ode equals the
+snapshot spacing. ``integrate_flow`` replays a stored record through the
+same observer, so there is one RK4 loop. Every flow ends in one
+``FlowResult``, for a single trajectory or a |psi|^2 ensemble: end points,
+status codes and optional paths. ``FlowResult.completed`` hands out the
+end points of the members that completed and raises ``EmptyFlowError``
+when none did.
 
 Bohmian trajectories almost surely never reach a node of psi, so meeting one
 only signals discretisation error. The rule is fixed: a configuration whose
 density lies below NODE_FRACTION times the peak density of the first field
 sampled is at a node. ``spinor_velocity`` then raises HitNodeError, and
-``integrate_flow`` stops the member with status HitNode.
+a flow stops the member with status HitNode.
 
 Integration is time-major. Every member of a batch moves independently under
 the same field, so all of them advance together, one RK4 step at a time, and
@@ -20,8 +27,8 @@ no member's arithmetic depends on which others share its batch. One
 ``RecordSampler`` window serves the whole batch: it derives each snapshot's
 psi and grad psi once, and each RK4 stage interpolates them in one stacked
 call. The sampler owns the snapshot clock (snapshot i is at i dt), so the
-flow needs only a record's spacing and snapshots. Each snapshot gradient is
-written straight into its window row by ``gradient_array``.
+flow needs only the spacing and the snapshots it holds. Each snapshot
+gradient is written straight into its window row by ``gradient_array``.
 
 The time blend runs on the grid, before interpolation: at a time between
 two snapshots the sampler writes (1 - theta) psi_i + theta psi_(i+1), and
@@ -56,19 +63,20 @@ the quotient grad psi / psi, its |psi|^2 and node mask, two slopes that
 k1..k4 take in turn, the stage points, the update dq, and the step's node
 and grid-exit masks. Each is written with ``out=`` in the operand order
 of the plain expression, so no bit changes. The batch only shrinks, so
-the first stage sizes the workspace, and a step where members stop carves
+the flow sizes the workspace once, and a step where members stop carves
 smaller views from the same memory. An array handed out from it, a
 sampled psi or a velocity, is a view valid only until the next call on
 it. Allocated afresh, each stage's arrays of 10^4 members lay above
 glibc's 128 KiB mmap threshold and were faulted in anew: the ``flux``
 scenario made 1.56 M minor faults, and makes 10 k.
 
-``integrate_flow``'s ``on_step`` hook sees the moving members' positions
-after every step. Stored paths are its built-in use, and
+A flow's ``on_step`` hook sees the moving members' positions after every
+step. Stored paths are its built-in use, and
 ``flux.CrossingCounter`` counts crossings with it as the flow runs, so the
 ``flux`` scenario stores no paths.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,7 +85,8 @@ import numpy as np
 # gradient stays importable here beside gradient_array, which alone fills
 # the window: the benchmark's per-layer trace wraps both names here
 from .fields import density, gradient, gradient_array  # noqa: F401
-from .kernels import Workspace, interp_cubic_1d, interp_cubic_2d
+from .kernels import (Workspace, interp_cubic_1d, interp_cubic_2d,
+                      interp_layout)
 from .propagate import TIME_RTOL, time_tol
 
 COMPLETED = "Completed"
@@ -155,8 +164,10 @@ def _interp_any(grid, values, pts, ws=None):
 class RecordSampler:
     """psi and grad psi of a run of snapshots, linearly interpolated in time.
 
-    Snapshot i is the field at time i dt: a record starts at t = 0, and a
-    flow's record holds at least two snapshots. A sliding window of shape
+    Snapshot i of ``count`` (default: all of them) is the field at time
+    i dt. ``snapshots`` is indexed by i: a record's list, or a streamed
+    flow's dict of the snapshots that its next stage times bracket. The
+    node threshold is that of snapshot 0. A sliding window of shape
     (2 (1 + d),) + grid.shape has two slots of 1 + d contiguous leading
     rows (psi, d_1 psi, ..., d_d psi). Slot i % 2 holds snapshot i, or
     the time blend that starts at snapshot i.
@@ -172,18 +183,23 @@ class RecordSampler:
     still answered correctly, at the cost of recomputing.
     """
 
-    def __init__(self, grid, snapshots, dt, ws=None):
+    def __init__(self, grid, snapshots, dt, ws=None, count=None):
         self.grid = grid
         self.ws = ws  # the flow's Workspace, or None for fresh arrays
         self.snapshots = snapshots
         self.dt = dt
-        self.node_threshold = _node_threshold(density(snapshots[0]))
+        self.count = len(snapshots) if count is None else count
         self._width = 1 + grid.dimension
         # (i, theta) of the fields in each slot; theta 0 is snapshot i
         self._held = [None, None]
         self._window = np.empty((2 * self._width,) + grid.shape,
                                 dtype=np.complex128)
         self._scratch = np.empty(grid.shape, dtype=np.complex128)
+
+    @functools.cached_property
+    def node_threshold(self):
+        """The node threshold of the first field sampled, snapshot 0."""
+        return _node_threshold(density(self.snapshots[0]))
 
     def _slot(self, i):
         """Window rows of the slot that holds snapshot i or a blend from it."""
@@ -225,7 +241,7 @@ class RecordSampler:
         k = round(s)
         if abs(s - k) <= time_tol(s):
             s = k
-        last = len(self.snapshots) - 1
+        last = self.count - 1
         if s >= last:
             return last, 0.0
         i = max(math.floor(s), 0)
@@ -373,11 +389,17 @@ def _stage_layout(m, d):
     return [((4, d, m), np.float64)] + [((m,), np.bool_)] * 2
 
 
-def integrate_flow(points, record, constants, dt_ode=None, store_path=False,
-                   on_step=None):
-    """Integrate a batch of configurations (B, d) through the record's
-    velocity field by classical RK4 with step dt_ode (default: the snapshot
-    spacing).
+class Flow:
+    """The RK4 flow of a batch of configurations (B, d) through the velocity
+    field of an evolution, with step dt_ode (default: the snapshot spacing),
+    as an observer of its snapshots: ``flow(i, psi_i)`` takes snapshot i,
+    and ``result()`` gives the ``FlowResult`` once the last has arrived.
+    ``source`` is the ``Evolution`` or ``EvolutionRecord`` that will run it.
+
+    Each RK4 step runs as soon as the snapshot at its end has arrived. The
+    flow holds only the arrived snapshots that the stage times of a step
+    still to run bracket: the two of one step's interval when dt_ode equals
+    the snapshot spacing, and never more than six.
 
     All members advance together, one step at a time, over one sampler
     window. A member that starts outside the grid's closed domain, a NaN
@@ -408,92 +430,163 @@ def integrate_flow(points, record, constants, dt_ode=None, store_path=False,
     when, another member stopped. Every stage array sized by the batch
     comes from one Workspace that the flow owns (see the module notes).
     """
-    constants.check_dimension(record.grid)
-    record.check_constants(constants)
-    if len(record.snapshots) < 2:
-        raise ValueError("a flow needs a record of at least two snapshots")
-    dt_ode = dt_ode if dt_ode is not None else record.dt
-    n = ode_step_count(record.t_final, dt_ode, record.dt)
-    times = dt_ode * np.arange(n + 1)
-    ws = Workspace()
-    sampler = RecordSampler(record.grid, record.snapshots, record.dt, ws)
-    q = np.array(points, dtype=np.float64, ndmin=2)
-    b, d = q.shape
-    statuses = np.full(b, COMPLETED_CODE, dtype=np.int8)
-    stop = np.full(b, len(times) - 1, dtype=np.int64)
-    paths = np.empty((len(times), b, d)) if store_path else None
 
-    def slope(pts, t, into, node, left):
+    def __init__(self, points, source, constants, dt_ode=None,
+                 store_path=False, on_step=None):
+        self.grid = source.grid
+        constants.check_dimension(self.grid)
+        source.check_constants(constants)
+        if source.count < 2:
+            raise ValueError("a flow needs a record of at least two snapshots")
+        dt_ode = dt_ode if dt_ode is not None else source.dt
+        n = ode_step_count(source.t_final, dt_ode, source.dt)
+        self.times = dt_ode * np.arange(n + 1)
+        self.constants, self.on_step = constants, on_step
+        self.ws = Workspace()
+        self.sampler = RecordSampler(self.grid, {}, source.dt, self.ws,
+                                     source.count)
+        q = np.array(points, dtype=np.float64, ndmin=2)
+        b, d = q.shape
+        self.statuses = np.full(b, COMPLETED_CODE, dtype=np.int8)
+        self.stop = np.full(b, n, dtype=np.int64)
+        self.paths = np.empty((n + 1, b, d)) if store_path else None
+        # q holds each stopped member's final position; the members still
+        # moving, in order, are ``moving`` and their positions ``qa``
+        self.q = q
+        # Every stage array is sized here, before the first snapshot
+        # arrives, as the first stage would size it. Sized at that stage,
+        # among the heap chunks of the evolution's first arrays, streamed
+        # flux-1d read 8 % more wall_rel than a stored flow, and 5.7 %
+        # more sized here: a heap-layout effect of the streamed pass.
+        self.ws.arrays(interp_layout(d), (1 + d,), b)
+        self.ws.arrays(_velocity_layout, b)
+        self.ws.arrays(_stage_layout, b, d)
+        self._row_done(0, np.arange(b), q)
+        # _outside answers False when every start is inside
+        out = np.zeros(b, dtype=bool) | _outside(self.grid, q)
+        self.statuses[out] = LEFT_GRID_CODE
+        self.stop[out] = 0
+        self.moving = np.flatnonzero(~out)
+        self.qa = q[self.moving]
+        self._next = 0  # the first step still to run
+        self._spans = {}  # _bracketed of the steps still to run
+
+    def _bracketed(self, j):
+        """The indices, ascending, of the snapshots that the stage times of
+        step j bracket, or () past the last step; each step's are found
+        once."""
+        if j not in self._spans:
+            if j == len(self.times) - 1:
+                return ()
+            t0, t1 = self.times[j], self.times[j + 1]
+            held = set()
+            for t in (t0, t0 + 0.5 * (t1 - t0), t1):
+                i, theta = self.sampler.bracket(t)
+                held.update((i, i + 1) if theta else (i,))
+            self._spans[j] = sorted(held)
+        return self._spans[j]
+
+    def __call__(self, i, psi):
+        held, spans = self.sampler.snapshots, self._bracketed
+        # keep snapshot i when a step still to run brackets it
+        j = self._next
+        while spans(j) and spans(j)[0] <= i:
+            if i in spans(j):
+                held[i] = psi
+                break
+            j += 1
+        # run the steps that it completes, then drop the snapshots that no
+        # later step brackets
+        j = self._next
+        while spans(j) and spans(j)[-1] <= i:
+            self._step(j)
+            del self._spans[j]
+            j += 1
+            low = spans(j)[0] if spans(j) else i + 1
+            for k in [k for k in held if k < low]:
+                del held[k]
+        self._next = j
+
+    def result(self):
+        if self._next < len(self.times) - 1:
+            raise ValueError("the flow has not reached its last snapshot")
+        self.q[self.moving] = self.qa
+        return FlowResult(self.times, self.q, self.statuses, self.stop,
+                          self.paths)
+
+    def _row_done(self, j, members, pts):
+        if self.paths is not None:
+            if members.size == self.q.shape[0]:
+                self.paths[j] = pts
+            else:  # the stopped members rest where they stopped
+                self.paths[j] = self.q
+                self.paths[j, members] = pts
+        if self.on_step is not None:
+            self.on_step(j, members, pts)
+
+    def _slope(self, pts, t, into, node, left):
         """The velocity at pts into the (d, m) array into; members at a
         node or outside the grid are added to the masks node and left."""
-        v, at_node = _velocity_batch(sampler, pts, t, constants, into)
+        v, at_node = _velocity_batch(self.sampler, pts, t, self.constants,
+                                     into)
         np.logical_or(node, at_node, out=node)
-        outside = _outside(record.grid, pts)
+        outside = _outside(self.grid, pts)
         if outside is not False:
             np.logical_or(left, outside, out=left)
         return v
 
-    def row_done(j, members, pts):
-        if paths is not None:
-            if members.size == b:
-                paths[j] = pts
-            else:  # the stopped members rest where they stopped
-                paths[j] = q
-                paths[j, members] = pts
-        if on_step is not None:
-            on_step(j, members, pts)
-
-    # q holds each stopped member's final position; the members still
-    # moving, in order, are ``moving`` and their positions ``qa``
-    row_done(0, np.arange(b), q)
-    # _outside answers False when every start is inside
-    out = np.zeros(b, dtype=bool) | _outside(record.grid, q)
-    statuses[out] = LEFT_GRID_CODE
-    stop[out] = 0
-    moving = np.flatnonzero(~out)
-    qa = q[moving]
-    for j in range(len(times) - 1):
+    def _step(self, j):
+        q, moving, qa = self.q, self.moving, self.qa
         if moving.size:
-            t0, t1 = times[j], times[j + 1]
+            t0, t1 = self.times[j], self.times[j + 1]
             h = t1 - t0
-            vectors, node, left = ws.arrays(_stage_layout, moving.size, d)
+            vectors, node, left = self.ws.arrays(_stage_layout, moving.size,
+                                                 q.shape[1])
             k, stage, dq = vectors[:2], vectors[2].T, vectors[3].T
             node.fill(False)
             left.fill(False)
             # dq = (h / 6) (k1 + 2 k2 + 2 k3 + k4) is added left to right
             # as the slopes come, so k3 and k4 reuse k1's and k2's arrays;
             # each stage's points qa + c h k overwrite the scaled slope
-            k1 = slope(qa, t0, k[0], node, left)
+            k1 = self._slope(qa, t0, k[0], node, left)
             np.add(qa, np.multiply(0.5 * h, k1, out=stage), out=stage)
-            k2 = slope(stage, t0 + 0.5 * h, k[1], node, left)
+            k2 = self._slope(stage, t0 + 0.5 * h, k[1], node, left)
             np.add(k1, np.multiply(2.0, k2, out=dq), out=dq)
             np.add(qa, np.multiply(0.5 * h, k2, out=stage), out=stage)
-            k3 = slope(stage, t0 + 0.5 * h, k[0], node, left)
+            k3 = self._slope(stage, t0 + 0.5 * h, k[0], node, left)
             np.add(dq, np.multiply(2.0, k3, out=stage), out=dq)
             np.add(qa, np.multiply(h, k3, out=stage), out=stage)
-            k4 = slope(stage, t1, k[1], node, left)
+            k4 = self._slope(stage, t1, k[1], node, left)
             np.add(dq, k4, out=dq)
             np.multiply(h / 6.0, dq, out=dq)
             if node.any() or left.any():
                 dead = node | left
-                statuses[moving[node]] = HIT_NODE_CODE
-                statuses[moving[dead & ~node]] = LEFT_GRID_CODE
-                stop[moving[dead]] = j
+                self.statuses[moving[node]] = HIT_NODE_CODE
+                self.statuses[moving[dead & ~node]] = LEFT_GRID_CODE
+                self.stop[moving[dead]] = j
                 q[moving[dead]] = qa[dead]
                 keep = ~dead
                 moving, qa, dq = moving[keep], qa[keep], dq[keep]
             np.add(qa, dq, out=qa)
-        row_done(j + 1, moving, qa)
+        self._row_done(j + 1, moving, qa)
         # landing outside the domain is a grid exit as well
-        out = _outside(record.grid, qa)
+        out = _outside(self.grid, qa)
         if out is not False:
-            statuses[moving[out]] = LEFT_GRID_CODE
-            stop[moving[out]] = j + 1
+            self.statuses[moving[out]] = LEFT_GRID_CODE
+            self.stop[moving[out]] = j + 1
             q[moving[out]] = qa[out]
             keep = ~out
             moving, qa = moving[keep], qa[keep]
-    q[moving] = qa
-    return FlowResult(times, q, statuses, stop, paths)
+        self.moving, self.qa = moving, qa
+
+
+def integrate_flow(points, record, constants, dt_ode=None, store_path=False,
+                   on_step=None):
+    """The ``FlowResult`` of a ``Flow`` (see there) over the snapshots of a
+    stored record, replayed."""
+    flow = Flow(points, record, constants, dt_ode, store_path, on_step)
+    record.run(flow)
+    return flow.result()
 
 
 def integrate_trajectory(q0, record, dt_ode=None):

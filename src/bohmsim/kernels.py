@@ -235,6 +235,13 @@ def _layout_2d(lead, m):
             + [(lead + (m,), np.complex128)] * 2)
 
 
+def interp_layout(dimension):
+    """The Workspace layout of the interpolation calls on a grid of this
+    dimension, whose arguments are (lead, m), for a caller that sizes a
+    workspace ahead of its first call."""
+    return _layout_1d if dimension == 1 else _layout_2d
+
+
 def interp_cubic_1d(values, lo, h, periodic, xq, ws=None):
     """Evaluate a gridded complex field at arbitrary points by cubic
     Lagrange interpolation. Caller guarantees in-range xq on boxed axes.

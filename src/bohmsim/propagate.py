@@ -4,10 +4,15 @@ alternating-direction tridiagonal solves on boxed grids, every line of a
 sweep factored once and then solved in one LAPACK call per step), plus the
 continuity-equation diagnostic and on-disk persistence of evolutions.
 
-Both steppers advance a state by a given number of steps in one call, and
-``evolve`` makes one call per snapshot interval. A record keeps one clock,
-the step and the stride of steps between snapshots: its snapshot spacing is
-step_dt x stride and its times follow from that.
+An evolution is streamed. ``Evolution.run`` steps the state once from t = 0
+and hands each snapshot, (i, psi_i), to its observers as it arrives, one
+``advance`` call of ``stride`` steps per snapshot interval, and keeps none:
+the guidance flow and the scenarios' per-snapshot reductions read each
+snapshot while it is the current state. ``evolve`` is that loop with an
+observer that stores every snapshot, and returns an ``EvolutionRecord``,
+whose ``run`` replays them to observers in the same order. Both keep one
+clock, the step and the stride of steps between snapshots: the snapshot
+spacing is step_dt x stride and the times follow from that.
 
 Free evolution stays in k-space. When the potential vanishes on every grid
 point, each potential half-step multiplies by exactly 1 and the inverse
@@ -267,12 +272,43 @@ class PauliStepper:
         return self._rotate(self.scalar.advance(up), self.scalar.advance(down))
 
 
+class _Clock:
+    """The snapshot clock of an evolution, stored or streamed: snapshot i of
+    ``count`` is the field at t = i dt, where dt = step_dt * stride is the
+    snapshot spacing."""
+
+    @property
+    def dt(self):
+        return self.step_dt * self.stride
+
+    @property
+    def times(self):
+        """The snapshot times: step_dt times each snapshot's step index, in
+        that order, since (step_dt * stride) * i rounds differently."""
+        return self.step_dt * (self.stride * np.arange(self.count))
+
+    @property
+    def t_final(self):
+        return float(self.times[-1])
+
+    def check_constants(self, constants):
+        """Raise ValueError unless ``constants`` are the ones the record was
+        evolved with: ``integrate_flow``, which still takes constants, reads
+        velocities off the record's fields with them."""
+        if constants != self.constants:
+            raise ValueError(f"constants {constants.describe()} differ from "
+                             f"the record's {self.constants.describe()}")
+
+
+def _check_snapshot(psi):
+    if abs(norm(psi) - 1.0) > 1e-8:
+        raise ValueError("snapshot not normalized within 1e-8")
+
+
 @dataclass(frozen=True)
-class EvolutionRecord:
-    """Equally spaced snapshots of one evolution, kept for the guidance flow.
-    Its one clock is the integrator step ``step_dt`` and the ``stride`` of
-    steps between snapshots: snapshot i is the field at t = i dt, where
-    dt = step_dt * stride is the snapshot spacing."""
+class EvolutionRecord(_Clock):
+    """Equally spaced snapshots of one evolution, stored: ``evolve``'s
+    result, kept for persistence and for flows that replay them."""
 
     grid: Grid
     constants: PhysicalConstants
@@ -296,30 +332,26 @@ class EvolutionRecord:
         for s in self.snapshots:
             if s.grid != self.grid:
                 raise ValueError("snapshot grid mismatch")
-            if abs(norm(s) - 1.0) > 1e-8:
-                raise ValueError("snapshot not normalized within 1e-8")
+            _check_snapshot(s)
 
     @property
-    def dt(self):
-        return self.step_dt * self.stride
+    def count(self):
+        return len(self.snapshots)
 
     @property
-    def times(self):
-        """The snapshot times: step_dt times each snapshot's step index, in
-        that order, since (step_dt * stride) * i rounds differently."""
-        return self.step_dt * (self.stride * np.arange(len(self.snapshots)))
+    def initial(self):
+        return self.snapshots[0]
 
     @property
-    def t_final(self):
-        return float(self.times[-1])
+    def last(self):
+        return self.snapshots[-1]
 
-    def check_constants(self, constants):
-        """Raise ValueError unless ``constants`` are the ones the record was
-        evolved with: ``integrate_flow``, which still takes constants, reads
-        velocities off the record's fields with them."""
-        if constants != self.constants:
-            raise ValueError(f"constants {constants.describe()} differ from "
-                             f"the record's {self.constants.describe()}")
+    def run(self, *observers):
+        """Replay the snapshots, handing (i, psi_i) to each observer in
+        turn, as ``Evolution.run`` hands them over while it steps."""
+        for i, psi in enumerate(self.snapshots):
+            for observe in observers:
+                observe(i, psi)
 
 
 def _is_number(value):
@@ -348,20 +380,46 @@ def step_count(t_final, dt, snapshot_stride=1):
     return n_steps
 
 
+class Evolution(_Clock):
+    """psi0 evolved from t = 0 to t_final, streamed. ``run(*observers)``
+    steps it once and hands every stride-th snapshot, t = 0 and t_final
+    included, to each observer in turn as (i, psi_i), after the check that
+    ``EvolutionRecord`` makes of a stored snapshot. It holds only the
+    current state; ``last`` is the final snapshot once ``run`` has
+    returned. Each snapshot interval is one ``advance`` call of
+    ``snapshot_stride`` steps; with a potential that vanishes on the grid,
+    that call makes two transforms whatever the stride."""
+
+    def __init__(self, psi0, potential, constants, t_final, dt, method,
+                 snapshot_stride=1):
+        n_steps = step_count(t_final, dt, snapshot_stride)
+        if abs(norm(psi0) - 1.0) > 1e-8:
+            raise ValueError("initial state must be normalized")
+        self.stepper = prepare_stepper(psi0.grid, potential, constants, dt,
+                                       method)
+        self.grid, self.constants = psi0.grid, constants
+        self.potential, self.method = potential, method
+        self.step_dt, self.stride = dt, snapshot_stride
+        self.count = n_steps // snapshot_stride + 1
+        self.initial, self.last = psi0, None
+
+    def run(self, *observers):
+        psi = self.initial
+        for i in range(self.count):
+            if i:
+                psi = ScalarWaveFunction(self.grid, self.stepper.advance(
+                    psi.amplitudes, self.stride))
+                _check_snapshot(psi)
+            for observe in observers:
+                observe(i, psi)
+        self.last = psi
+
+
 def evolve(psi0, potential, constants, t_final, dt, method, snapshot_stride=1):
-    """Repeated stepping from t=0, storing every stride-th snapshot
-    (t=0 and t_final included). Each snapshot interval is one ``advance``
-    call of ``snapshot_stride`` steps; with a potential that vanishes on the
-    grid, that call makes two transforms whatever the stride."""
-    n_steps = step_count(t_final, dt, snapshot_stride)
-    if abs(norm(psi0) - 1.0) > 1e-8:
-        raise ValueError("initial state must be normalized")
-    stepper = prepare_stepper(psi0.grid, potential, constants, dt, method)
-    arr = psi0.amplitudes
-    snaps = [psi0]
-    for _ in range(n_steps // snapshot_stride):
-        arr = stepper.advance(arr, snapshot_stride)
-        snaps.append(ScalarWaveFunction(psi0.grid, arr))
+    """Every snapshot of ``Evolution(...).run``, stored in a record."""
+    snaps = []
+    Evolution(psi0, potential, constants, t_final, dt, method,
+              snapshot_stride).run(lambda i, psi: snaps.append(psi))
     return EvolutionRecord(psi0.grid, constants, potential, method, dt,
                            snapshot_stride, snaps)
 

@@ -1,7 +1,10 @@
 """Named, reproducible experiments tying the modules together. Each scenario
 declares one parameter table, takes the JSON-able parameter dict parsed from
 it, writes a JSON report plus plot-ready CSVs, and returns the report; a run
-passes when it makes at least one check and every check passes."""
+passes when it makes at least one check and every check passes. A scenario
+that moves trajectories evolves once: its ``Evolution`` hands each snapshot
+to a ``Flow`` and to the scenario's own per-snapshot reductions, and no run
+keeps a snapshot record."""
 
 import copy
 import dataclasses
@@ -20,18 +23,19 @@ from .equilibrium import (COLLAPSE_SHAPE, COLLAPSE_STRIDE,
                           collapse_experiment, collapse_hamiltonian,
                           equivariance_check, sample_density)
 from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
-from .flux import CrossingCounter, check_location, expected_crossings
-# per_member_counts stays importable here, where the benchmark's per-layer
-# trace wraps it; the flux scenario counts online with CrossingCounter
-from .flux import per_member_counts  # noqa: F401
+from .flux import CrossingCounter, SurfaceCurrent, check_location
 from .grids import Grid, PhysicalConstants
-from .guidance import (COMPLETED, HIT_NODE, LEFT_GRID, EmptyFlowError,
-                       integrate_flow, integrate_trajectory, ode_step_count,
-                       spinor_velocity)
+from .guidance import (COMPLETED, HIT_NODE, LEFT_GRID, EmptyFlowError, Flow,
+                       ode_step_count, spinor_velocity)
 from .kernels import BACKEND
 from .potentials import KINDS, CoupledOscillator, Free, Harmonic, from_description
-from .propagate import (SPLIT_FOURIER, PauliStepper, evolve, prepare_stepper,
-                        step_count)
+from .propagate import (SPLIT_FOURIER, Evolution, PauliStepper,
+                        prepare_stepper, step_count)
+# The names that the benchmark's per-layer trace wraps here stay importable,
+# although every scenario streams its evolution through a Flow instead
+from .flux import expected_crossings, per_member_counts  # noqa: F401
+from .guidance import integrate_flow, integrate_trajectory  # noqa: F401
+from .propagate import evolve  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -50,18 +54,18 @@ class ConfigError(ValueError):
 
 _MISSING = object()
 
-# Grids above these sizes do not fit a run's snapshots in a desk machine's
-# memory; the bound also keeps validation, which samples initial states on the
-# grid, cheap.
+# The largest grids: a run's grid fields stay a few hundred MB at most, and
+# validation, which samples initial states on the grid, stays cheap.
 _MAX_1D = 1 << 16
 _MAX_2D = 1024
 
-# Bytes of stored snapshots (16 B per grid point each), the guidance
-# sampler's grid fields (_sampler_fields), stored paths (8 B per coordinate
-# per RK4 step), ensemble working arrays (_member_bytes per member) and
-# histogram bins (_BIN_BYTES each) that a run may hold. At their defaults the
-# scenarios hold at most 0.25 GB, the oscillator oracle's 201 snapshots of
-# 256^2 points; a desk machine has a few GB.
+# Bytes of the grid fields that a streamed run holds (_STREAM_FIELDS and
+# the guidance sampler's _sampler_fields, 16 B per grid point each), stored
+# paths (8 B per coordinate per RK4 step), ensemble working arrays
+# (_member_bytes per member) and histogram bins (_BIN_BYTES each) that a run
+# may hold. No run keeps its snapshots, so their count does not enter. At
+# their defaults the scenarios hold at most 19 MB, the oscillator oracle's
+# 18 fields of 256^2 points; a desk machine has a few GB.
 _MEMORY_BUDGET = 2 * 10**9
 
 # Bytes per equivariance histogram bin: its edges, expected and empirical
@@ -358,16 +362,25 @@ def make_initial(grid, constants, spec):
 
 
 def _flow_steps(t_final, dt, stride, dt_ode):
-    """(time steps, snapshots stored, RK4 steps) of a run; raises ValueError
-    where evolve or integrate_flow would reject these step sizes."""
+    """(time steps, RK4 steps) of a run; raises ValueError where its
+    Evolution or Flow would reject these step sizes."""
     n_steps = step_count(t_final, dt, stride)
-    return (n_steps, n_steps // stride + 1,
-            ode_step_count(n_steps * dt, dt_ode, dt * stride))
+    return n_steps, ode_step_count(n_steps * dt, dt_ode, dt * stride)
 
 
 def _check_flow(params):
     return _flow_steps(params["t_final"], params["dt"], params["stride"],
                        params["dt_ode"])
+
+
+# Grid-sized complex fields that a streamed run holds besides its flow's
+# sampler (_sampler_fields): the snapshots that the flow's stage times
+# bracket, at most six, or five and the state the evolution steps to, and
+# the stepper's two phase arrays. When dt_ode is the snapshot spacing, two
+# snapshots are held. Traced, a 1-d flux pass and a 2-d flow, each at
+# dt_ode equal to the spacing, peak at 11.5 and 12.5 fields, and at 13.6 and
+# 15.1 with dt_ode five spacings, against the 16 and 18 counted here.
+_STREAM_FIELDS = 8
 
 
 def _sampler_fields(dimension):
@@ -414,15 +427,15 @@ def _member_bytes(dimension):
     return values + stencils + vectors + scalars + buffers
 
 
-def _check_memory(names, snapshots, grid_points, members, dimension,
-                  path_values=0, bins=0):
+def _check_memory(names, grid_points, members, dimension, path_values=0,
+                  bins=0):
     """Raise ValueError, naming the parameters ``names`` that set the size,
-    when a run's snapshots of grid_points each, its sampler's fields, the
+    when the grid fields of a streamed run on grid_points points, the
     working arrays of ``members`` ensemble members on a grid of that
     dimension, path_values stored path coordinates and ``bins`` histogram
     bins exceed the memory budget."""
     # integers throughout: a member count may exceed the float range
-    need = (16 * (snapshots + _sampler_fields(dimension)) * grid_points
+    need = (16 * (_STREAM_FIELDS + _sampler_fields(dimension)) * grid_points
             + members * _member_bytes(dimension) + 8 * path_values
             + _BIN_BYTES * bins)
     if need > _MEMORY_BUDGET:
@@ -476,15 +489,15 @@ _ORACLE_STARTS = [(r * math.cos(a) + 0.1, r * math.sin(a) - 0.05)
 
 
 def _check_oracle(params):
-    n_steps, snapshots, steps = _check_flow(params)
+    n_steps, steps = _check_flow(params)
     try:
         step_count(1.0, params["dt"], params["stride"])
     except ValueError:
         raise ValueError("the field check needs a snapshot at t = 1: 1 must "
                          "be a whole number of snapshot spacings dt * stride"
                          ) from None
-    _check_memory("points, t_final, dt and stride", snapshots,
-                  params["points"] ** 2, len(_ORACLE_STARTS), 2,
+    _check_memory("points, t_final, dt and stride", params["points"] ** 2,
+                  len(_ORACLE_STARTS), 2,
                   2 * len(_ORACLE_STARTS) * (steps + 1))
     _check_work("points, t_final and dt", n_steps * params["points"] ** 2)
     prepare_stepper(_oracle_grid(params["points"]),
@@ -498,18 +511,26 @@ def run_oscillator_oracle(params, out_dir=None):
     constants = PhysicalConstants.natural(dimension=2)
     psi0 = ScalarWaveFunction.from_callable(
         grid, lambda x, y: analytic.coupled_oscillator_wavefunction(x, y, 0.0))
-    record = evolve(psi0, CoupledOscillator(analytic.COUPLING), constants,
-                    params["t_final"], params["dt"], SPLIT_FOURIER,
-                    snapshot_stride=params["stride"])
-    # field comparison at t = 1
-    i1 = int(round(1.0 / record.dt))
-    xg, yg = grid.meshgrid()
-    exact = analytic.coupled_oscillator_wavefunction(xg, yg, record.times[i1])
-    psi_err = float(np.max(np.abs(record.snapshots[i1].amplitudes - exact)))
-    drift = abs(norm(record.snapshots[-1]) - 1.0)
+    evolution = Evolution(psi0, CoupledOscillator(analytic.COUPLING),
+                          constants, params["t_final"], params["dt"],
+                          SPLIT_FOURIER, snapshot_stride=params["stride"])
+    # field comparison at t = 1, as the evolution passes it
+    i1 = int(round(1.0 / evolution.dt))
+    psi_err = None
 
-    flow = integrate_flow(_ORACLE_STARTS, record, constants,
-                          dt_ode=params["dt_ode"], store_path=True)
+    def probe(i, psi):
+        nonlocal psi_err
+        if i == i1:
+            xg, yg = grid.meshgrid()
+            exact = analytic.coupled_oscillator_wavefunction(
+                xg, yg, evolution.times[i1])
+            psi_err = float(np.max(np.abs(psi.amplitudes - exact)))
+
+    flow = Flow(_ORACLE_STARTS, evolution, constants, dt_ode=params["dt_ode"],
+                store_path=True)
+    evolution.run(probe, flow)
+    flow = flow.result()
+    drift = abs(norm(evolution.last) - 1.0)
     traj_err = 0.0
     first_rows = []
     completed = flow.count(COMPLETED)
@@ -564,18 +585,19 @@ def _check_cases(params):
     bins = params.get("bins", 0)
     counts = "n, bins" if "bins" in params else "n"
     for j, case in enumerate(params["cases"]):
-        n_steps, snapshots, _ = _check_flow(case)
-        _check_memory(f"{counts} and cases[{j}]", snapshots,
-                      case["grid"]["count"], params["n"], 1, bins=bins)
+        n_steps, _ = _check_flow(case)
+        _check_memory(f"{counts} and cases[{j}]", case["grid"]["count"],
+                      params["n"], 1, bins=bins)
         updates += n_steps * case["grid"]["count"]
     _check_work("grid.count, t_final and dt of the cases", updates)
 
 
 def _equivariance_case(case, n, bins, seed):
     constants, potential, psi0 = _equivariance_setup(case)
-    record = evolve(psi0, potential, constants, case["t_final"], case["dt"],
-                    SPLIT_FOURIER, snapshot_stride=case["stride"])
-    out, masses = equivariance_check(record, n, seed, bins=bins,
+    evolution = Evolution(psi0, potential, constants, case["t_final"],
+                          case["dt"], SPLIT_FOURIER,
+                          snapshot_stride=case["stride"])
+    out, masses = equivariance_check(evolution, n, seed, bins=bins,
                                      dt_ode=case["dt_ode"])
     out["name"] = case["name"]
     return out, masses
@@ -615,10 +637,10 @@ def run_equivariance(params, out_dir=None):
 
 
 def _check_collapse(params):
-    n_steps, snapshots, _ = _flow_steps(params["t_meas"], params["dt"],
-                                        COLLAPSE_STRIDE, params["dt_ode"])
+    n_steps, _ = _flow_steps(params["t_meas"], params["dt"], COLLAPSE_STRIDE,
+                             params["dt_ode"])
     grid_points = math.prod(COLLAPSE_SHAPE)
-    _check_memory("n, t_meas and dt", snapshots, grid_points, params["n"], 2)
+    _check_memory("n, t_meas and dt", grid_points, params["n"], 2)
     _check_work("weights, t_meas and dt",
                 len(params["weights"]) * n_steps * grid_points)
     grid, constants, potential = collapse_hamiltonian(params["coupling"])
@@ -663,14 +685,17 @@ def _flux_setup(case):
 
 def _flux_case(case, n, seed, out_dir):
     constants, psi0 = _flux_setup(case)
-    record = evolve(psi0, Free(), constants, case["t_final"], case["dt"],
-                    SPLIT_FOURIER, snapshot_stride=case["stride"])
-    exp_total, exp_signed, current = expected_crossings(
-        record, case["surface"])
+    evolution = Evolution(psi0, Free(), constants, case["t_final"],
+                          case["dt"], SPLIT_FOURIER,
+                          snapshot_stride=case["stride"])
+    surface = SurfaceCurrent(evolution, case["surface"])
     ens = sample_density(psi0, n, seed)
     counter = CrossingCounter(ens.size, case["surface"])
-    flow = integrate_flow(ens.members, record, constants,
-                          dt_ode=case["dt_ode"], on_step=counter)
+    flow = Flow(ens.members, evolution, constants, dt_ode=case["dt_ode"],
+                on_step=counter)
+    evolution.run(surface, flow)
+    exp_total, exp_signed, current = surface.result()
+    flow = flow.result()
     counts = counter.counts()
     emp_total, emp_signed = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / math.sqrt(counts.shape[0])
@@ -688,7 +713,7 @@ def _flux_case(case, n, seed, out_dir):
     }
     if out_dir is not None:
         _write_csv(out_dir, f"flux_{case['name']}_current.csv",
-                   "t,normal_current", zip(record.times, current))
+                   "t,normal_current", zip(evolution.times, current))
     return result
 
 
@@ -791,9 +816,9 @@ def _classical_setup(params, hbar):
 
 
 def _check_classical_limit(params):
-    n_steps, snapshots, steps = _check_flow(params)
-    _check_memory("points, t_final, dt and stride", snapshots,
-                  params["points"], 1, 1, steps + 1)
+    n_steps, steps = _check_flow(params)
+    _check_memory("points, t_final, dt and stride", params["points"], 1, 1,
+                  steps + 1)
     _check_work("hbars, points, t_final and dt",
                 len(params["hbars"]) * n_steps * params["points"])
     for hbar in params["hbars"]:
@@ -807,10 +832,13 @@ def run_classical_limit(params, out_dir=None):
     deviations = []
     for hbar in params["hbars"]:
         constants, psi0, width, x0 = _classical_setup(params, hbar)
-        record = evolve(psi0, Harmonic((omega,)), constants,
-                        params["t_final"], params["dt"], SPLIT_FOURIER,
-                        snapshot_stride=params["stride"])
-        traj = integrate_trajectory((x0,), record, dt_ode=params["dt_ode"])
+        evolution = Evolution(psi0, Harmonic((omega,)), constants,
+                              params["t_final"], params["dt"], SPLIT_FOURIER,
+                              snapshot_stride=params["stride"])
+        flow = Flow([(x0,)], evolution, constants, dt_ode=params["dt_ode"],
+                    store_path=True)
+        evolution.run(flow)
+        traj = flow.result().trajectory(0)
         classical = x0 * np.cos(omega * traj.times)
         dev = float(np.max(np.abs(traj.points[:, 0] - classical)))
         deviations.append({"hbar": hbar, "max_deviation": dev,

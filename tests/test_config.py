@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from bohmsim import cli, flux, scenarios
 from bohmsim.fields import ScalarWaveFunction
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import integrate_flow
+from bohmsim.guidance import Flow, integrate_flow
 from bohmsim.potentials import Free
-from bohmsim.propagate import CRANK_NICOLSON, SPLIT_FOURIER, evolve
+from bohmsim.propagate import CRANK_NICOLSON, SPLIT_FOURIER, Evolution, evolve
 from bohmsim.scenarios import (SCENARIOS, ConfigError, make_initial,
                                parse_config, run_scenario, validate_config)
 
@@ -310,21 +310,27 @@ def test_benchmark_workload_validates(config):
 
 # --- memory and work budgets ---------------------------------------------------------
 #
-# Each config here would store more snapshots, paths and ensemble arrays than
-# the memory budget allows, or make more grid-point updates than the work
-# budget allows, so none of them is ever run.
+# Each config here would hold more grid fields, paths and ensemble arrays
+# than the memory budget allows, or make more grid-point updates than the
+# work budget allows, so none of them is ever run. A run streams its
+# evolution, so only paths and members, not the snapshot count, take a
+# scenario over the memory budget.
 
 OVER_BUDGET = [
-    ({"scenario": "oscillator-oracle", "points": 1024, "stride": 1},
-     "config: points, t_final, dt and stride would store 33.7 GB"),
-    (_case("equivariance", grid={"count": 1 << 16}, t_final=2.0, stride=1),
-     "config: n, bins and cases[0] would store 2.11 GB"),
-    ({"scenario": "collapse", "dt": 1e-5},
-     "config: n, t_meas and dt would store 7.88 GB"),
+    # 10^7 RK4 steps of 20 stored paths
+    ({"scenario": "oscillator-oracle", "points": 8, "dt": 2e-7, "stride": 1,
+      "dt_ode": 2e-7},
+     "config: points, t_final, dt and stride would store 3.20 GB"),
+    ({"scenario": "equivariance", "n": 5 * 10**6},
+     "config: n, bins and cases[0] would store 2.06 GB"),
+    ({"scenario": "collapse", "n": 3 * 10**6},
+     "config: n, t_meas and dt would store 2.23 GB"),
     ({"scenario": "flux", "n": 10**7}, "config: n and cases[0] would store"),
     ({"scenario": "flux", "n": 10**400}, "config: n and cases[0] would store"),
-    ({"scenario": "classical-limit", "points": 1 << 16, "stride": 1},
-     "config: points, t_final, dt and stride would store 12.6 GB"),
+    # 6 x 10^8 RK4 steps of one stored path
+    ({"scenario": "classical-limit", "points": 64, "dt": 1e-8, "stride": 1,
+      "dt_ode": 1e-8},
+     "config: points, t_final, dt and stride would store 4.80 GB"),
 ]
 
 OVER_WORK = [
@@ -437,6 +443,50 @@ def test_memory_model_bounds_a_traced_flow(dimension, boundary, count,
     finally:
         tracemalloc.stop()
     model = (16 * scenarios._sampler_fields(dimension) * count**dimension
+             + members * scenarios._member_bytes(dimension))
+    assert peak <= model <= 2 * peak
+
+
+@pytest.mark.parametrize("dimension,count,ratio", [
+    (1, 4096, 1), (1, 4096, 5), (2, 64, 1), (2, 64, 5)], ids=str)
+def test_memory_model_bounds_a_traced_streamed_pass(dimension, count, ratio):
+    """The memory model of a streamed run, its held fields (_STREAM_FIELDS)
+    and sampler fields on the grid plus the bytes per member, bounds the
+    traced peak of one streamed split-Fourier pass from the evolution's
+    set-up on, and is at most twice it, with dt_ode one and five snapshot
+    spacings. The 1-d pass carries the flux scenario's surface current and
+    crossing counts."""
+    g = Grid.regular(-8.0, 8.0, count, dimension=dimension)
+    constants = PhysicalConstants.natural(dimension)
+    psi = ScalarWaveFunction.from_callable(
+        g, lambda *x: np.exp(-sum(c * c for c in x) / 2 + 1j * x[0]),
+        normalize=True)
+    members = 200
+    starts = np.random.default_rng(1).uniform(-2.0, 2.0,
+                                              (members, dimension))
+
+    def streamed_pass():
+        evolution = Evolution(psi, Free(), constants, 0.1, 0.01,
+                              SPLIT_FOURIER)
+        observers = []
+        counter = None
+        if dimension == 1:
+            observers.append(flux.SurfaceCurrent(evolution, 0.5))
+            counter = flux.CrossingCounter(members, 0.5)
+        observers.append(Flow(starts, evolution, constants,
+                              dt_ode=0.01 * ratio, on_step=counter))
+        evolution.run(*observers)
+        return observers[-1].result()
+
+    streamed_pass()  # one-time setup
+    tracemalloc.start()
+    try:
+        streamed_pass()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    model = (16 * (scenarios._STREAM_FIELDS
+                   + scenarios._sampler_fields(dimension)) * count**dimension
              + members * scenarios._member_bytes(dimension))
     assert peak <= model <= 2 * peak
 

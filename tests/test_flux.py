@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bohmsim.equilibrium import sample_density
 from bohmsim.fields import ScalarWaveFunction, density, probability_current
-from bohmsim.flux import expected_crossings, per_member_counts
+from bohmsim.flux import CrossingCounter, expected_crossings, per_member_counts
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import FlowResult, integrate_flow
 from bohmsim.kernels import cubic_stencil
@@ -135,6 +135,28 @@ def test_counts_match_loop_reference(seed, steps, members, zero_frac,
     expected = np.asarray([_count_one(xs[: s + 1, b], location)
                            for b, s in enumerate(stop)], dtype=np.float64)
     assert per_member_counts(flow, location).tobytes() == expected.tobytes()
+
+
+def test_whole_rows_count_as_gathered_rows():
+    """Rows of every member take the counter's whole-array update, and the
+    rows after members start to stop take the gathered one; the counts are
+    the bits of a counter that gathers every row, one with a member more
+    that never moves."""
+    rng = np.random.default_rng(3)
+    members, steps = 64, 30
+    xs = 0.1 + rng.normal(size=(steps, members)).cumsum(axis=0) * 0.3
+    xs[rng.random(xs.shape) < 0.1] = 0.1  # touches of the surface
+    stop = np.where(rng.random(members) < 0.5,
+                    rng.integers(5, steps, members), steps - 1)
+    whole, gathered = CrossingCounter(members, 0.1), CrossingCounter(
+        members + 1, 0.1)
+    for j in range(steps):
+        moving = np.flatnonzero(stop >= j)
+        whole(j, moving, xs[j, moving, None])
+        gathered(j, moving, xs[j, moving, None])
+    assert np.flatnonzero(stop >= 10).size < members
+    assert whole.counts().tobytes() == gathered.counts()[:members].tobytes()
+    assert whole.counts()[:, 0].sum() > 0
 
 
 def test_traversal_against_mass_bookkeeping():

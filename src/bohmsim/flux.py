@@ -3,18 +3,23 @@ grid, with its normal along +x, over the whole span of an evolution: the
 time-integrated current gives the expected (total and signed) number of
 trajectory crossings, checked against direct counts over ensembles.
 
-Both sides are made in the one streamed pass of the evolution. A
-``SurfaceCurrent`` reads j(c, t) off each snapshot as it arrives and keeps
-one number per snapshot; ``expected_crossings`` replays a stored record
-through it. A ``CrossingCounter`` makes the counts as the flow runs, from
-the rows that a ``guidance.Flow`` hands its ``on_step`` hook, so no path is
-stored; ``per_member_counts`` replays stored paths through the same
-counter. They are one-dimensional, as the ``flux`` scenario that checks
-them: ``check_location`` rejects a grid of any other dimension."""
+Both sides are made in the one streamed pass of the evolution, and both
+read the same psi and grad psi. A ``SurfaceCurrent`` reads j(c, t) off
+each snapshot as it arrives and keeps one number per snapshot. In a pass
+that runs its observers as (flow, surface), it takes psi and grad psi at
+its four stencil nodes from the flow's sampler window
+(``guidance.Flow.fields``), so the pass derives each snapshot once; where
+the window cannot give them, and in ``expected_crossings``, which replays
+a stored record through it, the surface derives grad psi itself. A
+``CrossingCounter`` makes the counts as the flow runs, from the rows that
+a ``guidance.Flow`` hands its ``on_step`` hook, so no path is stored;
+``per_member_counts`` replays stored paths through the same counter.
+They are one-dimensional, as the ``flux`` scenario that checks them:
+``check_location`` rejects a grid of any other dimension."""
 
 import numpy as np
 
-from .fields import probability_current
+from .fields import gradient_array
 from .kernels import cubic_stencil
 
 
@@ -34,16 +39,24 @@ class SurfaceCurrent:
     of ``source``, the ``Evolution`` or ``EvolutionRecord`` that runs it.
 
     The surface stays put, so its four stencil nodes and weights are found
-    once. Each value is w_0 j_0 + w_1 j_1 + w_2 j_2 + w_3 j_3, added left to
+    once. At each node j = (hbar/m) Im(conj(psi) d psi), the expression of
+    ``fields.probability_current``, which is elementwise, so the nodes alone
+    have the bits of the current over the whole grid. psi and d psi come
+    from ``flow.fields`` when a ``guidance.Flow`` of the same source is
+    given and its window holds them, so a pass that runs (flow, surface)
+    derives no gradient twice; otherwise the surface derives d psi itself.
+    Each value is w_0 j_0 + w_1 j_1 + w_2 j_2 + w_3 j_3, added left to
     right: the real part of ``interp_cubic_1d``'s sum over the real field,
     term for term, since each complex product has imaginary factors 0."""
 
-    def __init__(self, source, location):
+    def __init__(self, source, location, flow=None):
         check_location(source.grid, location)
         if source.count < 2:
             raise ValueError("a flux integral needs a record of at least two "
                              "snapshots")
-        self.source = source
+        self.source, self.flow = source, flow
+        constants = source.constants
+        self.scale = constants.hbar / constants.masses[0]
         ax = source.grid.axes[0]
         idx, w = cubic_stencil(ax.count, ax.lower, ax.spacing, ax.periodic,
                                np.array([location]))
@@ -51,9 +64,14 @@ class SurfaceCurrent:
         self.values = []
 
     def __call__(self, i, psi):
-        j = probability_current(psi, self.source.constants).components[0]
+        rows = None if self.flow is None else self.flow.fields(i, psi)
+        if rows is None:
+            amplitudes = psi.amplitudes
+            rows = (amplitudes, gradient_array(psi.grid, amplitudes, 0))
+        nodes = self.nodes
+        j = self.scale * np.imag(np.conj(rows[0][nodes]) * rows[1][nodes])
         w0, w1, w2, w3 = self.weights
-        j0, j1, j2, j3 = j[self.nodes].tolist()
+        j0, j1, j2, j3 = j.tolist()
         self.values.append(w0 * j0 + w1 * j1 + w2 * j2 + w3 * j3)
 
     def result(self):

@@ -29,6 +29,12 @@ psi and grad psi once, and each RK4 stage interpolates them in one stacked
 call. The sampler owns the snapshot clock (snapshot i is at i dt), so the
 flow needs only the spacing and the snapshots it holds. Each snapshot
 gradient is written straight into its window row by ``gradient_array``.
+The flow brackets each RK4 step's three stage times once, when it first
+asks which snapshots the step needs, and carries those (i, theta) to the
+sampler, which then brackets no time again; it builds hbar/m once. An
+observer that runs after the flow reads a snapshot's psi and grad psi off
+the window through ``Flow.fields``, so the flux scenario's surface current
+derives no gradient that the flow derives.
 
 The time blend runs on the grid, before interpolation: at a time between
 two snapshots the sampler writes (1 - theta) psi_i + theta psi_(i+1), and
@@ -140,11 +146,12 @@ def _outside(grid, pts):
     max decide that none does; the mask is built only when they do not.
     Column by column: a reduction over axis 0 of (B, 2) is ten times
     slower."""
-    if all(ax.lower <= pts[:, k].min(initial=np.inf)
-           and pts[:, k].max(initial=-np.inf) <= ax.upper
-           for k, ax in enumerate(grid.axes)):
-        return False
-    return ~grid.contains(pts)
+    for k, ax in enumerate(grid.axes):
+        col = pts[:, k]
+        if not (ax.lower <= col.min(initial=np.inf)
+                and col.max(initial=-np.inf) <= ax.upper):
+            return ~grid.contains(pts)
+    return False
 
 
 def _interp_any(grid, values, pts, ws=None):
@@ -206,11 +213,12 @@ class RecordSampler:
         slot = i % 2
         return slice(slot * self._width, (slot + 1) * self._width)
 
-    def _rows(self, idx):
-        """Window rows holding snapshot idx, which is loaded if absent."""
+    def _rows(self, idx, snap=None):
+        """Window rows holding snapshot idx, which is loaded if absent, from
+        snap when given, else from ``snapshots``."""
         rows = self._slot(idx)
         if self._held[idx % 2] != (idx, 0.0):
-            snap = self.snapshots[idx]
+            snap = self.snapshots[idx] if snap is None else snap
             fields = self._window[rows]
             fields[0] = snap.amplitudes
             for k in range(self.grid.dimension):
@@ -247,11 +255,12 @@ class RecordSampler:
         i = max(math.floor(s), 0)
         return i, float(max(s - i, 0.0))
 
-    def sample(self, pts, t):
-        """psi (B,) and grad psi (d, B) at the points pts (B, d), time t,
-        held in the sampler's workspace, when it has one, until its next
-        interpolation."""
-        i, theta = self.bracket(t)
+    def sample(self, pts, at):
+        """psi (B,) and grad psi (d, B) at the points pts (B, d), at the time
+        t whose ``bracket(t)`` is at = (i, theta), held in the sampler's
+        workspace, when it has one, until its next interpolation. A flow
+        brackets each stage time once and carries the bracket here."""
+        i, theta = at
         if theta == 0.0:
             rows = self._rows(i)
         else:
@@ -267,14 +276,21 @@ def _velocity_layout(m):
     return [((m,), np.float64), ((m,), np.bool_)]
 
 
-def _velocity_batch(sampler, pts, t, constants, out=None):
-    """Velocity (B, d) plus node mask from interpolated psi and grad psi;
-    members at a node get velocity 0. The velocity is the transpose of
-    out, a (d, B) array, when given; the mask lives in the sampler's
-    workspace (a fresh one when it has none) until its next batch. The
-    quotient grad psi / psi is written over the sampled gradients."""
+def _velocity_scale(constants):
+    """hbar / m_k per axis, (d,): the factor of each velocity component."""
+    return constants.hbar / np.asarray(constants.masses)
+
+
+def _velocity_batch(sampler, pts, at, scale, out=None):
+    """Velocity (B, d) plus node mask from psi and grad psi interpolated at
+    the time whose bracket is at (see ``RecordSampler.sample``), with scale
+    the ``_velocity_scale`` of the constants; members at a node get
+    velocity 0. The velocity is the transpose of out, a (d, B) array, when
+    given; the mask lives in the sampler's workspace (a fresh one when it
+    has none) until its next batch. The quotient grad psi / psi is written
+    over the sampled gradients."""
     ws = Workspace() if sampler.ws is None else sampler.ws
-    val, grads = sampler.sample(pts, t)
+    val, grads = sampler.sample(pts, at)
     dens, node = ws.arrays(_velocity_layout, len(val))
     np.square(np.abs(val, out=dens), out=dens)
     np.less(dens, sampler.node_threshold, out=node)
@@ -282,7 +298,6 @@ def _velocity_batch(sampler, pts, t, constants, out=None):
     # dividing by 1 at a node only keeps the quotient finite; every other
     # member divides by its own psi either way
     safe = np.where(node, 1.0, val) if at_node else val
-    scale = constants.hbar / np.asarray(constants.masses)
     v = np.empty(grads.shape) if out is None else out
     for a, s in enumerate(scale):  # by rows, so numpy buffers no operand
         quotient = np.divide(grads[a], safe, out=grads[a])
@@ -399,7 +414,11 @@ class Flow:
     Each RK4 step runs as soon as the snapshot at its end has arrived. The
     flow holds only the arrived snapshots that the stage times of a step
     still to run bracket: the two of one step's interval when dt_ode equals
-    the snapshot spacing, and never more than six.
+    the snapshot spacing, and never more than six. The brackets (i, theta)
+    of a step's stage times t0, t0 + h/2 and t1 are found once, to tell
+    which snapshots to hold, and the step's stages sample at them.
+    ``fields(i, psi)`` lends an observer that runs after the flow snapshot
+    i's psi and grad psi from the sampler window.
 
     All members advance together, one step at a time, over one sampler
     window. A member that starts outside the grid's closed domain, a NaN
@@ -441,7 +460,7 @@ class Flow:
         dt_ode = dt_ode if dt_ode is not None else source.dt
         n = ode_step_count(source.t_final, dt_ode, source.dt)
         self.times = dt_ode * np.arange(n + 1)
-        self.constants, self.on_step = constants, on_step
+        self.scale, self.on_step = _velocity_scale(constants), on_step
         self.ws = Workspace()
         self.sampler = RecordSampler(self.grid, {}, source.dt, self.ws,
                                      source.count)
@@ -469,22 +488,25 @@ class Flow:
         self.moving = np.flatnonzero(~out)
         self.qa = q[self.moving]
         self._next = 0  # the first step still to run
-        self._spans = {}  # _bracketed of the steps still to run
+        # (stage brackets, _bracketed) of the steps still to run
+        self._spans = {}
 
     def _bracketed(self, j):
         """The indices, ascending, of the snapshots that the stage times of
-        step j bracket, or () past the last step; each step's are found
-        once."""
+        step j bracket, or () past the last step. Each step's stage times,
+        t0, t0 + h/2 and t1, are bracketed once, here, and ``_step`` samples
+        at those brackets."""
         if j not in self._spans:
             if j == len(self.times) - 1:
                 return ()
             t0, t1 = self.times[j], self.times[j + 1]
+            at = [self.sampler.bracket(t)
+                  for t in (t0, t0 + 0.5 * (t1 - t0), t1)]
             held = set()
-            for t in (t0, t0 + 0.5 * (t1 - t0), t1):
-                i, theta = self.sampler.bracket(t)
+            for i, theta in at:
                 held.update((i, i + 1) if theta else (i,))
-            self._spans[j] = sorted(held)
-        return self._spans[j]
+            self._spans[j] = at, sorted(held)
+        return self._spans[j][1]
 
     def __call__(self, i, psi):
         held, spans = self.sampler.snapshots, self._bracketed
@@ -507,6 +529,22 @@ class Flow:
                 del held[k]
         self._next = j
 
+    def fields(self, i, psi):
+        """psi and grad psi of snapshot i, psi, on the grid: the (1 + d,) +
+        grid.shape window rows that the flow samples, valid until its next
+        step, or None. Rows that hold snapshot i already are returned as
+        they are. Otherwise snapshot i is loaded from psi into its slot,
+        unless that slot holds a snapshot or blend that a step still to run
+        reads, one whose snapshot the flow holds: then the answer is None
+        and the caller derives grad psi itself. Run after the flow with
+        dt_ode equal to the snapshot spacing, an observer gets rows for
+        every snapshot, and the pass derives each snapshot once."""
+        sampler = self.sampler
+        held = sampler._held[i % 2]
+        if held not in (None, (i, 0.0)) and held[0] in sampler.snapshots:
+            return None
+        return sampler._window[sampler._rows(i, psi)]
+
     def result(self):
         if self._next < len(self.times) - 1:
             raise ValueError("the flow has not reached its last snapshot")
@@ -524,11 +562,11 @@ class Flow:
         if self.on_step is not None:
             self.on_step(j, members, pts)
 
-    def _slope(self, pts, t, into, node, left):
-        """The velocity at pts into the (d, m) array into; members at a
-        node or outside the grid are added to the masks node and left."""
-        v, at_node = _velocity_batch(self.sampler, pts, t, self.constants,
-                                     into)
+    def _slope(self, pts, at, into, node, left):
+        """The velocity at pts, at the time bracketed by at, into the (d, m)
+        array into; members at a node or outside the grid are added to the
+        masks node and left."""
+        v, at_node = _velocity_batch(self.sampler, pts, at, self.scale, into)
         np.logical_or(node, at_node, out=node)
         outside = _outside(self.grid, pts)
         if outside is not False:
@@ -538,8 +576,8 @@ class Flow:
     def _step(self, j):
         q, moving, qa = self.q, self.moving, self.qa
         if moving.size:
-            t0, t1 = self.times[j], self.times[j + 1]
-            h = t1 - t0
+            h = self.times[j + 1] - self.times[j]
+            start, mid, end = self._spans[j][0]
             vectors, node, left = self.ws.arrays(_stage_layout, moving.size,
                                                  q.shape[1])
             k, stage, dq = vectors[:2], vectors[2].T, vectors[3].T
@@ -548,15 +586,15 @@ class Flow:
             # dq = (h / 6) (k1 + 2 k2 + 2 k3 + k4) is added left to right
             # as the slopes come, so k3 and k4 reuse k1's and k2's arrays;
             # each stage's points qa + c h k overwrite the scaled slope
-            k1 = self._slope(qa, t0, k[0], node, left)
+            k1 = self._slope(qa, start, k[0], node, left)
             np.add(qa, np.multiply(0.5 * h, k1, out=stage), out=stage)
-            k2 = self._slope(stage, t0 + 0.5 * h, k[1], node, left)
+            k2 = self._slope(stage, mid, k[1], node, left)
             np.add(k1, np.multiply(2.0, k2, out=dq), out=dq)
             np.add(qa, np.multiply(0.5 * h, k2, out=stage), out=stage)
-            k3 = self._slope(stage, t0 + 0.5 * h, k[0], node, left)
+            k3 = self._slope(stage, mid, k[0], node, left)
             np.add(dq, np.multiply(2.0, k3, out=stage), out=dq)
             np.add(qa, np.multiply(h, k3, out=stage), out=stage)
-            k4 = self._slope(stage, t1, k[1], node, left)
+            k4 = self._slope(stage, end, k[1], node, left)
             np.add(dq, k4, out=dq)
             np.multiply(h / 6.0, dq, out=dq)
             if node.any() or left.any():

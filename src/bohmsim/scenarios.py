@@ -361,6 +361,15 @@ def make_initial(grid, constants, spec):
             grid, build(grid, constants, **params), normalize=True)
 
 
+def _check_stepper(grid, potential, constants, dt):
+    """Raise ValueError where the run's split-Fourier stepper of step dt
+    would reject the potential or its phases. A potential beyond the float
+    range evaluates to Inf, which the stepper's finiteness check reports;
+    its overflow warning is silenced so that the check reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prepare_stepper(grid, potential, constants, dt, SPLIT_FOURIER)
+
+
 def _flow_steps(t_final, dt, stride, dt_ode):
     """(time steps, RK4 steps) of a run; raises ValueError where its
     Evolution or Flow would reject these step sizes."""
@@ -377,9 +386,11 @@ def _check_flow(params):
 # sampler (_sampler_fields): the snapshots that the flow's stage times
 # bracket, at most six, or five and the state the evolution steps to, and
 # the stepper's two phase arrays. When dt_ode is the snapshot spacing, two
-# snapshots are held. Traced, a 1-d flux pass and a 2-d flow, each at
-# dt_ode equal to the spacing, peak at 11.5 and 12.5 fields, and at 13.6 and
-# 15.1 with dt_ode five spacings, against the 16 and 18 counted here.
+# snapshots are held. Traced as the memory-model test of a streamed pass
+# traces them, less the model's member bytes, a 1-d flux pass and a 2-d
+# flow, each at dt_ode equal to the spacing, peak at 10.6 and 12.3 fields,
+# and at 12.5 and 14.8 with dt_ode five spacings, against the 16 and 18
+# counted here.
 _STREAM_FIELDS = 8
 
 
@@ -500,10 +511,9 @@ def _check_oracle(params):
                   len(_ORACLE_STARTS), 2,
                   2 * len(_ORACLE_STARTS) * (steps + 1))
     _check_work("points, t_final and dt", n_steps * params["points"] ** 2)
-    prepare_stepper(_oracle_grid(params["points"]),
-                    CoupledOscillator(analytic.COUPLING),
-                    PhysicalConstants.natural(dimension=2), params["dt"],
-                    SPLIT_FOURIER)
+    _check_stepper(_oracle_grid(params["points"]),
+                   CoupledOscillator(analytic.COUPLING),
+                   PhysicalConstants.natural(dimension=2), params["dt"])
 
 
 def run_oscillator_oracle(params, out_dir=None):
@@ -571,7 +581,7 @@ def _equivariance_setup(case):
     potential = from_description(case["potential"])
     # evaluates the potential (one frequency per axis, a 2-d grid) and its
     # phases over one step
-    prepare_stepper(grid, potential, constants, case["dt"], SPLIT_FOURIER)
+    _check_stepper(grid, potential, constants, case["dt"])
     psi0 = make_initial(grid, constants, case["initial"])
     _check_flow(case)
     return constants, potential, psi0
@@ -644,7 +654,7 @@ def _check_collapse(params):
     _check_work("weights, t_meas and dt",
                 len(params["weights"]) * n_steps * grid_points)
     grid, constants, potential = collapse_hamiltonian(params["coupling"])
-    prepare_stepper(grid, potential, constants, params["dt"], SPLIT_FOURIER)
+    _check_stepper(grid, potential, constants, params["dt"])
 
 
 def run_collapse(params, out_dir=None):
@@ -671,29 +681,34 @@ def run_collapse(params, out_dir=None):
 # --- scenario: flux -----------------------------------------------------------------
 
 
-def _flux_setup(case):
-    """Constants and initial state of one case; raises ValueError where the
-    run would reject the case."""
+def _flux_initial(case):
+    """Constants and initial state of one case."""
     grid = _grid_1d(case["grid"])
     constants = PhysicalConstants.natural(dimension=1)
-    prepare_stepper(grid, Free(), constants, case["dt"], SPLIT_FOURIER)
-    psi0 = make_initial(grid, constants, case["initial"])
-    check_location(grid, case["surface"])
+    return constants, make_initial(grid, constants, case["initial"])
+
+
+def _check_flux_case(case):
+    """Raise ValueError where the run would reject the case: its own
+    Evolution, SurfaceCurrent and Flow make these checks again."""
+    constants, psi0 = _flux_initial(case)
+    _check_stepper(psi0.grid, Free(), constants, case["dt"])
+    check_location(psi0.grid, case["surface"])
     _check_flow(case)
-    return constants, psi0
 
 
 def _flux_case(case, n, seed, out_dir):
-    constants, psi0 = _flux_setup(case)
+    constants, psi0 = _flux_initial(case)
     evolution = Evolution(psi0, Free(), constants, case["t_final"],
                           case["dt"], SPLIT_FOURIER,
                           snapshot_stride=case["stride"])
-    surface = SurfaceCurrent(evolution, case["surface"])
     ens = sample_density(psi0, n, seed)
     counter = CrossingCounter(ens.size, case["surface"])
     flow = Flow(ens.members, evolution, constants, dt_ode=case["dt_ode"],
                 on_step=counter)
-    evolution.run(surface, flow)
+    # the surface reads each snapshot's gradient off the flow's window
+    surface = SurfaceCurrent(evolution, case["surface"], flow)
+    evolution.run(flow, surface)
     exp_total, exp_signed, current = surface.result()
     flow = flow.result()
     counts = counter.counts()
@@ -823,8 +838,8 @@ def _check_classical_limit(params):
                 len(params["hbars"]) * n_steps * params["points"])
     for hbar in params["hbars"]:
         constants, psi0, _, _ = _classical_setup(params, hbar)
-        prepare_stepper(psi0.grid, Harmonic((params["omega"],)), constants,
-                        params["dt"], SPLIT_FOURIER)
+        _check_stepper(psi0.grid, Harmonic((params["omega"],)), constants,
+                       params["dt"])
 
 
 def run_classical_limit(params, out_dir=None):
@@ -1021,7 +1036,7 @@ _register(
             "surface": Num(), "t_final": Num(), "dt": Num(), "stride": Int(),
             "dt_ode": Num(),
             "asserts": Many(Fixed(_FLUX_RESULTS, Num(), Num(low=0.0)))},
-            rule=_flux_setup), [
+            rule=_check_flux_case), [
             {"name": "traversal",
              "grid": {"lower": -12.0, "upper": 20.0, "count": 2048},
              "initial": {"generator": "gaussian", "center": -3.0,

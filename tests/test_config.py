@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bohmsim import cli, flux, scenarios
+from bohmsim import cli, fields, flux, scenarios
 from bohmsim.fields import ScalarWaveFunction
 from bohmsim.grids import Grid, PhysicalConstants
 from bohmsim.guidance import Flow, integrate_flow
@@ -149,6 +149,11 @@ PROBES = [
     ("plane-wave-k-overflow",
      _case("flux", initial={"generator": "plane-wave", "k": 1e308}),
      "cases[0]: plane-wave: k = 1e+308 overflows the phase k x"),
+    # q^2 of a harmonic potential leaves the float range on this grid
+    ("harmonic-potential-overflow",
+     _case("equivariance", potential={"kind": "harmonic", "omegas": [1.0]},
+           grid={"lower": -10.0, "upper": 1.9e154, "count": 1024}),
+     "cases[0]: the potential phase of a"),
 ]
 
 
@@ -257,22 +262,29 @@ def test_instants_within_the_time_tolerance_run(dt_ode, tmp_path):
 
 
 def test_flux_derives_each_surface_current_once(monkeypatch, tmp_path):
-    """One probability current per snapshot, also when the run writes the
-    current's CSV file, which reads the values of the flux integral."""
+    """One surface current and one snapshot gradient per snapshot, also
+    when the run writes the current's CSV file, which reads the values of
+    the flux integral: the surface reads the gradients of the flow."""
     calls = []
-    real = flux.probability_current
+    current, derive = flux.SurfaceCurrent.__call__, fields._spectral_derivative
 
-    def counting(psi, constants):
-        calls.append(1)
-        return real(psi, constants)
+    def counting_current(self, i, psi):
+        calls.append("current")
+        return current(self, i, psi)
 
-    monkeypatch.setattr(flux, "probability_current", counting)
+    def counting_derivative(*args):
+        calls.append("derivative")
+        return derive(*args)
+
+    monkeypatch.setattr(flux.SurfaceCurrent, "__call__", counting_current)
+    monkeypatch.setattr(fields, "_spectral_derivative", counting_derivative)
     case = SMALL_FLUX["cases"][0]
     snapshots = round(case["t_final"] / (case["dt"] * case["stride"])) + 1
     for out_dir in (None, tmp_path):
         calls.clear()
         code, _ = run_scenario(SMALL_FLUX, out_dir=out_dir and str(out_dir))
-        assert code in (0, 1) and len(calls) == snapshots
+        assert code in (0, 1)
+        assert calls.count("current") == calls.count("derivative") == snapshots
     rows = (tmp_path / "flux_traversal_current.csv").read_text().split()
     assert len(rows) == 1 + snapshots
 
@@ -468,15 +480,15 @@ def test_memory_model_bounds_a_traced_streamed_pass(dimension, count, ratio):
     def streamed_pass():
         evolution = Evolution(psi, Free(), constants, 0.1, 0.01,
                               SPLIT_FOURIER)
-        observers = []
-        counter = None
+        counter = (flux.CrossingCounter(members, 0.5) if dimension == 1
+                   else None)
+        flow = Flow(starts, evolution, constants, dt_ode=0.01 * ratio,
+                    on_step=counter)
+        observers = [flow]
         if dimension == 1:
-            observers.append(flux.SurfaceCurrent(evolution, 0.5))
-            counter = flux.CrossingCounter(members, 0.5)
-        observers.append(Flow(starts, evolution, constants,
-                              dt_ode=0.01 * ratio, on_step=counter))
+            observers.append(flux.SurfaceCurrent(evolution, 0.5, flow))
         evolution.run(*observers)
-        return observers[-1].result()
+        return flow.result()
 
     streamed_pass()  # one-time setup
     tracemalloc.start()

@@ -14,7 +14,8 @@ from bohmsim.fields import (CurrentField, ScalarWaveFunction,
                             norm, probability_current, read_wavefunction,
                             write_wavefunction)
 from bohmsim.grids import Axis, Grid, PhysicalConstants
-from bohmsim.guidance import RecordSampler, _velocity_batch
+from bohmsim.guidance import (RecordSampler, _velocity_batch,
+                              _velocity_scale)
 from bohmsim.potentials import (CoupledOscillator, Free, Harmonic, Sampled,
                                 SoftCoulomb, from_description)
 
@@ -263,7 +264,8 @@ def test_current_equals_density_times_velocity(grid1d, constants):
     x = grid1d.coordinates(0)
     threshold = 1e-9 * rho.max()
     sampler = RecordSampler(grid1d, [psi, psi], 1.0)
-    v, _ = _velocity_batch(sampler, x[:, None], 0.0, constants)
+    v, _ = _velocity_batch(sampler, x[:, None], sampler.bracket(0.0),
+                           _velocity_scale(constants))
     for i in range(40, 470, 33):
         if rho[i] > 1e3 * threshold:
             assert abs(j.components[0][i] / rho[i] - v[i, 0]) < 1e-10

@@ -40,7 +40,8 @@ def velocity_at(psi, q, constants):
     is at a node: a sampler over the record [psi, psi] read at t = 0."""
     sampler = RecordSampler(psi.grid, [psi, psi], 1.0)
     v, node = guidance._velocity_batch(sampler, np.array([q], dtype=float),
-                                       0.0, constants)
+                                       sampler.bracket(0.0),
+                                       guidance._velocity_scale(constants))
     return v[0].tolist(), bool(node[0])
 
 
@@ -584,11 +585,12 @@ def test_node_member_leaves_the_others_bits(mixed_record, t):
     rec = mixed_record
     sampler = RecordSampler(rec.grid, rec.snapshots, rec.dt)
     with_node = np.array([[-0.5], [-3.9], [0.2], [2.5]])
-    v, node = guidance._velocity_batch(sampler, with_node, t, C1)
+    at, scale = sampler.bracket(t), guidance._velocity_scale(C1)
+    v, node = guidance._velocity_batch(sampler, with_node, at, scale)
     assert node.tolist() == [False, True, False, False]
     assert v[1].tolist() == [0.0]
     v_free, node_free = guidance._velocity_batch(sampler, with_node[~node],
-                                                 t, C1)
+                                                 at, scale)
     assert not node_free.any()
     assert v[~node].tobytes() == v_free.tobytes()
 
@@ -645,7 +647,7 @@ def test_window_answers_equal_blends_of_fresh_fields(boundary):
             later = _fresh_fields(sampler.snapshots[i + 1])
             fields = (1.0 - theta) * fields + theta * later
         want = guidance._interp_any(sampler.grid, fields, pts)
-        val, grads = sampler.sample(pts, t)
+        val, grads = sampler.sample(pts, (i, theta))
         assert val.tobytes() == want[0].tobytes()
         assert grads.tobytes() == want[1:].tobytes()
 
@@ -672,15 +674,15 @@ def test_flow_reads_the_last_snapshot_at_its_last_stage(monkeypatch):
     queries = []
     sample = RecordSampler.sample
 
-    def recording_sample(self, pts, t):
-        queries.append((self, t, self.bracket(t)))
-        return sample(self, pts, t)
+    def recording_sample(self, pts, at):
+        queries.append((self, at))
+        return sample(self, pts, at)
 
     monkeypatch.setattr(RecordSampler, "sample", recording_sample)
-    integrate_flow(np.array([[0.5]]), rec, C1, dt_ode=0.1)
-    sampler, t, last = queries[-1]
+    flow = integrate_flow(np.array([[0.5]]), rec, C1, dt_ode=0.1)
+    sampler, last = queries[-1]
     n = len(rec.snapshots)
-    assert t / rec.dt != n - 1  # roundoff at the end
+    assert flow.times[-1] / rec.dt != n - 1  # roundoff at the end
     assert last == (n - 1, 0.0)
     assert sampler._held[(n - 1) % 2] == (n - 1, 0.0)
 
@@ -730,7 +732,7 @@ def test_sample_blends_on_the_grid(boundary, shape):
     interpolated snapshots at the points, up to roundoff."""
     sampler, pts = _sampler_case(boundary, shape)
     theta = 0.5
-    val, grads = sampler.sample(pts, theta * sampler.dt)
+    val, grads = sampler.sample(pts, sampler.bracket(theta * sampler.dt))
     pair = [guidance._interp_any(sampler.grid, sampler._window[
         sampler._rows(i)], pts) for i in (0, 1)]
     want = (1.0 - theta) * pair[0] + theta * pair[1]
@@ -740,7 +742,7 @@ def test_sample_blends_on_the_grid(boundary, shape):
     assert got.shape == (1 + len(shape), len(pts))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
     # at a snapshot time no blend is made: the snapshot's fields themselves
-    val0, _ = sampler.sample(pts, 0.0)
+    val0, _ = sampler.sample(pts, sampler.bracket(0.0))
     assert val0.tobytes() == pair[0][0].tobytes()
 
 

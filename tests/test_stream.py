@@ -4,16 +4,17 @@ as it steps have the bits of those made over ``evolve``'s record, and the
 pass holds a fixed number of snapshots whatever its length."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bohmsim import analytic
+from bohmsim import analytic, fields
 from bohmsim.equilibrium import sample_density
 from bohmsim.fields import ScalarWaveFunction
 from bohmsim.flux import CrossingCounter, SurfaceCurrent, expected_crossings
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import Flow, integrate_flow
+from bohmsim.guidance import Flow, RecordSampler, integrate_flow
 from bohmsim.potentials import CoupledOscillator, Free, Harmonic
 from bohmsim.propagate import (CRANK_NICOLSON, SPLIT_FOURIER, Evolution,
                                evolve)
@@ -49,11 +50,12 @@ def _streamed(psi, potential, constants, t_final, method, starts, dt_ode,
                if surface is not None else None)
     flow = Flow(starts, evolution, constants, dt_ode=dt_ode,
                 store_path=store_path, on_step=counter)
+    # as the flux scenario runs them: the surface reads the flow's window
     observers = [flow]
     if surface is not None:
-        observers.insert(0, SurfaceCurrent(evolution, surface))
+        observers.append(SurfaceCurrent(evolution, surface, flow))
     evolution.run(*observers)
-    crossings = observers[0].result() if surface is not None else None
+    crossings = observers[1].result() if surface is not None else None
     return flow.result(), crossings, counter, evolution
 
 
@@ -80,13 +82,15 @@ def _assert_same_flow(a, b):
         assert a.paths.tobytes() == b.paths.tobytes()
 
 
-@pytest.mark.parametrize("dt_ode", [SPACING, 2 * SPACING])
+@pytest.mark.parametrize("dt_ode", [SPACING, 2 * SPACING, 3 * SPACING])
 @pytest.mark.parametrize("boundary,method", [
     ("periodic", SPLIT_FOURIER), ("boxed", CRANK_NICOLSON)])
 def test_streamed_1d_pass_equals_stored_record(boundary, method, dt_ode):
     """A 1-d pass with a surface current and online crossing counts, on a
     periodic and a boxed grid, with members that complete and members that
-    stop."""
+    stop. At 3 spacings each step's midpoint falls between two snapshots,
+    and its blend overwrites a snapshot that the surface then derives
+    itself."""
     psi = _packet_1d(boundary)
     c = PhysicalConstants.natural(1)
     potential = Free() if boundary == "periodic" else Harmonic((1.0,))
@@ -106,21 +110,61 @@ def test_streamed_1d_pass_equals_stored_record(boundary, method, dt_ode):
     assert ev.last.amplitudes.tobytes() == rec.last.amplitudes.tobytes()
 
 
-@pytest.mark.parametrize("dt_ode", [SPACING, 2 * SPACING])
+@pytest.mark.parametrize("dt_ode", [SPACING, 2 * SPACING, 3 * SPACING])
 def test_streamed_2d_pass_equals_stored_record(dt_ode):
-    """A 2-d coupled-oscillator pass that stores its paths."""
+    """A 2-d coupled-oscillator pass that stores its paths, over a span
+    that each dt_ode divides."""
     g = Grid.regular(-8.0, 8.0, 48, dimension=2)
     c = PhysicalConstants.natural(2)
     psi = ScalarWaveFunction.from_callable(
         g, lambda x, y: analytic.coupled_oscillator_wavefunction(x, y, 0.0))
     starts = np.concatenate([sample_density(psi, 40, 3).members,
                              [[7.99, 0.0], [0.3, -0.2]]])
-    args = (psi, CoupledOscillator(analytic.COUPLING), c, 0.2,
+    args = (psi, CoupledOscillator(analytic.COUPLING), c, 0.3,
             SPLIT_FOURIER, starts, dt_ode)
     flow, *_ = _streamed(*args, store_path=True)
     ref, *_ = _stored(*args, store_path=True)
     _assert_same_flow(flow, ref)
-    assert flow.paths.shape == (int(round(0.2 / dt_ode)) + 1, 42, 2)
+    assert flow.paths.shape == (int(round(0.3 / dt_ode)) + 1, 42, 2)
+
+
+@pytest.mark.parametrize("ratio", [1, 2, 3])
+@pytest.mark.parametrize("boundary,method,derivative", [
+    ("periodic", SPLIT_FOURIER, "_spectral_derivative"),
+    ("boxed", CRANK_NICOLSON, "_fd4_derivative")])
+def test_streamed_flux_pass_derives_each_snapshot_once(
+        monkeypatch, boundary, method, derivative, ratio):
+    """The surface current reads the gradients that the flow derives: with
+    dt_ode equal to the snapshot spacing the pass makes one spatial
+    derivative per snapshot, and at most two at 2 and 3 spacings, where a
+    midpoint blend can hold the slot of a snapshot that the surface then
+    derives itself. Each RK4 step brackets its three stage times once."""
+    psi = _packet_1d(boundary)
+    c = PhysicalConstants.natural(1)
+    potential = Free() if boundary == "periodic" else Harmonic((1.0,))
+    starts = _starts_1d(psi)
+    calls = Counter()
+    for name in ("_spectral_derivative", "_fd4_derivative"):
+        def counting(*args, _name=name, _derive=getattr(fields, name)):
+            calls[_name] += 1
+            return _derive(*args)
+        monkeypatch.setattr(fields, name, counting)
+    bracket = RecordSampler.bracket
+
+    def counting_bracket(self, t):
+        calls["bracket"] += 1
+        return bracket(self, t)
+
+    monkeypatch.setattr(RecordSampler, "bracket", counting_bracket)
+    flow, _, _, ev = _streamed(psi, potential, c, 0.3, method, starts,
+                               ratio * SPACING, surface=0.5)
+    assert 0 < np.count_nonzero(flow.statuses) < len(starts)
+    assert set(calls) == {derivative, "bracket"}
+    if ratio == 1:
+        assert calls[derivative] == ev.count
+    else:
+        assert ev.count <= calls[derivative] <= 2 * ev.count
+    assert calls["bracket"] <= 3 * (len(flow.times) - 1)
 
 
 def test_flow_holds_only_bracketed_snapshots():

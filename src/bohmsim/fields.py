@@ -15,7 +15,9 @@ NORM_TOL = 1e-9
 
 
 def _require_finite(arr, what):
-    # the float parts in memory order, so any layout views as float64
+    # the float parts in memory order, so that a complex array views as
+    # float64 in any layout (copied only when it is contiguous in neither
+    # order); the Crank-Nicolson diagonals are C-contiguous like the states
     if not np.all(np.isfinite(arr.ravel(order="K").view(np.float64))):
         raise ValueError(f"{what} contains NaN or Inf")
 

@@ -5,7 +5,9 @@ There is one implementation. Interpolation is plain numpy on a four-point
 stencil (``cubic_stencil``), and every off-grid evaluation goes through it:
 the guidance flow, the surface current and the conditional wave function.
 The tridiagonal systems are LU-factored once
-(LAPACK ``zgttrf``) and each solve is one ``zgttrs`` call.
+(LAPACK ``zgttrf``) and each solve is one ``zgttrs`` call, which solves in
+place in the caller's C-contiguous output buffer, so a Crank-Nicolson
+sweep that hands every solve the same buffer allocates nothing.
 
 The two routines come from scipy's compiled LAPACK wrapper module,
 ``scipy.linalg._flapack``, which ``_lapack`` loads straight from its
@@ -357,17 +359,27 @@ def factor_tridiagonal(dl, d, du):
     return tuple(factors)
 
 
-def thomas_solve(factors, rhs):
+def thomas_solve(factors, rhs, out=None):
     """Solve the factored systems of ``factor_tridiagonal`` for the
     right-hand sides rhs, of shape (lines, n), by one LAPACK ``zgttrs``
-    call. Returns the solutions, shape (lines, n).
+    call. Returns the solutions in ``out``, a complex array of shape
+    (lines, n), or in a new C-contiguous one when ``out`` is None.
+
+    rhs is copied into ``out``, and when ``out`` is C-contiguous, as every
+    caller's is, ``zgttrs`` solves there in place (``overwrite_b``), so
+    the call allocates nothing. ``out`` may be rhs itself.
     """
     rhs = np.asarray(rhs, dtype=np.complex128)
     lines, n = rhs.shape
-    b = rhs.reshape(-1, 1)
+    if out is None:
+        out = np.empty((lines, n), np.complex128)
+    np.copyto(out, rhs)
+    b = out.reshape(-1, 1)
     if b.shape[0] < _MIN_ROWS:  # the unit rows factor_tridiagonal appended
         b = np.concatenate([b, np.zeros((_MIN_ROWS - b.shape[0], 1))])
-    x, info = _lapack().zgttrs(*factors, b)
+    x, info = _lapack().zgttrs(*factors, b, overwrite_b=1)
     if info != 0:
         raise ValueError(f"zgttrs rejected argument {-info}")
-    return x[:lines * n].reshape(lines, n)
+    if not np.may_share_memory(x, out):  # padded, or out not C-contiguous
+        out[...] = x[:lines * n, 0].reshape(lines, n)
+    return out

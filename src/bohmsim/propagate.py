@@ -54,7 +54,7 @@ from .fields import (ScalarWaveFunction, _require_finite, divergence, norm,
                      probability_current, read_wavefunction,
                      write_wavefunction)
 from .grids import Grid, PhysicalConstants
-from .kernels import factor_tridiagonal, thomas_solve
+from .kernels import Workspace, factor_tridiagonal, thomas_solve
 
 SPLIT_FOURIER = "split-fourier"
 CRANK_NICOLSON = "crank-nicolson"
@@ -140,12 +140,33 @@ class _SplitFourierStepper:
         return out
 
 
-def _tridiagonal_times(diag, off, lines):
+def _sweep_layout(rows, n):
+    """The Workspace layout of one sweep over ``rows`` lines of n points:
+    the lines, their solution, its residual, the off-diagonal products of
+    the lines laid end to end (rows n - 1 values) and |.| of the lines or
+    of the residual."""
+    return ([((rows, n), np.complex128)] * 3
+            + [((rows * n - 1,), np.complex128), ((rows, n), np.float64)])
+
+
+def _tridiagonal_times(diag, off, lines, out, prod):
     """Each line (row) times its tridiagonal matrix, with diagonal diag (one
-    row per line) and the scalar off on both off-diagonals."""
-    out = diag * lines
-    out[:, 1:] += off * lines[:, :-1]
-    out[:, :-1] += off * lines[:, 1:]
+    row per line) and the scalar off on both off-diagonals, written to out.
+
+    Each off-diagonal term runs over the lines laid end to end: prod holds
+    off times the lines shifted by one point, with the products that would
+    couple neighbouring lines set to -0.0, and adding -0.0 leaves every
+    value as it is. Over the (rows, n - 1) slices instead, numpy buffers
+    each operand of a ufunc that it cannot iterate in one run, up to 8192
+    values, 128 KiB at 128^2 points."""
+    n = lines.shape[-1]
+    flat_lines, flat_out = lines.reshape(-1), out.reshape(-1)
+    np.multiply(diag, lines, out=out)
+    for src, dst in ((flat_lines[:-1], flat_out[1:]),
+                     (flat_lines[1:], flat_out[:-1])):
+        np.multiply(off, src, out=prod)
+        prod[n - 1::n] = -0.0
+        np.add(dst, prod, out=dst)
     return out
 
 
@@ -159,33 +180,53 @@ class _CayleyAxis:
     A^(-1) B l = 2 A^(-1) l - l. ``apply`` solves A y = l, checks the
     solve against the unfactored A (max |A y - l| at most SOLVE_TOL times
     max |l|) and returns 2 y - l. The kinetic coupling of A is one scalar,
-    ``off``, the same for all neighbours."""
+    ``off``, the same for all neighbours; the diagonal ``a_d`` holds one
+    C-contiguous row per line.
+
+    Every array of ``apply`` lives in a Workspace (``_sweep_layout``): it
+    copies the lines of the state along the axis into one C-contiguous
+    buffer (a transposing copy along x in 2-d), ``thomas_solve`` solves
+    into a second in place, and the residual guard and 2 y - l write into
+    the rest with ``out=``, in the operand order of the plain expressions,
+    so the bits do not depend on the buffers. The result is a view of the
+    solution buffer, valid until the next sweep on the same workspace."""
 
     def __init__(self, grid, axis, v_share, constants, tau):
         ax = grid.axes[axis]
         self.axis = axis
         lam = tau / (2.0 * constants.hbar)
-        hop = -constants.hbar**2 / (2.0 * constants.masses[axis] * ax.spacing**2)
-        diag_h = -2.0 * hop + np.moveaxis(v_share, axis, -1).reshape(-1, ax.count)
+        try:
+            hop = -constants.hbar**2 / (2.0 * constants.masses[axis]
+                                        * ax.spacing**2)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(f"the kinetic coupling along axis {axis} (grid "
+                             f"spacing {ax.spacing:g}) is beyond the float "
+                             f"range") from exc
         # a non-finite potential raises below rather than warns here
         with np.errstate(over="ignore", invalid="ignore"):
-            self.a_d = 1.0 + 1j * lam * diag_h
+            diag_h = -2.0 * hop + np.moveaxis(v_share, axis, -1).reshape(
+                -1, ax.count)
+            self.a_d = np.ascontiguousarray(1.0 + 1j * lam * diag_h)
         _require_finite(self.a_d, f"the potential diagonal of a {tau:g} step")
         self.off = 1j * lam * hop
         off = np.broadcast_to(self.off, self.a_d.shape)
         self.lu = factor_tridiagonal(off, self.a_d, off)
 
-    def apply(self, arr):
+    def apply(self, arr, ws=None):
+        """One sweep of the state ``arr``, which it leaves as it is; its
+        arrays live in the Workspace ``ws`` (a fresh one when None)."""
+        ws = Workspace() if ws is None else ws
         moved = np.moveaxis(arr, self.axis, -1)
         shape = moved.shape
-        lines = moved.reshape(-1, shape[-1])
-        sol = thomas_solve(self.lu, lines)
-        res = _tridiagonal_times(self.a_d, self.off, sol)
-        scale = np.max(np.abs(lines))
-        residual = np.max(np.abs(res - lines))
+        lines, sol, res, prod, mag = ws.arrays(
+            _sweep_layout, math.prod(shape[:-1]), shape[-1])
+        np.copyto(lines, moved.reshape(lines.shape))
+        sol = thomas_solve(self.lu, lines, out=sol)
+        _tridiagonal_times(self.a_d, self.off, sol, res, prod)
+        scale = np.max(np.abs(lines, out=mag))
+        residual = np.max(np.abs(np.subtract(res, lines, out=res), out=mag))
         if scale > 0 and not residual <= SOLVE_TOL * scale:  # NaN fails too
             raise RuntimeError("tridiagonal solve residual above tolerance")
-        # sol is the solver's own array, never the state: 2 y - l in place
         np.multiply(sol, 2.0, out=sol)
         np.subtract(sol, lines, out=sol)
         return np.moveaxis(sol.reshape(shape), -1, self.axis)
@@ -199,9 +240,16 @@ class _CrankNicolsonStepper:
     loads scipy's ``_flapack`` extension file, not the ``scipy.linalg``
     package, in about 5 ms and 2.4 MB against 0.2 s and 25 MB for the
     package import, and split-Fourier runs never pay it (see ``kernels``).
-    A potential that is not finite on the grid raises a ValueError here."""
+    A potential that is not finite on the grid, or a kinetic coupling
+    beyond the float range, raises a ValueError here.
+
+    The factors run one after another, so they share one Workspace, which
+    the first step sizes: every sweep of every later step reuses its
+    buffers, at most 4.5 arrays of the sweep's size (``_sweep_layout``),
+    and allocates nothing else."""
 
     def __init__(self, grid, potential, constants, dt):
+        self.workspace = Workspace()
         v = potential.evaluate(grid, constants)
         if grid.dimension == 1:
             self.factors = (_CayleyAxis(grid, 0, v, constants, dt),)
@@ -212,21 +260,21 @@ class _CrankNicolsonStepper:
             self.factors = (cx, cy, cx)
 
     def advance(self, arr, steps=1):
-        """The state ``steps`` steps after ``arr``.
+        """The state ``steps`` steps after ``arr``, in a new C-contiguous
+        array, which no later call writes to; ``arr`` is left as it is.
 
-        Each step is its own call, so the state it starts from stays alive
-        until the next one is built. Freeing it after the first factor
-        instead changed how the allocator reuses the 128^2 sweep buffers:
-        most processes then page-faulted about 9000 times per 50-step 2-d
-        evolution, against about 1000 otherwise."""
+        Each sweep copies its input into the workspace before it writes
+        there, so a sweep may read the previous one's result in place.
+        With sweep temporaries allocated afresh, a 128^2 ADI sweep held six
+        256 KB and two 128 KB arrays, at or above glibc's mmap threshold,
+        and how often they faulted fresh pages in depended on the
+        allocator's history: the same code made under a thousand or over
+        13,000 minor faults per ``cn-boxed`` benchmark execution, with
+        nothing changed but the path its worker was started with."""
         for _ in range(steps):
-            arr = self._step(arr)
-        return arr
-
-    def _step(self, arr):
-        for f in self.factors:
-            arr = f.apply(arr)
-        return arr
+            for f in self.factors:
+                arr = f.apply(arr, self.workspace)
+        return np.array(arr, order="C")
 
 
 def prepare_stepper(grid, potential, constants, dt, method):

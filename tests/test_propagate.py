@@ -125,6 +125,15 @@ def test_crank_nicolson_potential_must_be_finite(bad, shape, step):
                 len(shape)), 1e-3, CRANK_NICOLSON)
 
 
+def test_crank_nicolson_spacing_beyond_the_float_range_raises_value_error():
+    """The spacing of this boxed axis squares beyond the float range."""
+    g = Grid.regular(-1.0, 1e160, 64, boundary="boxed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="kinetic coupling along axis 0"):
+            prepare_stepper(g, Free(), C1, 0.01, CRANK_NICOLSON)
+
+
 def test_step_coupled_oscillator_against_closed_form():
     g = Grid.regular(-8.0, 8.0, 128, dimension=2)
     c2 = PhysicalConstants.natural(2)
@@ -446,7 +455,7 @@ def test_factored_cayley_steps_match_per_call_zgtsv(monkeypatch, dimension,
     monkeypatch.setattr(propagate, "factor_tridiagonal",
                         lambda dl, d, du: (dl, d, du))
     monkeypatch.setattr(propagate, "thomas_solve",
-                        lambda matrix, rhs: _zgtsv_solve(*matrix, rhs))
+                        lambda matrix, rhs, out=None: _zgtsv_solve(*matrix, rhs))
     assert factored.tobytes() == run().tobytes()
 
 
@@ -478,6 +487,64 @@ def test_cayley_residual_guard_catches_corrupt_2d_factors(factor):
     stepper.factors[factor].lu[1][:] *= 1.0 + 1e-6  # the diagonal of U
     with pytest.raises(RuntimeError, match="residual"):
         stepper.advance(psi.amplitudes)
+
+
+def _cn_rect_case():
+    """A 40 x 24 boxed grid, so the x and y sweeps have different shapes."""
+    g = Grid((Grid.regular(-4.0, 4.0, 40, boundary="boxed").axes[0],
+              Grid.regular(-3.0, 3.0, 24, boundary="boxed").axes[0]))
+    psi = ScalarWaveFunction.from_callable(
+        g, lambda x, y: np.exp(-(x - 0.3) ** 2 - y**2 + 1j * (x + 0.5 * y)),
+        normalize=True)
+    return psi, Harmonic((1.0, 1.5)), PhysicalConstants.natural(2)
+
+
+@pytest.mark.parametrize("case", [lambda: _cn_case(1, 129), _cn_rect_case],
+                         ids=["1d", "2d-40x24"])
+def test_crank_nicolson_advance_returns_a_fresh_array(case):
+    """Each result is a new C-contiguous array that no later call writes
+    to, and the state it started from is left as it was."""
+    psi, pot, c = case()
+    stepper = prepare_stepper(psi.grid, pot, c, 1e-3, CRANK_NICOLSON)
+    first = stepper.advance(psi.amplitudes)
+    kept = first.tobytes()
+    later = [stepper.advance(first, 2), stepper.advance(first)]
+    later.append(stepper.advance(later[-1], 3))
+    for arr in [first] + later:
+        assert arr.flags.c_contiguous and arr.flags.owndata
+        assert arr.shape == psi.grid.shape
+    assert first.tobytes() == kept
+    for a, b in zip([first] + later, later):
+        assert not np.shares_memory(a, b)
+    assert not np.shares_memory(first, psi.amplitudes)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_cayley_axis_same_bytes_for_c_and_f_ordered_states(axis):
+    psi, pot, c = _cn_rect_case()
+    v = pot.evaluate(psi.grid, c)
+    factor = propagate._CayleyAxis(psi.grid, axis, v, c, 1e-3)
+    state = np.ascontiguousarray(psi.amplitudes)
+    got_c = factor.apply(state)
+    got_f = factor.apply(np.asfortranarray(state))
+    assert got_c.tobytes() == got_f.tobytes()
+
+
+def test_adi_steps_allocate_no_sweep_sized_temporary():
+    """After one warm-up step sizes the stepper's workspace, ten 2-d ADI
+    steps on 64^2 allocate only the state they return: every sweep
+    temporary (a 64 KB line buffer, solution, residual, product or |.|)
+    lives in the workspace."""
+    psi, pot, c = _cn_case(2, 64)
+    stepper = prepare_stepper(psi.grid, pot, c, 1e-3, CRANK_NICOLSON)
+    arr = stepper.advance(psi.amplitudes)
+    tracemalloc.start()
+    try:
+        stepper.advance(arr, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * arr.nbytes
 
 
 def _dense_hamiltonian_line(v_line, spacing, mass):

@@ -1,5 +1,6 @@
 """``tools/report_digest.py --compare`` on small hand-written report
-directories: identical sides, one moved check value, a one-sided report."""
+directories: identical sides, one moved check value, a one-sided report;
+and the digest of the ``cn-boxed`` Crank-Nicolson snapshots."""
 
 import importlib.util
 import json
@@ -63,3 +64,19 @@ def test_a_report_on_one_side_is_named(digest, tmp_path, capsys):
     assert len(out) == 1
     assert out[0].startswith("defaults/spin/report.json: only one side has it")
     assert str(base / "defaults" / "spin" / "report.json") in out[0]
+
+
+def test_cn_snapshot_digest_moves_with_one_bit_of_a_snapshot(digest,
+                                                             monkeypatch):
+    """The digest repeats, and it covers the Crank-Nicolson snapshots: one
+    step result scaled by 1 + 2^-52 changes it."""
+    from bohmsim import propagate
+
+    first = digest.cn_snapshot_digest()
+    assert len(first) == 64 and int(first, 16) >= 0
+    assert digest.cn_snapshot_digest() == first
+    advance = propagate._CrankNicolsonStepper.advance
+    monkeypatch.setattr(propagate._CrankNicolsonStepper, "advance",
+                        lambda self, arr, steps=1: advance(self, arr, steps)
+                        * (1.0 + 2.0**-52))
+    assert digest.cn_snapshot_digest() != first

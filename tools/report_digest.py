@@ -10,6 +10,11 @@ Two checkouts whose printed digests agree wrote byte-identical reports. The
 workload configs (full and tiny, at a fixed seed) are read from
 ``perfbench/workloads.py``, loaded by path and left unchanged.
 
+No scenario reaches the Crank-Nicolson propagator, so a last line,
+``sha256  cn-boxed snapshots``, digests the amplitudes of every snapshot of
+the ``cn-boxed`` workload's 1-d and 2-d evolutions, in order: the workload
+runs once at the same seed, its own ``evolve`` calls recorded.
+
 ``--compare`` reads every ``report.json`` under the two directories and
 prints one line per number of a check value that differs: the report, the
 check (with the key or index of the number inside a structured value), both
@@ -29,18 +34,46 @@ sys.path.insert(0, str(ROOT / "src"))
 SEED = 11  # seed of every workload run
 
 
-def _workload_configs():
-    """(name, config) of each scenario workload, full and tiny."""
+def _workloads():
+    """``perfbench/workloads.py``, loaded by path as a private module."""
     spec = importlib.util.spec_from_file_location(
         "_bench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _workload_configs():
+    """(name, config) of each scenario workload, full and tiny."""
+    module = _workloads()
     out = []
     for name, w in sorted(module.WORKLOADS.items()):
         if isinstance(w, module.ScenarioWorkload):
             out.append((f"{name}-full", w.config))
             out.append((f"{name}-tiny", {**w.config, **w.tiny}))
     return out
+
+
+def cn_snapshot_digest():
+    """sha256 of the snapshot amplitudes of the ``cn-boxed`` workload's
+    evolutions, in the order it evolves and stores them, from one run of
+    the workload at ``SEED``."""
+    module = _workloads()
+    records = []
+    evolve = module.evolve
+
+    def recorded(*args, **kwargs):
+        records.append(evolve(*args, **kwargs))
+        return records[-1]
+
+    module.evolve = recorded  # the private module's name only
+    workload = module.WORKLOADS["cn-boxed"]
+    workload.run(workload.prepare(SEED))
+    sha = hashlib.sha256()
+    for record in records:
+        for snap in record.snapshots:
+            sha.update(snap.amplitudes.tobytes())
+    return sha.hexdigest()
 
 
 def digest(out):
@@ -58,6 +91,7 @@ def digest(out):
     for name in files:
         sha = hashlib.sha256((out / name).read_bytes()).hexdigest()
         print(f"{sha}  {name}")
+    print(f"{cn_snapshot_digest()}  cn-boxed snapshots")
     return 0
 
 

@@ -288,25 +288,38 @@ def aligned_l2_error(psi_a, psi_b):
 
 COLLAPSE_SHAPE = (128, 384)  # grid points of the system and pointer axes
 COLLAPSE_STRIDE = 10  # time steps per snapshot of the evolution
+COLLAPSE_SEPARATION = 6.0  # between the centres of the system packets
 # pointer mass on the wrong side of y = 0 below which the cells are disjoint
 LEAKAGE_THRESHOLD = 1e-6
 
 
-def collapse_hamiltonian(coupling):
-    """Grid, constants and pointer coupling V = g s(x) y, s = sign(x), of
-    ``collapse_experiment``: the system on the first axis, the pointer on the
-    second."""
-    gx = Grid.regular(-6.0, 6.0, COLLAPSE_SHAPE[0], dimension=1)
-    gy = Grid.regular(-6.0, 6.0, COLLAPSE_SHAPE[1], dimension=1)
+def collapse_setup(weight, coupling, t_meas, dt):
+    """The system packets (phi1, phi2) and the streamed Evolution of
+    ``collapse_experiment``; raises ValueError where the experiment would.
+
+    The system, on the first axis, starts in c1 phi1 + c2 phi2 with
+    c1 = sqrt(weight) and c2 = sqrt(1 - weight), so a weight outside [0, 1]
+    raises ValueError; the pointer, on the second axis, starts in a narrow
+    packet at y = 0, and the coupling is V = g s(x) y, s = sign(x)."""
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError(f"weight {weight} outside [0, 1]")
+    gx, gy = (Grid.regular(-6.0, 6.0, n) for n in COLLAPSE_SHAPE)
+    x, y = gx.coordinates(0), gy.coordinates(0)
+    half = 0.5 * COLLAPSE_SEPARATION
+    phi1 = ScalarWaveFunction(gx, _gaussian(x, half, 0.5)).normalize()
+    phi2 = ScalarWaveFunction(gx, _gaussian(x, -half, 0.5)).normalize()
+    sys0 = (math.sqrt(weight) * phi1.amplitudes
+            + math.sqrt(1.0 - weight) * phi2.amplitudes)
+    pointer0 = _gaussian(y, 0.0, 0.2)
+    pointer0 /= np.sqrt(np.sum(gy.quadrature_weights() * pointer0**2))
     grid = Grid(axes=(gx.axes[0], gy.axes[0]))
+    psi0 = ScalarWaveFunction(grid, np.outer(sys0, pointer0)).normalize()
+    potential = Sampled(coupling * np.sign(x)[:, None] * y[None, :])
     # heavy system: its packets barely move
     constants = PhysicalConstants(hbar=1.0, masses=(4000.0, 10.0))
-    x, y = grid.coordinates(0), grid.coordinates(1)
-    # a coupling too large for V overflows to inf here, and the stepper's
-    # phase check turns that into the config error
-    with np.errstate(over="ignore"):
-        v = coupling * np.sign(x)[:, None] * y[None, :]
-    return grid, constants, Sampled(v)
+    return (phi1, phi2), Evolution(psi0, potential, constants, t_meas, dt,
+                                   SPLIT_FOURIER,
+                                   snapshot_stride=COLLAPSE_STRIDE)
 
 
 def collapse_experiment(weight, n_members, seed, coupling, t_meas, dt,
@@ -314,34 +327,21 @@ def collapse_experiment(weight, n_members, seed, coupling, t_meas, dt,
     """Two-outcome von Neumann measurement on a 2-d grid; returns the report.
 
     The system is a superposition c1 phi1 + c2 phi2 of two well-separated
-    packets, c1 = sqrt(weight) and c2 = sqrt(1 - weight), so a weight outside
-    [0, 1] raises ValueError; the pointer couples through V = g s(x) y with
-    s = +-1 on the two packet supports, so the branches push the pointer to
-    opposite sides. Equilibrium-sampled configurations are transported by
-    the guidance flow, outcomes are read off the pointer cell at t_meas, and
-    the report compares outcome frequencies with c1^2, c2^2 and the realized
-    branch's effective wave function with its packet. The defaults of the
-    run parameters live in one place, the ``collapse`` scenario's table.
+    packets, c1 = sqrt(weight) and c2 = sqrt(1 - weight); the pointer
+    couples through V = g s(x) y with s = +-1 on the two packet supports,
+    so the branches push the pointer to opposite sides (``collapse_setup``).
+    Equilibrium-sampled configurations are transported by the guidance
+    flow, outcomes are read off the pointer cell at t_meas, and the report
+    compares outcome frequencies with c1^2, c2^2 and the realized branch's
+    effective wave function with its packet. The defaults of the run
+    parameters live in one place, the ``collapse`` scenario's table.
     """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight {weight} outside [0, 1]")
+    (phi1, phi2), evolution = collapse_setup(weight, coupling, t_meas, dt)
     c1, c2 = math.sqrt(weight), math.sqrt(1.0 - weight)
-    sep, width_x, width_y = 3.0, 0.5, 0.2
-    grid, constants, potential = collapse_hamiltonian(coupling)
-    gx, gy = (Grid(axes=(ax,)) for ax in grid.axes)
-    x = gx.coordinates(0)
-    y = gy.coordinates(0)
-    phi1 = ScalarWaveFunction(gx, _gaussian(x, +sep, width_x)).normalize()
-    phi2 = ScalarWaveFunction(gx, _gaussian(x, -sep, width_x)).normalize()
-    w_x = gx.quadrature_weights()
-    packet_overlap = abs(np.sum(w_x * np.conj(phi1.amplitudes)
-                                * phi2.amplitudes))
-    sys0 = c1 * phi1.amplitudes + c2 * phi2.amplitudes
-    pointer0 = _gaussian(y, 0.0, width_y)
-    pointer0 /= np.sqrt(np.sum(gy.quadrature_weights() * pointer0**2))
-    psi0 = ScalarWaveFunction(grid, np.outer(sys0, pointer0)).normalize()
-    evolution = Evolution(psi0, potential, constants, t_meas, dt,
-                          SPLIT_FOURIER, snapshot_stride=COLLAPSE_STRIDE)
+    grid, constants = evolution.grid, evolution.constants
+    x, y = grid.coordinates(0), grid.coordinates(1)
+    packet_overlap = abs(np.sum(phi1.grid.quadrature_weights()
+                                * np.conj(phi1.amplitudes) * phi2.amplitudes))
 
     # cross-branch mass: pointer amplitude on the wrong side of y=0, at
     # each snapshot as the evolution passes it
@@ -356,7 +356,7 @@ def collapse_experiment(weight, n_members, seed, coupling, t_meas, dt,
         leak = float(np.sum(rho[xpos & ypos]) + np.sum(rho[~xpos & ~ypos]))
         leakage_series.append([float(times[i]), leak])
 
-    ens = sample_density(psi0, n_members, seed)
+    ens = sample_density(evolution.initial, n_members, seed)
     flow = Flow(ens.members, evolution, constants, dt_ode=dt_ode)
     evolution.run(leakage, flow)
     flow = flow.result()
@@ -426,7 +426,7 @@ def collapse_experiment(weight, n_members, seed, coupling, t_meas, dt,
             "t_meas": t_meas,
             "dt": dt,
             "dt_ode": dt_ode,
-            "packet_separation": 2 * sep,
+            "packet_separation": COLLAPSE_SEPARATION,
             "packet_overlap": float(packet_overlap),
             "leakage_threshold": LEAKAGE_THRESHOLD,
         },

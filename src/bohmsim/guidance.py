@@ -48,8 +48,7 @@ blend. A stage time within TIME_RTOL of a snapshot reads that snapshot as
 it is, so stages 1 and 4 at snapshot times blend nothing. The blend is made
 for every batch, however small: a size rule that blended at the points for
 small batches would make a member's bits depend on how many members share
-its batch. The flow runs on one thread: on two cores, splitting each
-stage's members over two threads ran slower than one thread.
+its batch. The flow runs on one thread.
 
 The flow compacts only on a step where a member stops. Typical
 trajectories never reach a node, so on most steps every member that starts
@@ -72,9 +71,8 @@ of the plain expression, so no bit changes. The batch only shrinks, so
 the flow sizes the workspace once, and a step where members stop carves
 smaller views from the same memory. An array handed out from it, a
 sampled psi or a velocity, is a view valid only until the next call on
-it. Allocated afresh, each stage's arrays of 10^4 members lay above
-glibc's 128 KiB mmap threshold and were faulted in anew: the ``flux``
-scenario made 1.56 M minor faults, and makes 10 k.
+it. ``flow_footprint`` adds up these layouts at one member for the memory
+model of a run.
 
 A flow's ``on_step`` hook sees the moving members' positions after every
 step. Stored paths are its built-in use, and
@@ -404,6 +402,32 @@ def _stage_layout(m, d):
     return [((4, d, m), np.float64)] + [((m,), np.bool_)] * 2
 
 
+def flow_footprint(dimension, grid_points, members):
+    """Bytes, an integer, that a ``Flow`` of ``members`` members on a grid
+    of ``grid_points`` points of dimension d holds at the peak of one RK4
+    stage, sampling included.
+
+    Each member holds its share of the flow's Workspace layouts at one
+    member: interpolation, velocity batch and RK4 stage. Besides them it
+    holds three float64 d-vectors (the caller's start, q and qa), its
+    status, stop index and index in ``moving`` (17 B), and its share of
+    the buffers that numpy adds, one operation at a time, of up to 8192
+    values at 16 B: for the 4 stencil offsets of a point, broadcast along
+    the rows, and for the (1 + d) d + 1 values that a product of the
+    weighted sums casts and broadcasts. On the grid the sampler holds its
+    window of 2 (1 + d) fields, one scratch field for the blend, and three
+    for the transients of one snapshot derivative, of which the boxed
+    difference stencil along the last axis of a 2-d grid leaves the most,
+    numpy's buffers for its strided operands."""
+    d = dimension
+    layouts = (interp_layout(d)((1 + d,), 1) + _velocity_layout(1)
+               + _stage_layout(1, d))
+    member = sum(math.prod(shape) * np.dtype(dtype).itemsize
+                 for shape, dtype in layouts)
+    member += 8 * 3 * d + 17 + 16 * max(4, (1 + d) * d + 1)
+    return 16 * (2 * (1 + d) + 4) * grid_points + members * member
+
+
 class Flow:
     """The RK4 flow of a batch of configurations (B, d) through the velocity
     field of an evolution, with step dt_ode (default: the snapshot spacing),
@@ -473,10 +497,7 @@ class Flow:
         # moving, in order, are ``moving`` and their positions ``qa``
         self.q = q
         # Every stage array is sized here, before the first snapshot
-        # arrives, as the first stage would size it. Sized at that stage,
-        # among the heap chunks of the evolution's first arrays, streamed
-        # flux-1d read 8 % more wall_rel than a stored flow, and 5.7 %
-        # more sized here: a heap-layout effect of the streamed pass.
+        # arrives, as the first stage would size it.
         self.ws.arrays(interp_layout(d), (1 + d,), b)
         self.ws.arrays(_velocity_layout, b)
         self.ws.arrays(_stage_layout, b, d)

@@ -4,45 +4,32 @@ one and two dimensions, and a batched complex tridiagonal solve.
 There is one implementation. Interpolation is plain numpy on a four-point
 stencil (``cubic_stencil``), and every off-grid evaluation goes through it:
 the guidance flow, the surface current and the conditional wave function.
-The tridiagonal systems are LU-factored once
-(LAPACK ``zgttrf``) and each solve is one ``zgttrs`` call, which solves in
-place in the caller's C-contiguous output buffer, so a Crank-Nicolson
-sweep that hands every solve the same buffer allocates nothing.
+The tridiagonal systems are LU-factored once (LAPACK ``zgttrf``) and each
+solve is one ``zgttrs`` call, which solves in place in the caller's
+C-contiguous output buffer, so a Crank-Nicolson sweep that hands every
+solve the same buffer allocates nothing.
 
 The two routines come from scipy's compiled LAPACK wrapper module,
 ``scipy.linalg._flapack``, which ``_lapack`` loads straight from its
 extension file on the first factorization; ``scipy.linalg.lapack.zgttrf``
 is that module's own function, so the calls and their bits are the same.
-``import scipy.linalg`` would run the package's init as well, which loads
+``import scipy.linalg`` would also run the package's init, which loads
 scipy's array-API layer and with it ``numpy.f2py``, ``numpy.testing`` and
-``charset_normalizer``: after ``import bohmsim.scenarios`` it takes 190-215
-ms and 25 MB of resident memory, the extension file alone 4-6 ms and 2.4
-MB (fresh processes, 2-core Xeon VM, scipy 1.17). Only the Crank-Nicolson
-propagator calls the two routines, so split-Fourier runs, every CLI
-scenario among them, never load even the extension.
+``charset_normalizer``. Only the Crank-Nicolson propagator calls the two
+routines, so split-Fourier runs, every CLI scenario among them, never load
+even the extension.
 
 Stacked fields lead the array: K fields on one grid are (K, n) or
 (K, n0, n1), and the result is (K, m). The gathers are
 ``np.take(..., axis=-1)``, which leave the m points of each stencil node
-contiguous, so every term of the weighted sum runs over rows of m points.
-With the fields on a trailing axis each term broadcast an (m, 1) weight over
-(m, K): m inner loops of only K = 2 to 6. For four fields on a 2048-point
-periodic axis and 4096 points, the take costs about 90 us (``values[:, idx]``
-315 us), the sum 120 us against 190-240 us in the trailing layout, and the
-whole call 250-400 us against 470-660 us. In 2-d one take gathers the four
-nodes of one stencil row, at flat indices ``idx0[a] * n1 + idx1``, and the
-row is summed before the next is gathered, so a call holds a quarter of
-the 16-node gather and of its index. For three fields on a 128 x 128 grid
-at 12000 points, a call's traced peak is 6.1 MB against 15.5 MB for one
-take of all 16 nodes, in 3.1-3.5 ms against 3.3-4.2 ms; at 20 points it
-costs 94-99 us against 84-88 us (best of 5 x 20 calls, six rounds over two
-runs). One 16-node take was 0.6-0.7 ms against 2.7 ms for 16 fancy-index
-gathers on a 128 x 384 grid with six fields and 4000 points. ``np.take``
-copies a source that is not C-contiguous in full before gathering: one
-point from every other row of six such fields costs 0.22 ms, and 3 us
-from contiguous rows. So the 2-d kernel makes its source contiguous once,
-and the guidance window keeps each snapshot's fields in contiguous leading
-rows.
+contiguous, so every term of the weighted sum runs over rows of m points,
+not m inner loops of only K values. In 2-d one take gathers the four nodes
+of one stencil row, at flat indices ``idx0[a] * n1 + idx1``, and the row is
+summed before the next is gathered, so a call holds a quarter of the
+16-node gather and of its index. ``np.take`` copies a source that is not
+C-contiguous in full before gathering, so the 2-d kernel makes its source
+contiguous once, and the guidance window keeps each snapshot's fields in
+contiguous leading rows.
 
 Every array of an interpolation call, the result included, lives in a
 ``Workspace``: the stencil's scratch (s, then u, the starts, u - 1, u - 2,
@@ -53,28 +40,14 @@ each product over its gathered row. Each array is written by a ufunc with
 replaces, so no bit changes. A call on a fresh workspace allocates them;
 a flow hands every call the same workspace, which its first stage sizes,
 since its batch only shrinks. The arrays returned are views into it,
-valid only until the next call on the same workspace. Allocated afresh,
-every stage array of 10^4 members (a stencil's indices or weights,
-320 KB; the (2, 4, m) gather, 1.28 MB) lay above glibc's default mmap
-threshold of 128 KiB, so each stage mapped fresh pages and faulted them
-in: the ``equivariance`` scenario made 2.59 M minor faults, and makes
-16 k with the workspace. Blocks of 2048 members would not avoid it: a
-(2, 4, 2048) complex gather is 256 KiB, still above the threshold. numpy
-still allocates buffers of up to 8192 values for some operations: to cast
-the real weights to complex in each product, 128 KiB at 10^4 points, and
-for operands it cannot iterate in one run, such as the stencil offsets
-broadcast along the rows of a (4, m) output. They are freed at once and
-come back from the heap; holding the weights as complex numbers instead,
-or splitting those operations row by row, cost time and changed no fault
-count.
+valid only until the next call on the same workspace. numpy still
+allocates buffers of up to 8192 values for some operations, to cast the
+real weights to complex in each product and for operands it cannot
+iterate in one run, and frees them at once.
 
 A periodic stencil wraps only where a point needs it (``cubic_stencil``).
-For 4096 points on 2048 nodes it costs 75-90 us when no stencil crosses the
-period boundary, 165 us when some does and 255 us when a point also lies
-outside the period, against 230 us when both wraps always ran. The weighted
-sums are written out term by term in a fixed order, which is twice as fast
-as ``einsum`` and gives the same bits. (2-core Xeon VM, numpy 2.4, medians
-of 15 repeats over two runs.)
+The weighted sums are written out term by term in a fixed order, which
+fixes their bits.
 """
 
 import functools

@@ -238,8 +238,7 @@ class _CrankNicolsonStepper:
 
     The first of these a process prepares binds LAPACK: its factorization
     loads scipy's ``_flapack`` extension file, not the ``scipy.linalg``
-    package, in about 5 ms and 2.4 MB against 0.2 s and 25 MB for the
-    package import, and split-Fourier runs never pay it (see ``kernels``).
+    package, and split-Fourier runs never pay it (see ``kernels``).
     A potential that is not finite on the grid, or a kinetic coupling
     beyond the float range, raises a ValueError here.
 
@@ -264,13 +263,7 @@ class _CrankNicolsonStepper:
         array, which no later call writes to; ``arr`` is left as it is.
 
         Each sweep copies its input into the workspace before it writes
-        there, so a sweep may read the previous one's result in place.
-        With sweep temporaries allocated afresh, a 128^2 ADI sweep held six
-        256 KB and two 128 KB arrays, at or above glibc's mmap threshold,
-        and how often they faulted fresh pages in depended on the
-        allocator's history: the same code made under a thousand or over
-        13,000 minor faults per ``cn-boxed`` benchmark execution, with
-        nothing changed but the path its worker was started with."""
+        there, so a sweep may read the previous one's result in place."""
         for _ in range(steps):
             for f in self.factors:
                 arr = f.apply(arr, self.workspace)
@@ -337,7 +330,8 @@ class _Clock:
 
     @property
     def t_final(self):
-        return float(self.times[-1])
+        """times[-1], the last snapshot time, without building ``times``."""
+        return float(self.step_dt * (self.stride * (self.count - 1)))
 
     def check_constants(self, constants):
         """Raise ValueError unless ``constants`` are the ones the record was

@@ -19,18 +19,16 @@ from decimal import Decimal
 import numpy as np
 
 from . import analytic, povm as povm_mod
-from .equilibrium import (COLLAPSE_SHAPE, COLLAPSE_STRIDE,
-                          collapse_experiment, collapse_hamiltonian,
+from .equilibrium import (collapse_experiment, collapse_setup,
                           equivariance_check, sample_density)
 from .fields import ScalarWaveFunction, SpinorWaveFunction, norm
 from .flux import CrossingCounter, SurfaceCurrent, check_location
 from .grids import Grid, PhysicalConstants
 from .guidance import (COMPLETED, HIT_NODE, LEFT_GRID, EmptyFlowError, Flow,
-                       ode_step_count, spinor_velocity)
+                       flow_footprint, ode_step_count, spinor_velocity)
 from .kernels import BACKEND
 from .potentials import KINDS, CoupledOscillator, Free, Harmonic, from_description
-from .propagate import (SPLIT_FOURIER, Evolution, PauliStepper,
-                        prepare_stepper, step_count)
+from .propagate import SPLIT_FOURIER, Evolution, PauliStepper, step_count
 # The names that the benchmark's per-layer trace wraps here stay importable,
 # although every scenario streams its evolution through a Flow instead
 from .flux import expected_crossings, per_member_counts  # noqa: F401
@@ -49,7 +47,9 @@ class ConfigError(ValueError):
 # Each scenario declares its parameters once, as a table of specs. A spec knows
 # its JSON type, legal range and default. ``parse`` returns the value it
 # accepts and appends one "path: message" line per fault. A spec's rule calls
-# the library code that would reject the value at run time, so a config that
+# the library code that would reject the value at run time: the rule of a
+# scenario that evolves calls the set-up function that its runner calls,
+# which builds the run's initial state and Evolution. So a config that
 # parses also runs.
 
 _MISSING = object()
@@ -59,13 +59,13 @@ _MISSING = object()
 _MAX_1D = 1 << 16
 _MAX_2D = 1024
 
-# Bytes of the grid fields that a streamed run holds (_STREAM_FIELDS and
-# the guidance sampler's _sampler_fields, 16 B per grid point each), stored
-# paths (8 B per coordinate per RK4 step), ensemble working arrays
-# (_member_bytes per member) and histogram bins (_BIN_BYTES each) that a run
-# may hold. No run keeps its snapshots, so their count does not enter. At
-# their defaults the scenarios hold at most 19 MB, the oscillator oracle's
-# 18 fields of 256^2 points; a desk machine has a few GB.
+# Bytes of the grid fields that a streamed run holds besides its flow
+# (_STREAM_FIELDS, 16 B per grid point each), of its flow on the grid and
+# per member (guidance.flow_footprint), of stored paths (8 B per coordinate
+# per RK4 step) and of histogram bins (_BIN_BYTES each) that a run may
+# hold. No run keeps its snapshots, so their count does not enter. At their
+# defaults the scenarios hold at most 19 MB, the oscillator oracle's 18
+# fields of 256^2 points; a desk machine has a few GB.
 _MEMORY_BUDGET = 2 * 10**9
 
 # Bytes per equivariance histogram bin: its edges, expected and empirical
@@ -74,13 +74,13 @@ _MEMORY_BUDGET = 2 * 10**9
 _BIN_BYTES = 192
 
 # Grid-point updates (time steps times grid points, summed over the
-# evolutions of a run) that a run may make. A split-Fourier step costs 40-80
-# ns per grid point on one desk core, so the budget is a few minutes of
-# stepping. A free step (the potential vanishes on the grid) costs less: one
-# k-space product per grid point, plus two transforms per snapshot interval.
-# Counting it as a full update keeps the estimate conservative. At their
-# defaults the scenarios make at most 1.3e8, the oscillator oracle's 2000
-# steps of 256^2 points.
+# evolutions of a run, plus the updates that its flows' RK4 steps cost) that
+# a run may make. A split-Fourier step costs 40-80 ns per grid point on one
+# desk core, so the budget is a few minutes of stepping. A free step (the
+# potential vanishes on the grid) costs less: one k-space product per grid
+# point, plus two transforms per snapshot interval. Counting it as a full
+# update keeps the estimate conservative. At their defaults the scenarios
+# make at most 4.6e8, the flux scenario's 2000 RK4 steps of 10^4 members.
 _WORK_BUDGET = 2 * 10**9
 
 # Grid-point updates that one povm state costs: its pass over the six models
@@ -96,6 +96,16 @@ _POVM_STATE_UPDATES = 10**4
 # updates plus 7 per point (100 us plus 0.35 us per point) covers both.
 _PAULI_STEP_UPDATES = 2000
 _PAULI_POINT_UPDATES = 7
+
+# Grid-point updates that one RK4 step of a flow costs: a fixed
+# _FLOW_STEP_UPDATES plus _FLOW_MEMBER_UPDATES per member. The dearer kind
+# of flow is the 2-d one: with dt_ode the snapshot spacing, a step on 8^2 or
+# 32^2 points takes 0.64-1.0 ms with two members, plus 0.9-1.0 us per member
+# at 10^4 members, against 0.3-0.38 ms and 0.2 us per member in 1-d, on one
+# desk core. At 50 ns an update, 20000 updates plus 20 per member (1 ms plus
+# 1 us per member) covers both.
+_FLOW_STEP_UPDATES = 20000
+_FLOW_MEMBER_UPDATES = 20
 
 
 def _at(path, key):
@@ -115,7 +125,11 @@ class _Spec:
         out = self._parse(value, path, errors, base)
         if self.rule is not None and len(errors) == before:
             try:
-                self.rule(out)
+                # A value beyond the float range evaluates to Inf, which the
+                # library's finiteness checks report; its overflow warning is
+                # silenced so that they report it.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self.rule(out)
             except ValueError as exc:
                 errors.append(f"{path or 'config'}: {exc}")
         return out
@@ -361,15 +375,6 @@ def make_initial(grid, constants, spec):
             grid, build(grid, constants, **params), normalize=True)
 
 
-def _check_stepper(grid, potential, constants, dt):
-    """Raise ValueError where the run's split-Fourier stepper of step dt
-    would reject the potential or its phases. A potential beyond the float
-    range evaluates to Inf, which the stepper's finiteness check reports;
-    its overflow warning is silenced so that the check reports it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        prepare_stepper(grid, potential, constants, dt, SPLIT_FOURIER)
-
-
 def _flow_steps(t_final, dt, stride, dt_ode):
     """(time steps, RK4 steps) of a run; raises ValueError where its
     Evolution or Flow would reject these step sizes."""
@@ -382,60 +387,11 @@ def _check_flow(params):
                        params["dt_ode"])
 
 
-# Grid-sized complex fields that a streamed run holds besides its flow's
-# sampler (_sampler_fields): the snapshots that the flow's stage times
+# Grid-sized complex fields that a streamed run holds besides its flow
+# (guidance.flow_footprint): the snapshots that the flow's stage times
 # bracket, at most six, or five and the state the evolution steps to, and
-# the stepper's two phase arrays. When dt_ode is the snapshot spacing, two
-# snapshots are held. Traced as the memory-model test of a streamed pass
-# traces them, less the model's member bytes, a 1-d flux pass and a 2-d
-# flow, each at dt_ode equal to the spacing, peak at 10.6 and 12.3 fields,
-# and at 12.5 and 14.8 with dt_ode five spacings, against the 16 and 18
-# counted here.
+# the stepper's two phase arrays.
 _STREAM_FIELDS = 8
-
-
-def _sampler_fields(dimension):
-    """Grid-sized complex fields that the guidance sampler of a flow holds:
-    a window of psi and grad psi at two snapshots, 2 (1 + d) fields, which
-    also holds the time blend, one scratch field for the blend, and three
-    for the transients of one snapshot derivative. The boxed difference
-    stencil along the last axis of a 2-d grid takes the most: traced, 2.8
-    fields on 65^2 points, numpy's buffers for its strided operands; along
-    a 1-d axis it takes 1.0, and a periodic transform 0.1 in 1-d and 1.0
-    in 2-d."""
-    return 2 * (1 + dimension) + 4
-
-
-def _member_bytes(dimension):
-    """Bytes that each ensemble member of a flow on a grid of this dimension
-    d holds at the peak of one RK4 stage, sampling included.
-
-    The flow's workspace holds every array that a stage sizes by its batch,
-    all at once. Interpolation of K = 1 + d stacked complex fields, psi and
-    grad psi blended in time on the grid, gathers one stencil row of 4
-    values of each and keeps their sum, and in 2-d the row's sum, so
-    16 K (5 + (d - 1)) B. Each axis's stencil keeps 4 indices and 4
-    weights, 64 B, 2-d adds the row's 4 flat indices, and the scratch that
-    every axis reuses (s, the start, u - 1, u - 2, u - 3) takes 40 B. There
-    are seven float64 d-vectors (two slopes, the stage points, dq, the
-    positions q and qa, and the caller's starts) and 28 B of scalars
-    (|psi|^2, three masks, the status, the stop index and the member's
-    index). numpy adds, one operation at a time, buffers of up to 8192
-    values: for the 4 stencil offsets of a point, broadcast along the rows,
-    and for the K d + 1 values that a product of the weighted sums casts
-    and broadcasts, at 16 B each. This gives 412 B in 1-d and 740 B in
-    2-d. Traced on a grid of 16 or 8^2 points, without the starts, a flow
-    of 2000 members peaks at 410 and 734 B per member, and one of 16000
-    members, where numpy's buffers have stopped growing, at 350 and 622 B
-    (``test_memory_model_bounds_a_traced_flow``)."""
-    d = dimension
-    fields = 1 + d
-    values = 16 * fields * (5 + (d - 1))
-    stencils = 64 * d + 32 * (d - 1) + 40
-    vectors = 8 * d * 7
-    scalars = 28
-    buffers = 16 * max(4, fields * d + 1)
-    return values + stencils + vectors + scalars + buffers
 
 
 def _check_memory(names, grid_points, members, dimension, path_values=0,
@@ -446,13 +402,19 @@ def _check_memory(names, grid_points, members, dimension, path_values=0,
     dimension, path_values stored path coordinates and ``bins`` histogram
     bins exceed the memory budget."""
     # integers throughout: a member count may exceed the float range
-    need = (16 * (_STREAM_FIELDS + _sampler_fields(dimension)) * grid_points
-            + members * _member_bytes(dimension) + 8 * path_values
-            + _BIN_BYTES * bins)
+    need = (16 * _STREAM_FIELDS * grid_points
+            + flow_footprint(dimension, grid_points, members)
+            + 8 * path_values + _BIN_BYTES * bins)
     if need > _MEMORY_BUDGET:
         raise ValueError(f"{names} would store {Decimal(need) / 10**9:.3g} "
                          "GB of snapshots, paths, ensemble arrays and bins, "
                          f"above the budget of {_MEMORY_BUDGET / 10**9:g} GB")
+
+
+def _flow_updates(steps, members):
+    """Grid-point updates that ``steps`` RK4 steps of a flow of ``members``
+    members cost."""
+    return steps * (_FLOW_STEP_UPDATES + _FLOW_MEMBER_UPDATES * members)
 
 
 def _check_work(names, updates):
@@ -499,6 +461,18 @@ _ORACLE_STARTS = [(r * math.cos(a) + 0.1, r * math.sin(a) - 0.05)
                   for r in (0.3, 0.7, 1.1, 1.5) for a in _ORACLE_ANGLES]
 
 
+def _oracle_evolution(params):
+    """The Evolution of an oracle run; raises ValueError where the run
+    would fail."""
+    psi0 = ScalarWaveFunction.from_callable(
+        _oracle_grid(params["points"]),
+        lambda x, y: analytic.coupled_oscillator_wavefunction(x, y, 0.0))
+    return Evolution(psi0, CoupledOscillator(analytic.COUPLING),
+                     PhysicalConstants.natural(dimension=2),
+                     params["t_final"], params["dt"], SPLIT_FOURIER,
+                     snapshot_stride=params["stride"])
+
+
 def _check_oracle(params):
     n_steps, steps = _check_flow(params)
     try:
@@ -510,20 +484,15 @@ def _check_oracle(params):
     _check_memory("points, t_final, dt and stride", params["points"] ** 2,
                   len(_ORACLE_STARTS), 2,
                   2 * len(_ORACLE_STARTS) * (steps + 1))
-    _check_work("points, t_final and dt", n_steps * params["points"] ** 2)
-    _check_stepper(_oracle_grid(params["points"]),
-                   CoupledOscillator(analytic.COUPLING),
-                   PhysicalConstants.natural(dimension=2), params["dt"])
+    _check_work("points, t_final, dt and dt_ode",
+                n_steps * params["points"] ** 2
+                + _flow_updates(steps, len(_ORACLE_STARTS)))
+    _oracle_evolution(params)
 
 
 def run_oscillator_oracle(params, out_dir=None):
-    grid = _oracle_grid(params["points"])
-    constants = PhysicalConstants.natural(dimension=2)
-    psi0 = ScalarWaveFunction.from_callable(
-        grid, lambda x, y: analytic.coupled_oscillator_wavefunction(x, y, 0.0))
-    evolution = Evolution(psi0, CoupledOscillator(analytic.COUPLING),
-                          constants, params["t_final"], params["dt"],
-                          SPLIT_FOURIER, snapshot_stride=params["stride"])
+    evolution = _oracle_evolution(params)
+    grid, constants = evolution.grid, evolution.constants
     # field comparison at t = 1, as the evolution passes it
     i1 = int(round(1.0 / evolution.dt))
     psi_err = None
@@ -573,18 +542,20 @@ def run_oscillator_oracle(params, out_dir=None):
 # --- scenario: equivariance --------------------------------------------------------
 
 
-def _equivariance_setup(case):
-    """Constants, potential and initial state of one case; raises ValueError
-    where the run would reject the case."""
+def _case_evolution(case, potential):
+    """The Evolution of one 1-d case under ``potential``; raises ValueError
+    where the run would reject the case, its flow's dt_ode included."""
     grid = _grid_1d(case["grid"])
     constants = PhysicalConstants.natural(dimension=1)
-    potential = from_description(case["potential"])
-    # evaluates the potential (one frequency per axis, a 2-d grid) and its
-    # phases over one step
-    _check_stepper(grid, potential, constants, case["dt"])
-    psi0 = make_initial(grid, constants, case["initial"])
+    evolution = Evolution(make_initial(grid, constants, case["initial"]),
+                          potential, constants, case["t_final"], case["dt"],
+                          SPLIT_FOURIER, snapshot_stride=case["stride"])
     _check_flow(case)
-    return constants, potential, psi0
+    return evolution
+
+
+def _equivariance_evolution(case):
+    return _case_evolution(case, from_description(case["potential"]))
 
 
 def _check_cases(params):
@@ -595,20 +566,18 @@ def _check_cases(params):
     bins = params.get("bins", 0)
     counts = "n, bins" if "bins" in params else "n"
     for j, case in enumerate(params["cases"]):
-        n_steps, _ = _check_flow(case)
+        n_steps, steps = _check_flow(case)
         _check_memory(f"{counts} and cases[{j}]", case["grid"]["count"],
                       params["n"], 1, bins=bins)
-        updates += n_steps * case["grid"]["count"]
-    _check_work("grid.count, t_final and dt of the cases", updates)
+        updates += (n_steps * case["grid"]["count"]
+                    + _flow_updates(steps, params["n"]))
+    _check_work("n and the cases' grid.count, t_final, dt and dt_ode",
+                updates)
 
 
 def _equivariance_case(case, n, bins, seed):
-    constants, potential, psi0 = _equivariance_setup(case)
-    evolution = Evolution(psi0, potential, constants, case["t_final"],
-                          case["dt"], SPLIT_FOURIER,
-                          snapshot_stride=case["stride"])
-    out, masses = equivariance_check(evolution, n, seed, bins=bins,
-                                     dt_ode=case["dt_ode"])
+    out, masses = equivariance_check(_equivariance_evolution(case), n, seed,
+                                     bins=bins, dt_ode=case["dt_ode"])
     out["name"] = case["name"]
     return out, masses
 
@@ -647,14 +616,16 @@ def run_equivariance(params, out_dir=None):
 
 
 def _check_collapse(params):
-    n_steps, _ = _flow_steps(params["t_meas"], params["dt"], COLLAPSE_STRIDE,
-                             params["dt_ode"])
-    grid_points = math.prod(COLLAPSE_SHAPE)
+    # The weights, each in [0, 1], set only the initial superposition, which
+    # every one of them normalizes: one set-up checks the run of each.
+    _, evolution = collapse_setup(0.5, params["coupling"], params["t_meas"],
+                                  params["dt"])
+    n_steps, steps = _flow_steps(params["t_meas"], params["dt"],
+                                 evolution.stride, params["dt_ode"])
+    grid_points = math.prod(evolution.grid.shape)
     _check_memory("n, t_meas and dt", grid_points, params["n"], 2)
-    _check_work("weights, t_meas and dt",
-                len(params["weights"]) * n_steps * grid_points)
-    grid, constants, potential = collapse_hamiltonian(params["coupling"])
-    _check_stepper(grid, potential, constants, params["dt"])
+    _check_work("weights, n, t_meas, dt and dt_ode", len(params["weights"])
+                * (n_steps * grid_points + _flow_updates(steps, params["n"])))
 
 
 def run_collapse(params, out_dir=None):
@@ -681,31 +652,21 @@ def run_collapse(params, out_dir=None):
 # --- scenario: flux -----------------------------------------------------------------
 
 
-def _flux_initial(case):
-    """Constants and initial state of one case."""
-    grid = _grid_1d(case["grid"])
-    constants = PhysicalConstants.natural(dimension=1)
-    return constants, make_initial(grid, constants, case["initial"])
-
-
-def _check_flux_case(case):
-    """Raise ValueError where the run would reject the case: its own
-    Evolution, SurfaceCurrent and Flow make these checks again."""
-    constants, psi0 = _flux_initial(case)
-    _check_stepper(psi0.grid, Free(), constants, case["dt"])
-    check_location(psi0.grid, case["surface"])
-    _check_flow(case)
+def _flux_evolution(case):
+    """The free Evolution of one case; raises ValueError where the run would
+    reject the case, its surface included, which its SurfaceCurrent checks
+    again."""
+    evolution = _case_evolution(case, Free())
+    check_location(evolution.grid, case["surface"])
+    return evolution
 
 
 def _flux_case(case, n, seed, out_dir):
-    constants, psi0 = _flux_initial(case)
-    evolution = Evolution(psi0, Free(), constants, case["t_final"],
-                          case["dt"], SPLIT_FOURIER,
-                          snapshot_stride=case["stride"])
-    ens = sample_density(psi0, n, seed)
+    evolution = _flux_evolution(case)
+    ens = sample_density(evolution.initial, n, seed)
     counter = CrossingCounter(ens.size, case["surface"])
-    flow = Flow(ens.members, evolution, constants, dt_ode=case["dt_ode"],
-                on_step=counter)
+    flow = Flow(ens.members, evolution, evolution.constants,
+                dt_ode=case["dt_ode"], on_step=counter)
     # the surface reads each snapshot's gradient off the flow's window
     surface = SurfaceCurrent(evolution, case["surface"], flow)
     evolution.run(flow, surface)
@@ -815,8 +776,8 @@ _classical_grid = functools.partial(Grid.regular, -6.0, 6.0)
 
 
 def _classical_setup(params, hbar):
-    """Constants, initial packet, its position sd and the start x0 for one
-    hbar of the sweep; raises ValueError where the run would fail."""
+    """The Evolution of one hbar of the sweep, its packet's position sd and
+    the start x0; raises ValueError where the run would fail."""
     constants = PhysicalConstants(hbar=hbar, masses=(1.0,))
     grid = _classical_grid(params["points"])
     psi0 = make_initial(grid, constants,
@@ -827,31 +788,28 @@ def _classical_setup(params, hbar):
     x0 = params["displacement"] + width
     if not grid.contains((x0,)):
         raise ValueError(f"start {x0} for hbar {hbar} lies outside the grid")
-    return constants, psi0, width, x0
+    return Evolution(psi0, Harmonic((params["omega"],)), constants,
+                     params["t_final"], params["dt"], SPLIT_FOURIER,
+                     snapshot_stride=params["stride"]), width, x0
 
 
 def _check_classical_limit(params):
     n_steps, steps = _check_flow(params)
     _check_memory("points, t_final, dt and stride", params["points"], 1, 1,
                   steps + 1)
-    _check_work("hbars, points, t_final and dt",
-                len(params["hbars"]) * n_steps * params["points"])
+    _check_work("hbars, points, t_final, dt and dt_ode", len(params["hbars"])
+                * (n_steps * params["points"] + _flow_updates(steps, 1)))
     for hbar in params["hbars"]:
-        constants, psi0, _, _ = _classical_setup(params, hbar)
-        _check_stepper(psi0.grid, Harmonic((params["omega"],)), constants,
-                       params["dt"])
+        _classical_setup(params, hbar)
 
 
 def run_classical_limit(params, out_dir=None):
     omega = params["omega"]
     deviations = []
     for hbar in params["hbars"]:
-        constants, psi0, width, x0 = _classical_setup(params, hbar)
-        evolution = Evolution(psi0, Harmonic((omega,)), constants,
-                              params["t_final"], params["dt"], SPLIT_FOURIER,
-                              snapshot_stride=params["stride"])
-        flow = Flow([(x0,)], evolution, constants, dt_ode=params["dt_ode"],
-                    store_path=True)
+        evolution, width, x0 = _classical_setup(params, hbar)
+        flow = Flow([(x0,)], evolution, evolution.constants,
+                    dt_ode=params["dt_ode"], store_path=True)
         evolution.run(flow)
         traj = flow.result().trajectory(0)
         classical = x0 * np.cos(omega * traj.times)
@@ -992,7 +950,7 @@ _register(
         "cases": Many(Obj({
             "name": _NAME, "grid": _GRID, "potential": POTENTIAL,
             "initial": INITIAL, "t_final": Num(), "dt": Num(),
-            "stride": Int(), "dt_ode": Num()}, rule=_equivariance_setup), [
+            "stride": Int(), "dt_ode": Num()}, rule=_equivariance_evolution), [
             {"name": "free-gaussian",
              "grid": {"lower": -12.0, "upper": 12.0, "count": 1024},
              "potential": {"kind": "free"},
@@ -1036,7 +994,7 @@ _register(
             "surface": Num(), "t_final": Num(), "dt": Num(), "stride": Int(),
             "dt_ode": Num(),
             "asserts": Many(Fixed(_FLUX_RESULTS, Num(), Num(low=0.0)))},
-            rule=_check_flux_case), [
+            rule=_flux_evolution), [
             {"name": "traversal",
              "grid": {"lower": -12.0, "upper": 20.0, "count": 2048},
              "initial": {"generator": "gaussian", "center": -3.0,

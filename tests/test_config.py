@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bohmsim import cli, fields, flux, scenarios
 from bohmsim.fields import ScalarWaveFunction
 from bohmsim.grids import Grid, PhysicalConstants
-from bohmsim.guidance import Flow, integrate_flow
+from bohmsim.guidance import Flow, flow_footprint, integrate_flow
 from bohmsim.potentials import Free
 from bohmsim.propagate import CRANK_NICOLSON, SPLIT_FOURIER, Evolution, evolve
 from bohmsim.scenarios import (SCENARIOS, ConfigError, make_initial,
@@ -33,9 +33,7 @@ def _case(scenario, **case):
 
 # Configs of the right JSON types that the run would reject, one row per
 # rule: each is a config error that names its path. Each row names itself,
-# so a row inserted anywhere renames no other. The one name of the form
-# path-position, cases[0]-36, is the message path and list position it was
-# once derived from, kept so that every record of that test still matches.
+# so a row inserted anywhere renames no other.
 PROBES = [
     ("equivariance-harmonic-no-omegas",
      _case("equivariance", potential={"kind": "harmonic"}),
@@ -118,6 +116,11 @@ PROBES = [
      {"scenario": "oscillator-oracle", "points": 32, "t_final": 1e306,
       "dt": 1e306, "stride": 1, "dt_ode": 1e306},
      "config: the field check needs a snapshot at t = 1"),
+    # the closed-form initial state is normalized only on a grid fine
+    # enough to resolve it
+    ("oscillator-oracle-points-eight-not-normalized",
+     {"scenario": "oscillator-oracle", "points": 8},
+     "config: initial state must be normalized"),
     ("spin-dt-overflows-kinetic-phase",
      {"scenario": "spin", "dt": 1e306},
      "config: the kinetic phase of a 1e+306 step contains NaN or Inf"),
@@ -137,7 +140,7 @@ PROBES = [
      _case("flux", grid={"lower": -16.0, "upper": 26.0, "count": 2048},
            initial={"generator": "two-packet", "centers": [-55, 17.5]}),
      "cases[0]: two-packet: the packet at -55 has no weight on the grid"),
-    ("cases[0]-36",
+    ("gaussian-momentum-overflow",
      _case("flux", initial={"generator": "gaussian", "momentum": 1e308}),
      "cases[0]: wave function contains NaN or Inf"),
     # weights whose norm, and a wave number whose phase, leave the float
@@ -346,19 +349,31 @@ OVER_BUDGET = [
 ]
 
 OVER_WORK = [
-    ({"scenario": "spin", "rabi_steps": 10**12},
+    ("spin", {"scenario": "spin", "rabi_steps": 10**12},
      "config: points, decoupled_steps and rabi_steps would make 3.79e+15 "
      "grid-point updates"),
-    ({"scenario": "oscillator-oracle", "dt": 1e-6, "stride": 10000},
-     "config: points, t_final and dt would make 1.31e+11"),
-    ({"scenario": "collapse", "weights": [0.5] * 50},
-     "config: weights, t_meas and dt would make 2.46e+9"),
-    ({"scenario": "flux", "cases": [{"dt": 1e-6, "stride": 5000}]},
-     "config: grid.count, t_final and dt of the cases would make 6.14e+9"),
-    (_case("equivariance", name="fine", dt=2e-7, stride=10000),
-     "config: grid.count, t_final and dt of the cases would make 5.12e+9"),
-    ({"scenario": "classical-limit", "hbars": [1.0] * 100},
-     "config: hbars, points, t_final and dt would make 2.46e+9"),
+    ("oscillator-oracle",
+     {"scenario": "oscillator-oracle", "dt": 1e-6, "stride": 10000},
+     "config: points, t_final, dt and dt_ode would make 1.31e+11"),
+    ("collapse", {"scenario": "collapse", "weights": [0.5] * 50},
+     "config: weights, n, t_meas, dt and dt_ode would make 2.96e+9"),
+    ("flux", {"scenario": "flux", "cases": [{"dt": 1e-6, "stride": 5000}]},
+     "config: n and the cases' grid.count, t_final, dt and dt_ode would "
+     "make 6.28e+9"),
+    ("equivariance",
+     _case("equivariance", name="fine", dt=2e-7, stride=10000),
+     "config: n and the cases' grid.count, t_final, dt and dt_ode would "
+     "make 5.23e+9"),
+    ("classical-limit", {"scenario": "classical-limit", "hbars": [1.0] * 100},
+     "config: hbars, points, t_final, dt and dt_ode would make 4.86e+9"),
+    # 1.6e9 grid-point updates on 8 points, but 2 x 10^8 RK4 steps, which
+    # at about 0.34 ms each would run for some 19 hours
+    ("flux-rk4-steps",
+     {"scenario": "flux", "n": 2, "cases": [{
+         "grid": {"lower": -12.0, "upper": 20.0, "count": 8},
+         "t_final": 3.0, "dt": 1.5e-8, "stride": 1, "dt_ode": 1.5e-8}]},
+     "config: n and the cases' grid.count, t_final, dt and dt_ode would "
+     "make 4.01e+12"),
 ]
 
 
@@ -369,8 +384,8 @@ def test_over_memory_budget_is_a_config_error(config, message):
     assert any(e.startswith(message) for e in errors), errors
 
 
-@pytest.mark.parametrize("config,message", OVER_WORK,
-                         ids=[c["scenario"] for c, _ in OVER_WORK])
+@pytest.mark.parametrize("config,message", [row[1:] for row in OVER_WORK],
+                         ids=[row[0] for row in OVER_WORK])
 def test_over_work_budget_is_a_config_error(config, message):
     errors = validate_config(config)
     assert any(e.startswith(message) for e in errors), errors
@@ -431,11 +446,11 @@ def test_defaults_and_workloads_stay_well_inside_the_memory_budget(
     (2, "periodic", 32, 2000), (2, "boxed", 65, 20)], ids=str)
 def test_memory_model_bounds_a_traced_flow(dimension, boundary, count,
                                            members):
-    """The flow's share of the memory model, its sampler's grid fields plus
-    the bytes per member, bounds the traced peak growth of one flow and is
-    at most twice it: on flows whose members dominate, and on boxed grids,
-    whose difference stencil leaves the most derivative transients, where
-    the grid does."""
+    """The flow's share of the memory model, ``flow_footprint``, its
+    sampler's grid fields plus the bytes per member, bounds the traced peak
+    growth of one flow and is at most twice it: on flows whose members
+    dominate, and on boxed grids, whose difference stencil leaves the most
+    derivative transients, where the grid does."""
     g = Grid.regular(-8.0, 8.0, count, boundary=boundary,
                      dimension=dimension)
     constants = PhysicalConstants.natural(dimension)
@@ -454,8 +469,7 @@ def test_memory_model_bounds_a_traced_flow(dimension, boundary, count,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    model = (16 * scenarios._sampler_fields(dimension) * count**dimension
-             + members * scenarios._member_bytes(dimension))
+    model = flow_footprint(dimension, count**dimension, members)
     assert peak <= model <= 2 * peak
 
 
@@ -463,11 +477,11 @@ def test_memory_model_bounds_a_traced_flow(dimension, boundary, count,
     (1, 4096, 1), (1, 4096, 5), (2, 64, 1), (2, 64, 5)], ids=str)
 def test_memory_model_bounds_a_traced_streamed_pass(dimension, count, ratio):
     """The memory model of a streamed run, its held fields (_STREAM_FIELDS)
-    and sampler fields on the grid plus the bytes per member, bounds the
-    traced peak of one streamed split-Fourier pass from the evolution's
-    set-up on, and is at most twice it, with dt_ode one and five snapshot
-    spacings. The 1-d pass carries the flux scenario's surface current and
-    crossing counts."""
+    on the grid plus the flow's ``flow_footprint``, bounds the traced peak
+    of one streamed split-Fourier pass from the evolution's set-up on, and
+    is at most twice it, with dt_ode one and five snapshot spacings. The
+    1-d pass carries the flux scenario's surface current and crossing
+    counts."""
     g = Grid.regular(-8.0, 8.0, count, dimension=dimension)
     constants = PhysicalConstants.natural(dimension)
     psi = ScalarWaveFunction.from_callable(
@@ -497,9 +511,8 @@ def test_memory_model_bounds_a_traced_streamed_pass(dimension, count, ratio):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    model = (16 * (scenarios._STREAM_FIELDS
-                   + scenarios._sampler_fields(dimension)) * count**dimension
-             + members * scenarios._member_bytes(dimension))
+    model = (16 * scenarios._STREAM_FIELDS * count**dimension
+             + flow_footprint(dimension, count**dimension, members))
     assert peak <= model <= 2 * peak
 
 
@@ -634,5 +647,68 @@ def test_accepted_perturbation_runs(base, data):
         with pytest.raises(ConfigError):
             run_scenario(config)
     else:
+        code, _ = run_scenario(config)
+        assert code in (0, 1)
+
+
+# Small configs of every scenario, most of them legal: the tables' smallest
+# grids and spans of a few steps, so that each runs in well under a second.
+_SPAN, _DT = st.sampled_from([0.2, 0.4]), st.sampled_from([0.05, 0.1])
+_STRIDE, _DT_ODE = st.sampled_from([1, 2]), st.sampled_from([0.1, 0.2])
+_COUNT = st.sampled_from([8, 16, 64])
+_INITIAL = st.sampled_from([{"generator": g} for g in (
+    "gaussian", "coherent", "plane-wave", "two-packet")])
+_GRID_1D = st.fixed_dictionaries({"lower": st.just(-12.0),
+                                  "upper": st.just(12.0), "count": _COUNT})
+_CASE = {"grid": _GRID_1D, "initial": _INITIAL, "t_final": _SPAN, "dt": _DT,
+         "stride": _STRIDE, "dt_ode": _DT_ODE}
+_SEED = st.integers(0, 100)
+
+
+def _small(name, **keys):
+    return st.fixed_dictionaries({"scenario": st.just(name), **keys})
+
+
+SMALL_CONFIGS = st.one_of(
+    _small("oscillator-oracle", points=st.sampled_from([8, 32]),
+           t_final=st.just(1.0), dt=st.sampled_from([0.1, 0.25]),
+           stride=_STRIDE, dt_ode=st.sampled_from([0.25, 0.5])),
+    _small("equivariance", n=st.integers(1, 20), bins=st.integers(1, 8),
+           seed=_SEED, cases=st.lists(st.fixed_dictionaries({
+               **_CASE, "potential": st.sampled_from([
+                   {"kind": "free"}, {"kind": "harmonic", "omegas": [1.0]}])}),
+               max_size=2)),
+    _small("collapse", weights=st.lists(st.floats(0.0, 1.0), max_size=2),
+           n=st.integers(1, 20), seed=_SEED,
+           coupling=st.sampled_from([0.0, 40.0]),
+           t_meas=st.sampled_from([0.1, 0.2]), dt=st.just(0.01),
+           dt_ode=st.sampled_from([0.1, 0.2])),
+    _small("flux", n=st.integers(2, 20), seed=_SEED,
+           cases=st.lists(st.fixed_dictionaries({
+               **_CASE, "surface": st.sampled_from([0.0, 1.0])}),
+               max_size=2)),
+    _small("povm", seed=_SEED, n_states=st.integers(-1, 3)),
+    _small("classical-limit",
+           hbars=st.lists(st.sampled_from([1.0, 0.3, 0.1]), max_size=3),
+           omega=st.sampled_from([0.5, 1.0]),
+           displacement=st.sampled_from([0.0, 1.0]), points=_COUNT,
+           t_final=_SPAN, dt=_DT, stride=_STRIDE, dt_ode=_DT_ODE),
+    _small("spin", points=_COUNT, dt=st.sampled_from([1e-3, 0.1]),
+           decoupled_steps=st.integers(1, 3),
+           b_transverse=st.sampled_from([0.5, 1.0]),
+           rabi_steps=st.integers(1, 10)),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SMALL_CONFIGS)
+# the closed-form oracle state is not normalized on these grids
+@example({"scenario": "oscillator-oracle", "points": 8})
+@example({"scenario": "oscillator-oracle", "points": 16})
+def test_validated_config_runs(config):
+    """A config that validates runs to a verdict, exit 0 or 1, and never
+    raises."""
+    if not validate_config(config):
         code, _ = run_scenario(config)
         assert code in (0, 1)

@@ -415,6 +415,21 @@ def test_record_clock_has_the_bits_of_the_steps(dt, stride):
     assert rec.dt == dt * stride and rec.t_final == steps[-1]
 
 
+def test_clock_t_final_builds_no_times():
+    """t_final is times[-1], bit for bit, read without building the times:
+    an evolution of 10^6 snapshots would build 8 MB of them."""
+    evolution = propagate.Evolution(gaussian(periodic_grid(64)), Free(), C1,
+                                    3.0, 3e-6, SPLIT_FOURIER)
+    tracemalloc.start()
+    try:
+        t_final = evolution.t_final
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**4
+    assert t_final == evolution.times[-1]
+
+
 # --- the factored Crank-Nicolson solve ---------------------------------------
 
 
